@@ -1,9 +1,13 @@
 """Ground-truth enumeration and executable theorem checkers.
 
-The Petersen census is pure brute force over all 5-subsets of matching
-edges; no crossing-graph shortcut is used anywhere (whether every witness
-through an anchor arises from an induced P4 there is an open converse, so
-such a shortcut could silently under-count).
+The Petersen census is exhaustive: every 5-subset of matching edges is
+accounted for, and no crossing-graph shortcut is used anywhere (whether
+every witness through an anchor arises from an induced P4 there is an open
+converse, so such a shortcut could silently under-count).  What makes it
+fast is that a 5-subset's verdict depends only on the rank pattern of sigma
+on it, and only 10 of the 120 patterns certify; the enumerator grows
+subsets one index at a time and abandons a prefix as soon as its exact rank
+pattern can no longer complete to one of those 10.
 """
 
 from __future__ import annotations
@@ -12,9 +16,11 @@ import csv
 import io
 import itertools
 import multiprocessing
+import os
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,66 +29,147 @@ from .core import (
     MarkedPermutationGraph,
     _check_index,
     enumerate_m_c4,
-    is_petersen,
-    suppress_match,
     validate,
 )
 from .crossing import build_crossing_graph
-from .errors import ExhaustedAttempts, OutOfScanRange
+from .errors import ExhaustedAttempts, InvalidJobs, OutOfScanRange
 from .witness import PetersenWitness, find_p10_through
 
-# Verdict of is_petersen(suppress_match(G, X)) for |X| = 5, memoized on the
-# subset's relative-order profile: the suppressed multigraph is two
-# 5-cycles (the subset in A-cyclic order, its image in A'-cyclic order)
-# joined by the matching, so up to isomorphism it depends only on how the
-# sigma-images rank against the sorted subset.  Every cached verdict is
-# first computed by the real suppress-and-check pipeline.
-_TAU_VERDICT: dict[tuple[int, ...], bool] = {}
+
+# For X = x0 < ... < x4, suppress_match(G, X) is the A-side 5-cycle
+# x0..x4, the A'-side 5-cycle of the images in value order, and the
+# matching x_i -- rank of sigma[x_i].  That is the Petersen graph exactly
+# when the A'-cycle joins the partners of x_i and x_{i+-2}, i.e. when the
+# rank pattern is i -> c*i + d (mod 5) with c in {2, 3}: 10 of the 120
+# patterns.  The tests check this against is_petersen on all 120.
+PETERSEN_PATTERNS: frozenset[tuple[int, ...]] = frozenset(
+    tuple((c * i + d) % 5 for i in range(5)) for c in (2, 3) for d in range(5)
+)
+
+
+def _arc_table() -> dict[tuple[bool, bool, bool], tuple[int, int, int, int]]:
+    """Order of (x0, x1, x2), as (s0 < s1, s0 < s2, s1 < s2) for their
+    sigma values, -> (a3, b3, a4, b4): sigma[x3] must fill one of gaps
+    a3..b3-1 and sigma[x4] one of gaps a4..b4-1.  Gap g lies between the
+    g-th and (g+1)-th smallest of s0, s1, s2: gap 0 below all three, gap 3
+    above all three.  Read cyclically, gap 3 is followed by gap 0 again,
+    numbered 4 so that every arc is a range.
+
+    In cyclic value order a Petersen pattern reads x0, x3, x1, x4, x2 or
+    its reverse, so sigma[x3] must sit on the arc from s0 to s1 that avoids
+    s2, and sigma[x4] on the arc from s1 to s2 that avoids s0.  The two
+    arcs are independent: every choice of one gap from each is a Petersen
+    pattern, and the 6 triple orders hold the 10 patterns between them.
+    """
+    gaps: dict[tuple[bool, bool, bool], tuple[set[int], set[int]]] = {}
+    for P in PETERSEN_PATTERNS:
+        order = (P[0] < P[1], P[0] < P[2], P[1] < P[2])
+        x3_gaps, x4_gaps = gaps.setdefault(order, (set(), set()))
+        x3_gaps.add(sum(v < P[3] for v in P[:3]))
+        x4_gaps.add(sum(v < P[4] for v in P[:3]))
+
+    def arc(gs: set[int]) -> tuple[int, int]:
+        first = next(g for g in gs if (g - 1) % 4 not in gs)
+        return first, first + len(gs)
+
+    return {order: (*arc(g3), *arc(g4)) for order, (g3, g4) in gaps.items()}
+
+
+_ARCS = _arc_table()
 
 
 def _subset_is_petersen(G: MarkedPermutationGraph, X: tuple[int, ...]) -> bool:
-    svals = [G.sigma[x] for x in X]
-    order = sorted(range(5), key=svals.__getitem__)
-    tau = [0] * 5
-    for rank, pos in enumerate(order):
-        tau[pos] = rank
-    key = tuple(tau)
-    verdict = _TAU_VERDICT.get(key)
-    if verdict is None:
-        verdict = is_petersen(suppress_match(G, X))
-        _TAU_VERDICT[key] = verdict
-    return verdict
+    """is_petersen(suppress_match(G, X)) for a sorted 5-subset X: whether
+    the rank pattern of sigma on X is in PETERSEN_PATTERNS."""
+    values = [G.sigma[x] for x in X]
+    ranked = sorted(values)
+    return tuple(ranked.index(v) for v in values) in PETERSEN_PATTERNS
 
 
-def _p10_range_worker(args: tuple[int, tuple[int, ...], int, int]) -> list[tuple[int, ...]]:
-    m, sigma, start, stop = args
-    G = MarkedPermutationGraph(m, sigma)
-    subsets = itertools.islice(itertools.combinations(range(m), 5), start, stop)
-    return [X for X in subsets if _subset_is_petersen(G, X)]
+def _petersen_search(sigma: tuple[int, ...], start: int, stop: int) -> list[PetersenWitness]:
+    """Every Petersen 5-subset whose least index lies in [start, stop), in
+    lexicographic order.
+
+    x0 < x1 < x2 run over all triples.  The triple's order fixes the arcs
+    of values open to x3 and to x4 (see _arc_table).  The indices after x2
+    with values on an arc are one slice of a list of those indices in
+    cyclic value order, and every x3 < x4 from the two slices completes a
+    witness.
+    """
+    m = len(sigma)
+    inv = [0] * m
+    for i, v in enumerate(sigma):
+        inv[v] = i
+    # later[p]: the values sigma[q] for q > p, ascending; ring[p]: those q
+    # in the same order, twice over, so that an arc across the top of the
+    # value range is still one slice
+    later = [sorted(sigma[p + 1:]) for p in range(m)]
+    ring = [[inv[v] for v in vals] * 2 for vals in later]
+    out: list[PetersenWitness] = []
+    for x0 in range(start, stop):
+        s0 = sigma[x0]
+        for x1 in range(x0 + 1, m - 3):
+            s1 = sigma[x1]
+            for x2 in range(x1 + 1, m - 2):
+                s2 = sigma[x2]
+                a3, b3, a4, b4 = _ARCS[s0 < s1, s0 < s2, s1 < s2]
+                vals = later[x2]
+                lo, mid, hi = sorted((s0, s1, s2))
+                c1 = bisect(vals, lo)
+                cut = (0, c1, bisect(vals, mid), bisect(vals, hi), len(vals), len(vals) + c1)
+                x4s = ring[x2][cut[a4]:cut[b4]]
+                if not x4s:
+                    continue
+                x4s.sort()
+                x3s = sorted(ring[x2][cut[a3]:cut[b3]])
+                out += [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s[bisect(x4s, x3):]]
+    return out
+
+
+def _fan_out(worker: Callable[..., object], head: tuple, weights: Sequence[int], jobs: int) -> list:
+    """Split range(len(weights)) into at most ``jobs`` contiguous pieces of
+    about equal total weight and return ``worker(*head, start, stop)`` for
+    each piece, in order.  More than one piece runs in a process pool.
+
+    ``jobs`` below 1 raises InvalidJobs before any process starts; above
+    os.cpu_count() it is capped, which changes no result.
+    """
+    if jobs < 1:
+        raise InvalidJobs(f"jobs must be at least 1, got {jobs}", jobs=jobs)
+    if jobs > 1:
+        jobs = min(jobs, os.cpu_count() or 1)
+    prefix = [0, *itertools.accumulate(weights)]
+    total = prefix[-1]
+    bounds = [bisect_left(prefix, -(-total * i // jobs)) for i in range(jobs)]
+    bounds.append(len(weights))
+    tasks = [(*head, a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    if len(tasks) <= 1:
+        return [worker(*task) for task in tasks]
+    with multiprocessing.Pool(len(tasks)) as pool:
+        return pool.starmap(worker, tasks)
 
 
 def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWitness]:
     """All 5-subsets whose match-subgraph suppresses to the Petersen graph,
     in lexicographic order.  Empty when m < 5.
 
-    With jobs > 1 the subset stream is split into contiguous ranges worked
-    in parallel; concatenating the ranges preserves the serial order, so
-    output is identical for any job count.
+    The census is exhaustive and exact: a subset is a witness exactly when
+    its rank pattern is in PETERSEN_PATTERNS, and the search drops a prefix
+    only when its exact rank pattern cannot complete to one.  It costs
+    O(log m) for each of the C(m,3) triples x0 < x1 < x2 and for each later
+    index whose value lies where a Petersen pattern needs x3 or x4, plus
+    O(1) per witness; brute force costs C(m,5) subset checks whatever the
+    answer.
+
+    With jobs > 1 the least index x0 is split into contiguous ranges,
+    weighted by the C(m-1-x0, 4) subsets that start there, and worked in
+    parallel; concatenating the ranges preserves the serial order, so
+    output is identical for any job count.  jobs < 1 raises InvalidJobs;
+    jobs is capped at os.cpu_count().
     """
     m = G.m
-    if m < 5:
-        return []
-    total = comb(m, 5)
-    if jobs <= 1 or total < 5000:
-        return [
-            X
-            for X in itertools.combinations(range(m), 5)
-            if _subset_is_petersen(G, X)
-        ]
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    tasks = [(m, G.sigma, bounds[i], bounds[i + 1]) for i in range(jobs)]
-    with multiprocessing.Pool(jobs) as pool:
-        chunks = pool.map(_p10_range_worker, tasks)
+    weights = [comb(m - 1 - x0, 4) for x0 in range(m)]
+    chunks = _fan_out(_petersen_search, (G.sigma,), weights, jobs)
     return [X for chunk in chunks for X in chunk]
 
 
@@ -382,8 +469,7 @@ def _scan_instance(
     return row, violations, runs
 
 
-def _scan_range_worker(args: tuple[int, int, int]) -> tuple[list[ScanRow], list[dict], int]:
-    m, start, stop = args
+def _scan_range_worker(m: int, start: int, stop: int) -> tuple[list[ScanRow], list[dict], int]:
     rows: list[ScanRow] = []
     violations: list[dict] = []
     runs = 0
@@ -399,26 +485,18 @@ def _scan_range_worker(args: tuple[int, int, int]) -> tuple[list[ScanRow], list[
 def exhaustive_scan(m: int, jobs: int = 1) -> ScanReport:
     """Run every m! instance through the zhang check and, for every edge
     satisfying the extraction precondition, the witness engine.  Symmetry
-    deduplication is deliberately not applied: correctness over speed."""
+    deduplication is deliberately not applied: correctness over speed.
+    jobs < 1 raises InvalidJobs; jobs is capped at os.cpu_count()."""
     if not 3 <= m <= 8:
         raise OutOfScanRange(f"scan supports 3 <= m <= 8, got {m}", m=m)
     total = factorial(m)
-    if jobs <= 1 or total < 1000:
-        rows, violations, runs = _scan_range_worker((m, 0, total))
-    else:
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        tasks = [(m, bounds[i], bounds[i + 1]) for i in range(jobs)]
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_scan_range_worker, tasks)
-        rows = [row for part in parts for row in part[0]]
-        violations = [v for part in parts for v in part[1]]
-        runs = sum(part[2] for part in parts)
+    parts = _fan_out(_scan_range_worker, (m,), [1] * total, jobs)
     return ScanReport(
         m=m,
         instance_count=total,
-        rows=tuple(rows),
-        violations=tuple(violations),
-        witness_runs=runs,
+        rows=tuple(row for part in parts for row in part[0]),
+        violations=tuple(v for part in parts for v in part[1]),
+        witness_runs=sum(part[2] for part in parts),
     )
 
 

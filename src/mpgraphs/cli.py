@@ -35,6 +35,7 @@ from .family import generate_gk
 from .witness import find_p10_through, witness_report_dict
 
 SCHEMA_VERSION = 1
+JOBS_HELP = "worker processes: at least 1, capped at the number of CPUs"
 
 
 def _emit_json(obj: dict, stdout: IO[str]) -> None:
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate all matched 4-cycles and Petersen witnesses")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     p = sub.add_parser("witness", help="certified Petersen subdivision through an edge")
     p.add_argument("file")
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="exhaustively verify all instances of a half-order")
     p.add_argument("m", type=int)
     p.add_argument("--out", help="write the per-instance CSV summary here")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("random", help="seeded random instance")

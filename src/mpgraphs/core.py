@@ -349,9 +349,6 @@ def apply_symmetry(G: MarkedPermutationGraph, op: str, k: int = 0) -> MarkedPerm
     raise ValueError(f"unknown symmetry op {op!r}")
 
 
-symmetry = apply_symmetry
-
-
 def relabel_witness(G: MarkedPermutationGraph, X: Iterable[int], op: str, k: int = 0) -> tuple[int, ...]:
     """Map a set of matching-edge indices through a symmetry op, so that
     witnesses of G correspond to witnesses of apply_symmetry(G, op, k)."""

@@ -99,3 +99,7 @@ class ExhaustedAttempts(MpgError):
 
 class InvalidK(MpgError):
     """Family parameter below 1."""
+
+
+class InvalidJobs(MpgError):
+    """Worker count below 1."""

@@ -7,6 +7,7 @@ by a networkx isomorphism test against the reference graph.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from pathlib import Path
 
@@ -39,6 +40,31 @@ def gk1():
 @pytest.fixture(scope="session")
 def gk2():
     return generate_gk(2)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stand in for multiprocessing.Pool, as the census module sees it:
+    each pool records its requested size in the returned list and runs its
+    tasks in this process, so no worker is ever started."""
+    sizes: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return list(itertools.starmap(fn, tasks))
+
+    census_module = importlib.import_module("mpgraphs.census")
+    monkeypatch.setattr(census_module.multiprocessing, "Pool", RecordingPool)
+    return sizes
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -24,8 +25,8 @@ from mpgraphs import (
     suppress_match,
     validate,
 )
-from mpgraphs.census import _subset_is_petersen
-from mpgraphs.errors import ExhaustedAttempts, OutOfScanRange
+from mpgraphs.census import PETERSEN_PATTERNS, _subset_is_petersen
+from mpgraphs.errors import ExhaustedAttempts, InvalidJobs, OutOfScanRange
 
 from .conftest import all_instances, instances
 
@@ -58,6 +59,73 @@ class TestEnumerateMP10:
     def test_memoized_verdict_agrees_with_direct_random(self, G, data):
         X = tuple(sorted(data.draw(st.permutations(list(range(G.m))).map(lambda p: p[:5]))))
         assert _subset_is_petersen(G, X) == is_petersen(suppress_match(G, X))
+
+
+def brute_force_p10(G):
+    """The reference census: every 5-subset, kept when its rank pattern is
+    in the table."""
+    return [X for X in itertools.combinations(range(G.m), 5) if _subset_is_petersen(G, X)]
+
+
+# The module object; the package attribute of the same name is census().
+census_module = importlib.import_module("mpgraphs.census")
+
+
+class TestPetersenSearch:
+    def test_closed_form_table_is_the_petersen_verdict(self):
+        # on m = 5 the whole instance is the subset, so sigma is its pattern
+        assert len(PETERSEN_PATTERNS) == 10
+        for G in all_instances(5):
+            assert (G.sigma in PETERSEN_PATTERNS) == is_petersen(suppress_match(G, range(5)))
+
+    def test_equals_brute_force_exhaustively(self):
+        for m in range(3, 9):
+            for G in all_instances(m):
+                assert enumerate_m_p10(G) == brute_force_p10(G), G
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_equals_brute_force_on_gk(self, k):
+        G = generate_gk(k).graph
+        assert enumerate_m_p10(G) == brute_force_p10(G)
+
+    @pytest.mark.parametrize("m,seed,c4_free", [(20, 1, False), (20, 2, True), (30, 3, False), (30, 1, True), (40, 4, True)])
+    def test_equals_brute_force_on_random(self, m, seed, c4_free):
+        G = random_instance(m, seed=seed, require_c4_free=c4_free)
+        assert enumerate_m_p10(G) == brute_force_p10(G)
+
+    def test_jobs_1_2_4_identical(self, monkeypatch):
+        # four real workers even on a smaller machine
+        monkeypatch.setattr(census_module.os, "cpu_count", lambda: 4)
+        for G in (generate_gk(8).graph, random_instance(30, seed=5)):
+            serial = enumerate_m_p10(G, jobs=1)
+            assert enumerate_m_p10(G, jobs=2) == serial
+            assert enumerate_m_p10(G, jobs=4) == serial
+
+
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+class TestJobsBounds:
+    @pytest.mark.parametrize("jobs", [0, -1, -100000])
+    def test_nonpositive_jobs_rejected_before_any_pool(self, monkeypatch, jobs):
+        monkeypatch.setattr(census_module.multiprocessing, "Pool", NoPool)
+        for call in (
+            lambda: enumerate_m_p10(generate_gk(4).graph, jobs=jobs),
+            lambda: enumerate_m_p10(PRISM, jobs=jobs),
+            lambda: exhaustive_scan(5, jobs=jobs),
+        ):
+            with pytest.raises(InvalidJobs) as exc:
+                call()
+            assert exc.value.certificate == {"jobs": jobs}
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(census_module.os, "cpu_count", lambda: 3)
+        G = generate_gk(4).graph
+        assert enumerate_m_p10(G, jobs=100000) == enumerate_m_p10(G, jobs=1)
+        assert exhaustive_scan(5, jobs=100000).rows == exhaustive_scan(5).rows
+        assert recording_pool == [3, 3]
 
 
 class TestCountPerEdge:

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -95,6 +96,21 @@ class TestCensus:
         _, parallel, _ = capture(["census", "-", "--json", "--jobs", "8"], stdin_text=gk_out)
         assert serial == parallel
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_2(self, jobs):
+        code, out, _ = capture(["census", PETERSEN_TXT, "--json", "--jobs", jobs])
+        assert code == 2
+        obj = assert_valid_json(out)
+        assert obj["error"] == "InvalidJobs" and obj["certificate"] == {"jobs": int(jobs)}
+
+    def test_huge_jobs_capped(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(importlib.import_module("mpgraphs.census").os, "cpu_count", lambda: 2)
+        _, gk_out, _ = capture(["gk", "4"])
+        _, serial, _ = capture(["census", "-", "--json"], stdin_text=gk_out)
+        code, capped, _ = capture(["census", "-", "--json", "--jobs", "100000"], stdin_text=gk_out)
+        assert code == 0 and capped == serial
+        assert recording_pool == [2]
+
     def test_plain_output(self):
         code, out, _ = capture(["census", PRISM_TXT])
         assert code == 0
@@ -158,6 +174,11 @@ class TestScan:
         code, out, _ = capture(["scan", "9"])
         assert code == 2
         assert assert_valid_json(out)["error"] == "OutOfScanRange"
+
+    def test_nonpositive_jobs_exit_2(self):
+        code, out, _ = capture(["scan", "4", "--jobs", "0"])
+        assert code == 2
+        assert assert_valid_json(out)["error"] == "InvalidJobs"
 
 
 class TestRandom:
