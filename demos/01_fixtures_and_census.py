@@ -6,14 +6,14 @@ perfect matching i -- sigma[i].  The census enumerates every matched
 suppresses to the Petersen graph.
 """
 
-from mpgraphs import PETERSEN, PRISM, census, girth, suppress_match, validate
+from mpgraphs import PETERSEN, PRISM, census_report, girth, suppress_match, validate
 
 print("=" * 64)
 print("The two named fixtures")
 print("=" * 64)
 
 for name, G in [("prism", PRISM), ("petersen", PETERSEN)]:
-    report = census(G)
+    report = census_report(G)
     print(f"\n{name}: {G.to_text()}")
     print(f"  vertices:          {G.n}")
     print(f"  matched 4-cycles:  {report.c4_count}  {[tuple(c) for c in report.four_cycles]}")

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .core import (
     FourCycle,
     MarkedPermutationGraph,
@@ -358,7 +356,7 @@ class CensusReport:
         }
 
 
-def census(G: MarkedPermutationGraph, jobs: int = 1) -> CensusReport:
+def census_report(G: MarkedPermutationGraph, jobs: int = 1) -> CensusReport:
     """Full ground-truth report: all matched 4-cycles, all witnesses,
     per-edge counts, and the standing theorem flags."""
     c4s = tuple(enumerate_m_c4(G))
@@ -507,7 +505,10 @@ def random_instance(
     max_attempts: int = 1000,
 ) -> MarkedPermutationGraph:
     """Uniform random sigma from a counter-based Philox stream, optionally
-    rejection-sampled until no matched 4-cycle remains."""
+    rejection-sampled until no matched 4-cycle remains.  numpy is imported
+    here, not at module level, so that importing mpgraphs does not load it."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(key=seed))
     for _ in range(max_attempts):
         G = validate(m, [int(v) for v in rng.permutation(m)])

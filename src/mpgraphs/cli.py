@@ -16,7 +16,7 @@ from typing import IO
 
 from . import __version__
 from .census import (
-    census,
+    census_report,
     check_redrawing,
     check_replace,
     check_lower_bound,
@@ -147,7 +147,7 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
 
     if args.command == "census":
         G = _load_instance(args.file, stdin)
-        report = census(G, jobs=args.jobs)
+        report = census_report(G, jobs=args.jobs)
         if args.json:
             _emit_json(report.to_json_dict(), stdout)
         else:

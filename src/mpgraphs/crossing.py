@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import MarkedPermutationGraph, _check_index
 from .errors import UnsupportedFormat
 
@@ -22,25 +20,26 @@ ROW_GAP = 10  # vertical units between the two rows
 
 @dataclass(frozen=True, eq=False)
 class CrossingGraph:
-    """Dense symmetric adjacency over the m-1 A-indices other than the
-    anchor.  Row/column ``anchor`` of the matrix is unused."""
+    """The crossing relation on the m-1 A-indices other than the anchor,
+    one Python-int bitmask per row: bit y of ``adj[x]`` is set iff x ~ y.
+    Row ``anchor`` is 0 and no row has bit ``anchor`` set."""
 
     anchor: int
     m: int
     vertices: tuple[int, ...]
-    adj: np.ndarray = field(repr=False)
+    adj: tuple[int, ...] = field(repr=False)
 
     def has_edge(self, x: int, y: int) -> bool:
-        return bool(self.adj[x, y])
+        return bool(self.adj[x] >> y & 1)
 
     def neighbors(self, x: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.flatnonzero(self.adj[x]))
+        return tuple(y for y in range(self.m) if self.adj[x] >> y & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(x, y) for x in self.vertices for y in self.vertices if x < y and self.adj[x, y]]
+        return [(x, y) for x in self.vertices for y in self.vertices if x < y and self.has_edge(x, y)]
 
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
 
 def build_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
@@ -51,13 +50,14 @@ def build_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
     m = G.m
     top = [(x - a) % m for x in range(m)]
     bot = [(G.sigma[x] - G.sigma[a]) % m for x in range(m)]
-    adj = np.zeros((m, m), dtype=bool)
+    adj = [0] * m
     verts = tuple(x for x in range(m) if x != a)
     for i, x in enumerate(verts):
         for y in verts[i + 1 :]:
             if (top[x] - top[y]) * (bot[x] - bot[y]) < 0:
-                adj[x, y] = adj[y, x] = True
-    return CrossingGraph(anchor=a, m=m, vertices=verts, adj=adj)
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+    return CrossingGraph(anchor=a, m=m, vertices=verts, adj=tuple(adj))
 
 
 def _ccw(p: Point, q: Point, r: Point) -> float:

@@ -216,16 +216,61 @@ def twin_contract(G: MarkedPermutationGraph, a: int, pair: TwinPair) -> TwinCont
     )
 
 
+class _Run(NamedTuple):
+    """An engine run or replay: the current instance, the anchor's index in
+    it, its A-index -> original A-index map, the steps applied so far and,
+    after P4Found, the witness in the original instance."""
+
+    graph: MarkedPermutationGraph
+    a: int
+    to_orig: tuple[int, ...]
+    steps: tuple[TraceStep, ...] = ()
+    witness: PetersenWitness | None = None
+
+
+def _apply_step(run: _Run, step: TraceStep | TwinPair) -> _Run:
+    """The run after ``step``, with the step appended as applied.  P4Found
+    sets the witness, lifted to the original instance.  A twin step comes
+    as recorded (TwinContractStep, from a trace) or as found (TwinPair,
+    from the engine); either is recorded as twin_contract normalizes it."""
+    cur, a, to_orig, steps, _ = run
+    if isinstance(step, (TwinContractStep, P4FoundStep)) and step.a != a:
+        raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
+    if isinstance(step, P4FoundStep):
+        local = p10_from_p4(cur, a, step.path)
+        witness = tuple(sorted(to_orig[v] for v in local))
+        return run._replace(steps=steps + (step,), witness=witness)
+    if isinstance(step, C4ReduceStep):
+        graph, index_map = c4_reduce(cur, a, step.z)
+    else:
+        if isinstance(step, TwinContractStep):
+            adjacent = build_crossing_graph(cur, a).has_edge(step.x, step.y)
+            step = TwinPair(step.x, step.y, TwinKind.TRUE_TWINS if adjacent else TwinKind.FALSE_TWINS)
+        try:
+            tc = twin_contract(cur, a, step)
+        except DegenerateArc as exc:
+            raise InternalInvariantViolated(
+                "degenerate twin arc in a C4-free instance",
+                instance=cur.to_text(),
+                anchor=a,
+                certificate=exc.certificate,
+            ) from exc
+        graph, index_map = tc.graph, tc.index_map
+        step = TwinContractStep(a, tc.x, tc.y, tc.q_prime)
+    return _Run(graph, index_map.index(a), tuple(to_orig[old] for old in index_map), steps + (step,))
+
+
 def find_p10_through(
     G: MarkedPermutationGraph, e: int
 ) -> tuple[PetersenWitness, ReductionTrace]:
     """Certified Petersen subdivision through matching edge ``e``.
 
     Requires e to lie in every matched 4-cycle; otherwise
-    PreconditionViolated carries a counterexample cycle.  The returned
-    witness is re-verified in the original instance, and the trace replays
-    to the same witness.  Running out of moves is impossible for valid
-    inputs and raises InternalInvariantViolated.
+    PreconditionViolated carries a counterexample cycle.  Each iteration
+    chooses a step and applies it with the code replay_trace uses, so the
+    trace replays to the same witness.  The returned witness is
+    re-verified in the original instance.  Running out of moves is
+    impossible for valid inputs and raises InternalInvariantViolated.
     """
     _check_index(G, e, "edge")
     for c4 in enumerate_m_c4(G):
@@ -235,11 +280,9 @@ def find_p10_through(
                 c4=[c4.i, c4.j],
                 edge=e,
             )
-    steps: list[TraceStep] = []
-    cur = G
-    a = e
-    to_orig = tuple(range(G.m))  # current A-index -> original A-index
-    while True:
+    run = _Run(G, e, tuple(range(G.m)))
+    while run.witness is None:
+        cur, a = run.graph, run.a
         c4s = enumerate_m_c4(cur)
         for c4 in c4s:
             if not c4.contains_edge(a):
@@ -248,7 +291,7 @@ def find_p10_through(
                     instance=cur.to_text(),
                     edge=a,
                     c4=[c4.i, c4.j],
-                    trace=[s.to_json_dict() for s in steps],
+                    trace=[s.to_json_dict() for s in run.steps],
                 )
         if cur.m == 3:
             raise InternalInvariantViolated(
@@ -258,76 +301,41 @@ def find_p10_through(
             )
         if c4s:
             # deterministic choice: reduce the partner with smallest index
-            z = min(c4.i if c4.j == a else c4.j for c4 in c4s)
-            red = c4_reduce(cur, a, z)
-            steps.append(C4ReduceStep(z))
-            to_orig = tuple(to_orig[old] for old in red.index_map)
-            a = red.index_map.index(a)
-            cur = red.graph
-            continue
-        H = build_crossing_graph(cur, a)
-        p4 = find_induced_p4(H)
-        if p4 is not None:
-            steps.append(P4FoundStep(a, p4))
-            local = p10_from_p4(cur, a, p4)
-            witness = tuple(sorted(to_orig[v] for v in local))
-            if e not in witness or not is_petersen(suppress_match(G, witness)):
+            step = C4ReduceStep(min(c4.i if c4.j == a else c4.j for c4 in c4s))
+        else:
+            H = build_crossing_graph(cur, a)
+            p4 = find_induced_p4(H)
+            step = P4FoundStep(a, p4) if p4 is not None else find_twins(H)
+            if step is None:
                 raise InternalInvariantViolated(
-                    "lifted witness failed re-verification in the original instance",
-                    instance=G.to_text(),
-                    edge=e,
-                    witness=list(witness),
-                    trace=[s.to_json_dict() for s in steps],
+                    "crossing graph is P4-free yet has no twins",
+                    instance=cur.to_text(),
+                    anchor=a,
                 )
-            return witness, ReductionTrace(tuple(steps))  # type: ignore[return-value]
-        twins = find_twins(H)
-        if twins is None:
-            raise InternalInvariantViolated(
-                "crossing graph is P4-free yet has no twins",
-                instance=cur.to_text(),
-                anchor=a,
-            )
-        try:
-            tc = twin_contract(cur, a, twins)
-        except DegenerateArc as exc:
-            raise InternalInvariantViolated(
-                "degenerate twin arc in a C4-free instance",
-                instance=cur.to_text(),
-                anchor=a,
-                certificate=exc.certificate,
-            ) from exc
-        steps.append(TwinContractStep(a, tc.x, tc.y, tc.q_prime))
-        to_orig = tuple(to_orig[old] for old in tc.index_map)
-        a = tc.index_map.index(a)
-        cur = tc.graph
+        run = _apply_step(run, step)
+    witness = run.witness
+    if e not in witness or not is_petersen(suppress_match(G, witness)):
+        raise InternalInvariantViolated(
+            "lifted witness failed re-verification in the original instance",
+            instance=G.to_text(),
+            edge=e,
+            witness=list(witness),
+            trace=[s.to_json_dict() for s in run.steps],
+        )
+    return witness, ReductionTrace(run.steps)
 
 
 def replay_trace(
     G: MarkedPermutationGraph, e: int, trace: ReductionTrace
 ) -> PetersenWitness:
-    """Re-apply the recorded steps from the original instance; the result
-    must equal the witness the engine returned."""
-    cur = G
-    a = e
-    to_orig = tuple(range(G.m))
+    """Re-apply the recorded steps from the original instance, with the
+    engine's own step code, and return the witness of the first P4Found
+    lifted to G; for a trace the engine wrote, that is the witness it
+    returned.  A recorded anchor that differs from the current one, or a
+    trace without P4Found, raises InternalInvariantViolated."""
+    run = _Run(G, e, tuple(range(G.m)))
     for step in trace.steps:
-        if isinstance(step, C4ReduceStep):
-            red = c4_reduce(cur, a, step.z)
-            to_orig = tuple(to_orig[old] for old in red.index_map)
-            a = red.index_map.index(a)
-            cur = red.graph
-        elif isinstance(step, TwinContractStep):
-            if step.a != a:
-                raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
-            H = build_crossing_graph(cur, a)
-            kind = TwinKind.TRUE_TWINS if H.has_edge(step.x, step.y) else TwinKind.FALSE_TWINS
-            tc = twin_contract(cur, a, TwinPair(step.x, step.y, kind))
-            to_orig = tuple(to_orig[old] for old in tc.index_map)
-            a = tc.index_map.index(a)
-            cur = tc.graph
-        else:
-            if step.a != a:
-                raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
-            local = p10_from_p4(cur, a, step.path)
-            return tuple(sorted(to_orig[v] for v in local))  # type: ignore[return-value]
+        run = _apply_step(run, step)
+        if run.witness is not None:
+            return run.witness
     raise InternalInvariantViolated("trace ended without P4Found", steps=len(trace.steps))

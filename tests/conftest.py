@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's own algorithms: girth is
-re-derived by exhaustive simple-cycle enumeration, and Petersen recognition
-by a networkx isomorphism test against the reference graph.
+re-derived by exhaustive simple-cycle enumeration, Petersen recognition by
+a networkx isomorphism test against the reference graph, and P4-freeness
+by twin elimination.
 """
 
 from __future__ import annotations
@@ -113,6 +114,29 @@ def is_petersen_by_isomorphism(S: SuppressedGraph) -> bool:
     if S.n != 10 or len(S.edges) != 15:
         return False
     return nx.is_isomorphic(to_networkx(S), nx.petersen_graph())
+
+
+def p4_free_by_twin_elimination(H) -> bool:
+    """Repeatedly delete one vertex of a twin pair; P4-free iff the graph
+    reduces to a single vertex (an induced P4 never contains twins, so a
+    deletion preserves the verdict)."""
+    active = list(H.vertices)
+    while len(active) > 1:
+        found = None
+        for i, x in enumerate(active):
+            for y in active[i + 1 :]:
+                # named to keep clear of the networkx import
+                nbr_x = {v for v in active if v != x and v != y and H.has_edge(x, v)}
+                nbr_y = {v for v in active if v != x and v != y and H.has_edge(y, v)}
+                if nbr_x == nbr_y:
+                    found = x
+                    break
+            if found is not None:
+                break
+        if found is None:
+            return False
+        active.remove(found)
+    return True
 
 
 def instance_to_networkx(G) -> nx.MultiGraph:

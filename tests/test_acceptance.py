@@ -15,7 +15,7 @@ from mpgraphs import (
     PETERSEN,
     PRISM,
     apply_symmetry,
-    census,
+    census_report,
     check_lower_bound,
     check_redrawing,
     check_replace,
@@ -92,8 +92,8 @@ def test_criterion_3_zhang_scans(scans):
 
 def test_criterion_4_fixture_counts():
     """PETERSEN census {c4: 0, p10: 1}; PRISM census {c4: 3, p10: 0}."""
-    pet = census(PETERSEN)
-    pri = census(PRISM)
+    pet = census_report(PETERSEN)
+    pri = census_report(PRISM)
     assert (pet.c4_count, pet.p10_count) == (0, 1)
     assert (pri.c4_count, pri.p10_count) == (3, 0)
     print("\nPASS criterion 4: fixture censuses exact (petersen 0/1, prism 3/0)")

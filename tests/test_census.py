@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from mpgraphs import (
     PETERSEN,
     PRISM,
     apply_symmetry,
-    census,
+    census_report,
     check_lower_bound,
     check_redrawing,
     check_replace,
@@ -67,7 +68,7 @@ def brute_force_p10(G):
     return [X for X in itertools.combinations(range(G.m), 5) if _subset_is_petersen(G, X)]
 
 
-# The module object; the package attribute of the same name is census().
+# The module, whose os and multiprocessing the jobs tests patch.
 census_module = importlib.import_module("mpgraphs.census")
 
 
@@ -256,7 +257,7 @@ class TestRandomInstance:
 
 class TestCensusReport:
     def test_petersen_report(self):
-        r = census(PETERSEN)
+        r = census_report(PETERSEN)
         assert r.c4_count == 0 and r.p10_count == 1
         assert r.zhang_ok and not r.lower_bound_applicable
         d = r.to_json_dict()
@@ -264,8 +265,13 @@ class TestCensusReport:
         assert sum(d["per_edge_counts"]) == 5 * r.p10_count
 
     def test_prism_report(self):
-        r = census(PRISM)
+        r = census_report(PRISM)
         assert r.c4_count == 3 and r.p10_count == 0 and r.zhang_ok
+
+    def test_package_attribute_is_the_module(self):
+        import mpgraphs
+
+        assert mpgraphs.census is sys.modules["mpgraphs.census"]
 
     @given(instances(3, 8), st.data())
     @settings(max_examples=60, deadline=None)

@@ -195,6 +195,17 @@ class TestRandom:
         code2, out2, _ = capture(["census", "-", "--json"], stdin_text=out)
         assert json.loads(out2)["c4_count"] == 0
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["random", "12", "--seed", "7"], "12 0 1 9 3 11 5 2 6 10 7 8 4"),
+            (["random", "12", "--seed", "3", "--c4-free"], "12 9 6 2 7 1 3 8 0 5 10 4 11"),
+        ],
+        ids=["seed7", "seed3-c4-free"],
+    )
+    def test_philox_stream_pinned(self, argv, line):
+        assert capture(argv) == (0, f"{line}\n# seed: {argv[3]}\n", "")
+
     def test_exhausted_exit_2(self):
         code, out, _ = capture(["random", "3", "--seed", "1", "--c4-free", "--max-attempts", "50"])
         assert code == 2
@@ -262,15 +273,32 @@ class TestCheck:
         assert code == 2
 
 
-def test_module_entry_point_subprocess():
+def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "mpgraphs", "census", PETERSEN_TXT, "--json"],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=120,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p10_count"] == 1
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only random_instance needs numpy, and it imports it itself
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mpgraphs.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -14,7 +14,7 @@ from mpgraphs import (
 )
 from mpgraphs.errors import TooFewVertices
 
-from .conftest import instances
+from .conftest import all_instances, instances, p4_free_by_twin_elimination
 
 EMPTY3 = build_crossing_graph(validate(4, [0, 1, 2, 3]), 0)  # no edges on {1,2,3}
 K4 = build_crossing_graph(validate(5, [0, 4, 3, 2, 1]), 0)  # complete on {1,2,3,4}
@@ -92,8 +92,15 @@ class TestIsP4Free:
     @settings(max_examples=150)
     def test_dichotomy_on_crossing_graphs(self, G, data):
         # the direction the induction leans on: no induced P4 forces twins
-        # (is_p4_free itself cross-checks brute force vs twin elimination)
         a = data.draw(st.integers(0, G.m - 1))
         H = build_crossing_graph(G, a)
         if is_p4_free(H):
             assert find_twins(H) is not None
+
+    def test_matches_twin_elimination_exhaustively(self):
+        # every anchor of every instance with 3 <= m <= 7: 40,314 graphs
+        for m in range(3, 8):
+            for G in all_instances(m):
+                for a in range(m):
+                    H = build_crossing_graph(G, a)
+                    assert is_p4_free(H) == p4_free_by_twin_elimination(H), (G.to_text(), a)

@@ -14,7 +14,7 @@ from mpgraphs import (
 )
 from mpgraphs.errors import UnsupportedFormat
 
-from .conftest import instances
+from .conftest import all_instances, instances
 
 REVERSED5 = validate(5, [0, 4, 3, 2, 1])
 
@@ -62,6 +62,24 @@ class TestBuildCrossingGraph:
                     (Ha.has_edge(b, x), Ha.has_edge(b, y), Ha.has_edge(x, y))
                 )
                 assert Hb.has_edge(x, y) == (cnt in (1, 3))
+
+    def test_bitmask_rows_match_drawn_segments_exhaustively(self):
+        # every anchor of every instance with m <= 6: x ~ y exactly when the
+        # two drawn matching segments cross, and the other accessors agree
+        for m in range(3, 7):
+            for G in all_instances(m):
+                for a in range(m):
+                    H = build_crossing_graph(G, a)
+                    segs = svg_matching_segments(standard_drawing(G, a, "svg"))
+                    for x in range(m):
+                        for y in range(m):
+                            crossed = x != y and count_segment_crossings([segs[x], segs[y]]) == 1
+                            assert H.has_edge(x, y) == crossed, (G.to_text(), a, x, y)
+                    edges = [(x, y) for x in H.vertices for y in H.vertices if x < y and H.has_edge(x, y)]
+                    assert H.edges() == edges
+                    assert H.edge_count() == len(edges)
+                    for x in range(m):
+                        assert H.neighbors(x) == tuple(y for y in range(m) if H.has_edge(x, y))
 
 
 def svg_matching_segments(doc: str):

@@ -9,13 +9,16 @@ from mpgraphs import (
     PRISM,
     Arc,
     InducedPath4,
+    ReductionTrace,
     Side,
+    TwinContractStep,
     TwinKind,
     TwinPair,
     build_crossing_graph,
     c4_reduce,
     enumerate_m_c4,
     enumerate_m_p10,
+    find_induced_p4,
     find_p10_through,
     find_twins,
     is_petersen,
@@ -28,19 +31,37 @@ from mpgraphs import (
 from mpgraphs.census import _qualifying_edges, random_instance
 from mpgraphs.errors import (
     DegenerateArc,
+    InternalInvariantViolated,
     NotAC4ThroughE,
     NotAnInducedP4,
     NotTwins,
     PreconditionViolated,
     TooSmall,
 )
-from mpgraphs.witness import C4ReduceStep, P4FoundStep
+from mpgraphs.witness import C4ReduceStep, P4FoundStep, _apply_step, _Run
 
 from .conftest import instances
 
 # one matched 4-cycle (0,1); both its edges satisfy the extraction
 # precondition, so the engine must take the C4-reduction path
 ONE_C4 = validate(6, [0, 1, 3, 5, 2, 4])
+
+# At anchor 0 the twins 2, 7 contract onto an m = 7 instance whose crossing
+# graph has an induced P4.  No instance with m <= 7 has a twin contraction
+# followed by an induced P4, at any anchor and for any twin pair, so this
+# is as small as such a trace gets.  The engine would not take this route:
+# the crossing graph at anchor 0 already has an induced P4.
+TWIN_THEN_P4 = validate(8, [0, 1, 2, 4, 6, 3, 5, 7])
+
+
+def twin_then_p4_trace():
+    """A hand-built TwinContract, P4Found trace on TWIN_THEN_P4 at anchor 0,
+    and the witness it must replay to."""
+    tc = twin_contract(TWIN_THEN_P4, 0, TwinPair(2, 7, TwinKind.FALSE_TWINS))
+    a = tc.index_map.index(0)
+    p4 = find_induced_p4(build_crossing_graph(tc.graph, a))
+    trace = ReductionTrace((TwinContractStep(0, tc.x, tc.y, tc.q_prime), P4FoundStep(a, p4)))
+    return trace, tuple(sorted(tc.index_map[v] for v in p10_from_p4(tc.graph, a, p4)))
 
 
 class TestP10FromP4:
@@ -223,3 +244,40 @@ class TestTraceReplay:
             for e in _qualifying_edges(G, enumerate_m_c4(G)):
                 X, trace = find_p10_through(G, e)
                 assert replay_trace(G, e, trace) == X
+
+    def test_replay_twin_contract_then_p4(self):
+        trace, lifted = twin_then_p4_trace()
+        X = replay_trace(TWIN_THEN_P4, 0, trace)
+        assert X == lifted
+        assert 0 in X and is_petersen(suppress_match(TWIN_THEN_P4, X))
+
+    @pytest.mark.parametrize("which", ["twin", "p4"])
+    def test_wrong_anchor_raises(self, which):
+        if which == "twin":
+            trace, _ = twin_then_p4_trace()
+            G, first = TWIN_THEN_P4, trace.steps[0]
+            steps = (TwinContractStep(1, first.x, first.y, first.q_prime),) + trace.steps[1:]
+        else:
+            G, steps = PETERSEN, (P4FoundStep(1, InducedPath4(1, 3, 2, 4)),)
+        with pytest.raises(InternalInvariantViolated, match="anchor mismatch"):
+            replay_trace(G, 0, ReductionTrace(steps))
+
+    def test_trace_without_p4_found_raises(self):
+        _, trace = find_p10_through(ONE_C4, 1)
+        for steps in ((), trace.steps[:-1]):
+            with pytest.raises(InternalInvariantViolated, match="without P4Found"):
+                replay_trace(ONE_C4, 1, ReductionTrace(steps))
+
+    def test_found_twin_pair_is_recorded_normalized(self):
+        # the engine hands over a TwinPair, in whatever order it was found
+        trace, _ = twin_then_p4_trace()
+        start = _Run(TWIN_THEN_P4, 0, tuple(range(8)))
+        found = _apply_step(start, TwinPair(7, 2, TwinKind.FALSE_TWINS))
+        assert found.steps == trace.steps[:1]
+        assert found == _apply_step(start, trace.steps[0])
+
+    def test_degenerate_twin_arc_is_an_invariant_violation(self):
+        G = validate(4, [0, 1, 2, 3])
+        with pytest.raises(InternalInvariantViolated, match="degenerate twin arc") as exc:
+            _apply_step(_Run(G, 0, tuple(range(4))), TwinPair(1, 3, TwinKind.FALSE_TWINS))
+        assert isinstance(exc.value.__cause__, DegenerateArc)
