@@ -45,18 +45,26 @@ class CrossingGraph:
 def build_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
     """x ~ y iff the rotated positions (x-a) mod m and (sigma[x]-sigma[a])
     mod m order the pair oppositely on the two rows.  The anchor segment
-    crosses nothing and is excluded."""
+    crosses nothing and is excluded.
+
+    Row x is (the indices after x on the top row) XOR (the indices after x
+    on the bottom row), so each row is read off by one walk from its far
+    end: O(m) big-int operations, no pair loop."""
     _check_index(G, a, "anchor")
     m = G.m
-    top = [(x - a) % m for x in range(m)]
-    bot = [(G.sigma[x] - G.sigma[a]) % m for x in range(m)]
     adj = [0] * m
+    later = 0
+    for p in range(m - 1, 0, -1):
+        x = (a + p) % m
+        adj[x] = later
+        later |= 1 << x
+    inv, base = G.inverse(), G.sigma[a]
+    later = 0
+    for p in range(m - 1, 0, -1):
+        x = inv[(base + p) % m]
+        adj[x] ^= later
+        later |= 1 << x
     verts = tuple(x for x in range(m) if x != a)
-    for i, x in enumerate(verts):
-        for y in verts[i + 1 :]:
-            if (top[x] - top[y]) * (bot[x] - bot[y]) < 0:
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
     return CrossingGraph(anchor=a, m=m, vertices=verts, adj=tuple(adj))
 
 

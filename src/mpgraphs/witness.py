@@ -232,7 +232,8 @@ def _apply_step(run: _Run, step: TraceStep | TwinPair) -> _Run:
     """The run after ``step``, with the step appended as applied.  P4Found
     sets the witness, lifted to the original instance.  A twin step comes
     as recorded (TwinContractStep, from a trace) or as found (TwinPair,
-    from the engine); either is recorded as twin_contract normalizes it."""
+    from the engine); either is recorded as twin_contract normalizes it,
+    and a recorded one must equal that, orientation and Q' included."""
     cur, a, to_orig, steps, _ = run
     if isinstance(step, (TwinContractStep, P4FoundStep)) and step.a != a:
         raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
@@ -243,7 +244,8 @@ def _apply_step(run: _Run, step: TraceStep | TwinPair) -> _Run:
     if isinstance(step, C4ReduceStep):
         graph, index_map = c4_reduce(cur, a, step.z)
     else:
-        if isinstance(step, TwinContractStep):
+        recorded = step if isinstance(step, TwinContractStep) else None
+        if recorded is not None:
             adjacent = build_crossing_graph(cur, a).has_edge(step.x, step.y)
             step = TwinPair(step.x, step.y, TwinKind.TRUE_TWINS if adjacent else TwinKind.FALSE_TWINS)
         try:
@@ -257,6 +259,13 @@ def _apply_step(run: _Run, step: TraceStep | TwinPair) -> _Run:
             ) from exc
         graph, index_map = tc.graph, tc.index_map
         step = TwinContractStep(a, tc.x, tc.y, tc.q_prime)
+        if recorded is not None and recorded != step:
+            raise InternalInvariantViolated(
+                "recorded twin step differs from the contraction performed",
+                instance=cur.to_text(),
+                recorded=recorded.to_json_dict(),
+                performed=step.to_json_dict(),
+            )
     return _Run(graph, index_map.index(a), tuple(to_orig[old] for old in index_map), steps + (step,))
 
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: girth is
 re-derived by exhaustive simple-cycle enumeration, Petersen recognition by
-a networkx isomorphism test against the reference graph, and P4-freeness
-by twin elimination.
+a networkx isomorphism test against the reference graph, P4-freeness
+by twin elimination, crossing rows by a pair loop and the first induced
+P4 by a scan over 4-subsets.
 """
 
 from __future__ import annotations
@@ -139,6 +140,35 @@ def p4_free_by_twin_elimination(H) -> bool:
     return True
 
 
+def crossing_adj_by_pairs(G, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The crossing graph's (vertices, adj) rows by the O(m^2) pair loop:
+    x ~ y iff the rotated top and bottom positions order x, y oppositely."""
+    m = G.m
+    top = [(x - a) % m for x in range(m)]
+    bot = [(G.sigma[x] - G.sigma[a]) % m for x in range(m)]
+    adj = [0] * m
+    verts = tuple(x for x in range(m) if x != a)
+    for i, x in enumerate(verts):
+        for y in verts[i + 1 :]:
+            if (top[x] - top[y]) * (bot[x] - bot[y]) < 0:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+    return verts, tuple(adj)
+
+
+def first_p4_by_quads(H):
+    """The first 4-subset of H.vertices, in lexicographic order, that
+    induces a path, oriented by the library's _path_order; None if H is
+    P4-free.  O(n^4)."""
+    from mpgraphs.cograph import _path_order
+
+    for quad in itertools.combinations(H.vertices, 4):
+        p = _path_order(H, quad)
+        if p is not None:
+            return p
+    return None
+
+
 def instance_to_networkx(G) -> nx.MultiGraph:
     """The full cubic graph: A-cycle on 0..m-1, A'-cycle on m..2m-1,
     matching i -- m+sigma[i]."""
@@ -166,3 +196,11 @@ def instances(min_m: int = 3, max_m: int = 9):
 def all_instances(m: int):
     for sigma in itertools.permutations(range(m)):
         yield validate(m, sigma)
+
+
+def seeded_instances(m: int) -> list:
+    """Four seeded random instances of half-order m; seeds 2 and 4 are
+    drawn 4-cycle-free."""
+    from mpgraphs.census import random_instance
+
+    return [random_instance(m, seed=s, require_c4_free=s % 2 == 0) for s in (1, 2, 3, 4)]

@@ -125,6 +125,24 @@ class TestWitness:
         obj = assert_valid_json(out)
         assert obj["edges"] == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize(
+        "random_args,edge,golden",
+        [
+            (["60", "--seed", "1", "--c4-free"], 0, "witness_random60_c4free_seed1_e0.json"),
+            (["60", "--seed", "1", "--c4-free"], 58, "witness_random60_c4free_seed1_e58.json"),
+            (["100", "--seed", "1"], 0, "witness_random100_seed1_e0.json"),
+            # two matched 4-cycles through edge 21: three C4Reduce steps
+            (["30", "--seed", "1"], 21, "witness_random30_seed1_e21.json"),
+        ],
+    )
+    def test_random_golden(self, random_args, edge, golden):
+        code, instance, _ = capture(["random"] + random_args)
+        assert code == 0
+        code, out, _ = capture(["witness", "-", "--edge", str(edge)], stdin_text=instance)
+        assert code == 0
+        assert out == (GOLDEN_DIR / golden).read_text()
+        assert_valid_json(out)
+
     def test_prism_precondition_exit_1(self):
         code, out, _ = capture(["witness", PRISM_TXT, "--edge", "0"])
         assert code == 1

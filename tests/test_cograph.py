@@ -9,12 +9,19 @@ from mpgraphs import (
     build_crossing_graph,
     find_induced_p4,
     find_twins,
+    generate_gk,
     is_p4_free,
     validate,
 )
 from mpgraphs.errors import TooFewVertices
 
-from .conftest import all_instances, instances, p4_free_by_twin_elimination
+from .conftest import (
+    all_instances,
+    first_p4_by_quads,
+    instances,
+    p4_free_by_twin_elimination,
+    seeded_instances,
+)
 
 EMPTY3 = build_crossing_graph(validate(4, [0, 1, 2, 3]), 0)  # no edges on {1,2,3}
 K4 = build_crossing_graph(validate(5, [0, 4, 3, 2, 1]), 0)  # complete on {1,2,3,4}
@@ -30,6 +37,30 @@ class TestFindInducedP4:
 
     def test_complete_graph(self):
         assert find_induced_p4(K4) is None
+
+    def test_matches_quad_scan_exhaustively(self):
+        # every anchor of every instance with 3 <= m <= 7, P4-free graphs
+        # included: the same 4-set and the same orientation
+        for m in range(3, 8):
+            for G in all_instances(m):
+                for a in range(m):
+                    H = build_crossing_graph(G, a)
+                    assert find_induced_p4(H) == first_p4_by_quads(H), (G.to_text(), a)
+
+    @pytest.mark.parametrize("m", [20, 40, 60, 100])
+    def test_matches_quad_scan_on_random(self, m):
+        for G in seeded_instances(m):
+            for a in range(m):
+                H = build_crossing_graph(G, a)
+                assert find_induced_p4(H) == first_p4_by_quads(H), (G.to_text(), a)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_quad_scan_on_gk(self, k):
+        # sparse crossing graphs, whose first P4 sits far from vertex 1
+        G = generate_gk(k).graph
+        for a in range(G.m):
+            H = build_crossing_graph(G, a)
+            assert find_induced_p4(H) == first_p4_by_quads(H), (G.to_text(), a)
 
     @given(instances(), st.data())
     @settings(max_examples=100)

@@ -14,7 +14,7 @@ from mpgraphs import (
 )
 from mpgraphs.errors import UnsupportedFormat
 
-from .conftest import all_instances, instances
+from .conftest import all_instances, crossing_adj_by_pairs, instances, seeded_instances
 
 REVERSED5 = validate(5, [0, 4, 3, 2, 1])
 
@@ -62,6 +62,21 @@ class TestBuildCrossingGraph:
                     (Ha.has_edge(b, x), Ha.has_edge(b, y), Ha.has_edge(x, y))
                 )
                 assert Hb.has_edge(x, y) == (cnt in (1, 3))
+
+    def test_rows_match_pair_loop_exhaustively(self):
+        # every anchor of every instance with 3 <= m <= 7: 40,314 graphs
+        for m in range(3, 8):
+            for G in all_instances(m):
+                for a in range(m):
+                    H = build_crossing_graph(G, a)
+                    assert (H.vertices, H.adj) == crossing_adj_by_pairs(G, a), (G.to_text(), a)
+
+    @pytest.mark.parametrize("m", [20, 40, 60, 100])
+    def test_rows_match_pair_loop_on_random(self, m):
+        for G in seeded_instances(m):
+            for a in range(m):
+                H = build_crossing_graph(G, a)
+                assert (H.vertices, H.adj) == crossing_adj_by_pairs(G, a), (G.to_text(), a)
 
     def test_bitmask_rows_match_drawn_segments_exhaustively(self):
         # every anchor of every instance with m <= 6: x ~ y exactly when the

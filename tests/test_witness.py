@@ -262,6 +262,19 @@ class TestTraceReplay:
         with pytest.raises(InternalInvariantViolated, match="anchor mismatch"):
             replay_trace(G, 0, ReductionTrace(steps))
 
+    @pytest.mark.parametrize("corruption", ["q_prime", "swapped"])
+    def test_corrupted_twin_step_raises(self, corruption):
+        trace, _ = twin_then_p4_trace()
+        first = trace.steps[0]
+        if corruption == "q_prime":
+            bad = TwinContractStep(first.a, first.x, first.y, Arc(Side.A_PRIME, 1, 1))
+        else:
+            bad = TwinContractStep(first.a, first.y, first.x, first.q_prime)
+        with pytest.raises(InternalInvariantViolated, match="differs from the contraction") as exc:
+            replay_trace(TWIN_THEN_P4, 0, ReductionTrace((bad,) + trace.steps[1:]))
+        assert exc.value.certificate["recorded"] == bad.to_json_dict()
+        assert exc.value.certificate["performed"] == first.to_json_dict()
+
     def test_trace_without_p4_found_raises(self):
         _, trace = find_p10_through(ONE_C4, 1)
         for steps in ((), trace.steps[:-1]):
@@ -269,12 +282,14 @@ class TestTraceReplay:
                 replay_trace(ONE_C4, 1, ReductionTrace(steps))
 
     def test_found_twin_pair_is_recorded_normalized(self):
-        # the engine hands over a TwinPair, in whatever order it was found
-        trace, _ = twin_then_p4_trace()
+        # the engine hands over a TwinPair, in whatever order it was found;
+        # the step it records passes the recorded-step check on replay
+        trace, lifted = twin_then_p4_trace()
         start = _Run(TWIN_THEN_P4, 0, tuple(range(8)))
         found = _apply_step(start, TwinPair(7, 2, TwinKind.FALSE_TWINS))
         assert found.steps == trace.steps[:1]
         assert found == _apply_step(start, trace.steps[0])
+        assert replay_trace(TWIN_THEN_P4, 0, ReductionTrace(found.steps + trace.steps[1:])) == lifted
 
     def test_degenerate_twin_arc_is_an_invariant_violation(self):
         G = validate(4, [0, 1, 2, 3])
