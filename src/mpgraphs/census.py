@@ -15,34 +15,24 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import multiprocessing
 import os
-from bisect import bisect, bisect_left
+from bisect import bisect
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 from typing import Callable, Sequence
 
 from .core import (
+    PETERSEN_PATTERNS,
     FourCycle,
     MarkedPermutationGraph,
     _check_index,
+    _subset_is_petersen,
     enumerate_m_c4,
     validate,
 )
 from .crossing import build_crossing_graph
 from .errors import ExhaustedAttempts, InvalidJobs, OutOfScanRange
 from .witness import PetersenWitness, find_p10_through
-
-
-# For X = x0 < ... < x4, suppress_match(G, X) is the A-side 5-cycle
-# x0..x4, the A'-side 5-cycle of the images in value order, and the
-# matching x_i -- rank of sigma[x_i].  That is the Petersen graph exactly
-# when the A'-cycle joins the partners of x_i and x_{i+-2}, i.e. when the
-# rank pattern is i -> c*i + d (mod 5) with c in {2, 3}: 10 of the 120
-# patterns.  The tests check this against is_petersen on all 120.
-PETERSEN_PATTERNS: frozenset[tuple[int, ...]] = frozenset(
-    tuple((c * i + d) % 5 for i in range(5)) for c in (2, 3) for d in range(5)
-)
 
 
 def _arc_table() -> dict[tuple[bool, bool, bool], tuple[int, int, int, int]]:
@@ -76,17 +66,8 @@ def _arc_table() -> dict[tuple[bool, bool, bool], tuple[int, int, int, int]]:
 _ARCS = _arc_table()
 
 
-def _subset_is_petersen(G: MarkedPermutationGraph, X: tuple[int, ...]) -> bool:
-    """is_petersen(suppress_match(G, X)) for a sorted 5-subset X: whether
-    the rank pattern of sigma on X is in PETERSEN_PATTERNS."""
-    values = [G.sigma[x] for x in X]
-    ranked = sorted(values)
-    return tuple(ranked.index(v) for v in values) in PETERSEN_PATTERNS
-
-
-def _petersen_search(sigma: tuple[int, ...], start: int, stop: int) -> list[PetersenWitness]:
-    """Every Petersen 5-subset whose least index lies in [start, stop), in
-    lexicographic order.
+def _petersen_search(sigma: tuple[int, ...]) -> list[PetersenWitness]:
+    """Every Petersen 5-subset, in lexicographic order.
 
     x0 < x1 < x2 run over all triples.  The triple's order fixes the arcs
     of values open to x3 and to x4 (see _arc_table).  The indices after x2
@@ -104,7 +85,7 @@ def _petersen_search(sigma: tuple[int, ...], start: int, stop: int) -> list[Pete
     later = [sorted(sigma[p + 1:]) for p in range(m)]
     ring = [[inv[v] for v in vals] * 2 for vals in later]
     out: list[PetersenWitness] = []
-    for x0 in range(start, stop):
+    for x0 in range(m):
         s0 = sigma[x0]
         for x1 in range(x0 + 1, m - 3):
             s1 = sigma[x1]
@@ -124,25 +105,28 @@ def _petersen_search(sigma: tuple[int, ...], start: int, stop: int) -> list[Pete
     return out
 
 
-def _fan_out(worker: Callable[..., object], head: tuple, weights: Sequence[int], jobs: int) -> list:
-    """Split range(len(weights)) into at most ``jobs`` contiguous pieces of
-    about equal total weight and return ``worker(*head, start, stop)`` for
-    each piece, in order.  More than one piece runs in a process pool.
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise InvalidJobs(f"jobs must be at least 1, got {jobs}", jobs=jobs)
+
+
+def _fan_out(worker: Callable[..., object], head: tuple, n: int, jobs: int) -> list:
+    """Split range(n) into at most ``jobs`` contiguous pieces of about
+    equal length and return ``worker(*head, start, stop)`` for each piece,
+    in order.  More than one piece runs in a process pool; only then is
+    multiprocessing imported, so ``import mpgraphs`` does not load it.
 
     ``jobs`` below 1 raises InvalidJobs before any process starts; above
     os.cpu_count() it is capped, which changes no result.
     """
-    if jobs < 1:
-        raise InvalidJobs(f"jobs must be at least 1, got {jobs}", jobs=jobs)
-    if jobs > 1:
-        jobs = min(jobs, os.cpu_count() or 1)
-    prefix = [0, *itertools.accumulate(weights)]
-    total = prefix[-1]
-    bounds = [bisect_left(prefix, -(-total * i // jobs)) for i in range(jobs)]
-    bounds.append(len(weights))
+    _check_jobs(jobs)
+    jobs = min(jobs, os.cpu_count() or 1)
+    bounds = [-(-n * i // jobs) for i in range(jobs + 1)]
     tasks = [(*head, a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
     if len(tasks) <= 1:
         return [worker(*task) for task in tasks]
+    import multiprocessing
+
     with multiprocessing.Pool(len(tasks)) as pool:
         return pool.starmap(worker, tasks)
 
@@ -159,16 +143,13 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
     O(1) per witness; brute force costs C(m,5) subset checks whatever the
     answer.
 
-    With jobs > 1 the least index x0 is split into contiguous ranges,
-    weighted by the C(m-1-x0, 4) subsets that start there, and worked in
-    parallel; concatenating the ranges preserves the serial order, so
-    output is identical for any job count.  jobs < 1 raises InvalidJobs;
-    jobs is capped at os.cpu_count().
+    The search always runs in this process: starting workers and pickling
+    the witness lists back cost more than the search itself, on the family
+    and on random instances alike.  ``jobs`` is accepted for compatibility
+    and changes nothing, but jobs < 1 still raises InvalidJobs.
     """
-    m = G.m
-    weights = [comb(m - 1 - x0, 4) for x0 in range(m)]
-    chunks = _fan_out(_petersen_search, (G.sigma,), weights, jobs)
-    return [X for chunk in chunks for X in chunk]
+    _check_jobs(jobs)
+    return _petersen_search(G.sigma)
 
 
 def count_per_edge(G: MarkedPermutationGraph, witnesses: Sequence[PetersenWitness] | None = None) -> list[int]:
@@ -488,7 +469,7 @@ def exhaustive_scan(m: int, jobs: int = 1) -> ScanReport:
     if not 3 <= m <= 8:
         raise OutOfScanRange(f"scan supports 3 <= m <= 8, got {m}", m=m)
     total = factorial(m)
-    parts = _fan_out(_scan_range_worker, (m,), [1] * total, jobs)
+    parts = _fan_out(_scan_range_worker, (m,), total, jobs)
     return ScanReport(
         m=m,
         instance_count=total,

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate all matched 4-cycles and Petersen witnesses")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+    p.add_argument("--jobs", type=int, default=1, help="at least 1; the census always runs in one process")
 
     p = sub.add_parser("witness", help="certified Petersen subdivision through an edge")
     p.add_argument("file")

@@ -307,6 +307,25 @@ def is_petersen(S: SuppressedGraph) -> bool:
     return girth(S) == 5
 
 
+# For X = x0 < ... < x4, suppress_match(G, X) is the A-side 5-cycle
+# x0..x4, the A'-side 5-cycle of the images in value order, and the
+# matching x_i -- rank of sigma[x_i].  That is the Petersen graph exactly
+# when the A'-cycle joins the partners of x_i and x_{i+-2}, i.e. when the
+# rank pattern is i -> c*i + d (mod 5) with c in {2, 3}: 10 of the 120
+# patterns.  The tests check this against is_petersen on all 120.
+PETERSEN_PATTERNS: frozenset[tuple[int, ...]] = frozenset(
+    tuple((c * i + d) % 5 for i in range(5)) for c in (2, 3) for d in range(5)
+)
+
+
+def _subset_is_petersen(G: MarkedPermutationGraph, X: tuple[int, ...]) -> bool:
+    """is_petersen(suppress_match(G, X)) for a sorted 5-subset X: whether
+    the rank pattern of sigma on X is in PETERSEN_PATTERNS."""
+    values = [G.sigma[x] for x in X]
+    ranked = sorted(values)
+    return tuple(ranked.index(v) for v in values) in PETERSEN_PATTERNS
+
+
 # ---------------------------------------------------------------------------
 # Symmetry operations. Census counts are invariant under all four.
 # ---------------------------------------------------------------------------

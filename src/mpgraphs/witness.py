@@ -32,9 +32,8 @@ from .core import (
     MarkedPermutationGraph,
     Side,
     _check_index,
+    _subset_is_petersen,
     enumerate_m_c4,
-    is_petersen,
-    suppress_match,
     validate,
 )
 from .crossing import build_crossing_graph
@@ -108,8 +107,8 @@ def p10_from_p4(G: MarkedPermutationGraph, a: int, p: InducedPath4) -> PetersenW
 
     The path must be an induced P4 of the crossing graph at ``a`` (checked;
     NotAnInducedP4 otherwise).  The two geometric cases behind this fact
-    need not be distinguished: the result is verified by the suppression
-    oracle and a failure would abort loudly.
+    need not be distinguished: the result is verified by the rank-pattern
+    test (core._subset_is_petersen) and a failure would abort loudly.
     """
     _check_index(G, a, "anchor")
     H = build_crossing_graph(G, a)
@@ -125,7 +124,7 @@ def p10_from_p4(G: MarkedPermutationGraph, a: int, p: InducedPath4) -> PetersenW
         if H.has_edge(u, v):
             raise NotAnInducedP4(f"chord {u}-{v}", path=list(quad), anchor=a, chord=[u, v])
     X = tuple(sorted((a,) + quad))
-    if not is_petersen(suppress_match(G, X)):
+    if not _subset_is_petersen(G, X):
         raise InternalInvariantViolated(
             "induced P4 did not yield a Petersen subdivision",
             instance=G.to_text(),
@@ -323,7 +322,7 @@ def find_p10_through(
                 )
         run = _apply_step(run, step)
     witness = run.witness
-    if e not in witness or not is_petersen(suppress_match(G, witness)):
+    if e not in witness or not _subset_is_petersen(G, witness):
         raise InternalInvariantViolated(
             "lifted witness failed re-verification in the original instance",
             instance=G.to_text(),

@@ -9,8 +9,8 @@ P4 by a scan over 4-subsets.
 
 from __future__ import annotations
 
-import importlib
 import itertools
+import multiprocessing
 from pathlib import Path
 
 import networkx as nx
@@ -46,9 +46,9 @@ def gk2():
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Stand in for multiprocessing.Pool, as the census module sees it:
-    each pool records its requested size in the returned list and runs its
-    tasks in this process, so no worker is ever started."""
+    """Stand in for multiprocessing.Pool: each pool records its requested
+    size in the returned list and runs its tasks in this process, so no
+    worker is ever started."""
     sizes: list[int] = []
 
     class RecordingPool:
@@ -64,8 +64,7 @@ def recording_pool(monkeypatch):
         def starmap(self, fn, tasks):
             return list(itertools.starmap(fn, tasks))
 
-    census_module = importlib.import_module("mpgraphs.census")
-    monkeypatch.setattr(census_module.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     return sizes
 
 

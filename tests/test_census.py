@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import multiprocessing
 import sys
 
 import pytest
@@ -26,7 +27,7 @@ from mpgraphs import (
     suppress_match,
     validate,
 )
-from mpgraphs.census import PETERSEN_PATTERNS, _subset_is_petersen
+from mpgraphs.core import PETERSEN_PATTERNS, _subset_is_petersen
 from mpgraphs.errors import ExhaustedAttempts, InvalidJobs, OutOfScanRange
 
 from .conftest import all_instances, instances
@@ -45,11 +46,10 @@ class TestEnumerateMP10:
     def test_jobs_do_not_change_output(self, gk1):
         serial = enumerate_m_p10(gk1.graph, jobs=1)
         assert enumerate_m_p10(gk1.graph, jobs=2) == serial
-        # C(19,5) = 11628 sits above the serial cutoff, so workers really run
         g = generate_gk(4).graph
         assert enumerate_m_p10(g, jobs=4) == enumerate_m_p10(g, jobs=1)
 
-    def test_memoized_verdict_agrees_with_direct_exhaustively(self):
+    def test_pattern_table_agrees_with_direct_exhaustively(self):
         for m in (5, 6):
             for G in all_instances(m):
                 for X in itertools.combinations(range(m), 5):
@@ -57,7 +57,7 @@ class TestEnumerateMP10:
 
     @given(instances(5, 12), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_memoized_verdict_agrees_with_direct_random(self, G, data):
+    def test_pattern_table_agrees_with_direct_random(self, G, data):
         X = tuple(sorted(data.draw(st.permutations(list(range(G.m))).map(lambda p: p[:5]))))
         assert _subset_is_petersen(G, X) == is_petersen(suppress_match(G, X))
 
@@ -68,7 +68,7 @@ def brute_force_p10(G):
     return [X for X in itertools.combinations(range(G.m), 5) if _subset_is_petersen(G, X)]
 
 
-# The module, whose os and multiprocessing the jobs tests patch.
+# The module, whose os the jobs tests patch.
 census_module = importlib.import_module("mpgraphs.census")
 
 
@@ -95,7 +95,7 @@ class TestPetersenSearch:
         assert enumerate_m_p10(G) == brute_force_p10(G)
 
     def test_jobs_1_2_4_identical(self, monkeypatch):
-        # four real workers even on a smaller machine
+        # jobs changes nothing, even where four CPUs are reported
         monkeypatch.setattr(census_module.os, "cpu_count", lambda: 4)
         for G in (generate_gk(8).graph, random_instance(30, seed=5)):
             serial = enumerate_m_p10(G, jobs=1)
@@ -111,7 +111,7 @@ class NoPool:
 class TestJobsBounds:
     @pytest.mark.parametrize("jobs", [0, -1, -100000])
     def test_nonpositive_jobs_rejected_before_any_pool(self, monkeypatch, jobs):
-        monkeypatch.setattr(census_module.multiprocessing, "Pool", NoPool)
+        monkeypatch.setattr(multiprocessing, "Pool", NoPool)
         for call in (
             lambda: enumerate_m_p10(generate_gk(4).graph, jobs=jobs),
             lambda: enumerate_m_p10(PRISM, jobs=jobs),
@@ -126,7 +126,8 @@ class TestJobsBounds:
         G = generate_gk(4).graph
         assert enumerate_m_p10(G, jobs=100000) == enumerate_m_p10(G, jobs=1)
         assert exhaustive_scan(5, jobs=100000).rows == exhaustive_scan(5).rows
-        assert recording_pool == [3, 3]
+        # the census runs in-process whatever jobs is; only scan starts a pool
+        assert recording_pool == [3]
 
 
 class TestCountPerEdge:

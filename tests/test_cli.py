@@ -109,7 +109,7 @@ class TestCensus:
         _, serial, _ = capture(["census", "-", "--json"], stdin_text=gk_out)
         code, capped, _ = capture(["census", "-", "--json", "--jobs", "100000"], stdin_text=gk_out)
         assert code == 0 and capped == serial
-        assert recording_pool == [2]
+        assert recording_pool == []
 
     def test_plain_output(self):
         code, out, _ = capture(["census", PRISM_TXT])
@@ -309,14 +309,26 @@ def test_module_entry_point_subprocess():
     assert json.loads(proc.stdout)["p10_count"] == 1
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # only random_instance needs numpy, and it imports it itself
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether ``import mpgraphs.cli`` in a fresh interpreter loads ``module``."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, mpgraphs.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, mpgraphs.cli; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env=src_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout in ("True\n", "False\n"), proc.stdout
+    return proc.stdout == "True\n"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only random_instance needs numpy, and it imports it itself
+    assert not loaded_by_cli_import("numpy")
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a scan with more than one piece needs a pool, and _fan_out
+    # imports multiprocessing itself
+    assert not loaded_by_cli_import("multiprocessing")

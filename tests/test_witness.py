@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -40,7 +41,10 @@ from mpgraphs.errors import (
 )
 from mpgraphs.witness import C4ReduceStep, P4FoundStep, _apply_step, _Run
 
-from .conftest import instances
+from .conftest import all_instances, instances
+
+# The module, whose _subset_is_petersen the certification tests patch.
+witness_module = importlib.import_module("mpgraphs.witness")
 
 # one matched 4-cycle (0,1); both its edges satisfy the extraction
 # precondition, so the engine must take the C4-reduction path
@@ -217,6 +221,39 @@ class TestFindP10Through:
         assert e in X
         assert is_petersen(suppress_match(G, X))
         assert replay_trace(G, e, trace) == X
+
+    def test_every_witness_passes_the_general_test_exhaustively(self):
+        # the engine certifies by the rank-pattern table, and so does the
+        # census that the scan compares it with; suppress-and-girth stays
+        # the independent check on every witness the engine returns
+        for m in range(3, 8):
+            for G in all_instances(m):
+                for e in _qualifying_edges(G, enumerate_m_c4(G)):
+                    X, _ = find_p10_through(G, e)
+                    assert e in X and is_petersen(suppress_match(G, X)), (G, e, X)
+
+    def test_p4_certification_runs(self, monkeypatch):
+        monkeypatch.setattr(witness_module, "_subset_is_petersen", lambda G, X: False)
+        with pytest.raises(InternalInvariantViolated, match="did not yield a Petersen"):
+            p10_from_p4(PETERSEN, 0, InducedPath4(1, 3, 2, 4))
+        with pytest.raises(InternalInvariantViolated, match="did not yield a Petersen"):
+            find_p10_through(PETERSEN, 0)
+
+    def test_final_reverification_runs_on_the_original_instance(self, monkeypatch):
+        # accept at P4Found, in the reduced instance, then reject the lifted
+        # witness in the original one
+        calls = []
+
+        def table(G, X):
+            calls.append((G, X))
+            return len(calls) == 1
+
+        monkeypatch.setattr(witness_module, "_subset_is_petersen", table)
+        with pytest.raises(InternalInvariantViolated, match="failed re-verification"):
+            find_p10_through(ONE_C4, 0)
+        assert len(calls) == 2
+        assert calls[0][0].m == 5
+        assert calls[1] == (ONE_C4, (0, 2, 3, 4, 5))
 
     @given(instances(3, 7), st.data())
     @settings(max_examples=150, deadline=None)
