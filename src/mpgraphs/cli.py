@@ -3,8 +3,11 @@
 Subcommands: validate, census, witness, gk, scan, random, draw, cyclic,
 check.  ``-`` means stdin wherever a FILE is expected.  JSON output has
 sorted keys and embeds the tool version, so byte-stable golden files are
-possible.  Exit codes: 0 ok / verdict holds, 1 verdict fails, 2 usage or
-input error.
+possible.  It is streamed to stdout in pieces, never built as one string,
+and its bytes equal ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
+newline; lists of int rows, such as the census witness list, are formatted
+a block of rows at a time.  Exit codes: 0 ok / verdict holds, 1 verdict
+fails, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO
+from itertools import chain
+from typing import IO, Any, Iterator
 
 from . import __version__
 from .census import (
@@ -36,19 +40,73 @@ from .witness import find_p10_through, witness_report_dict
 
 SCHEMA_VERSION = 1
 JOBS_HELP = "worker processes: at least 1, capped at the number of CPUs"
+ROW_BLOCK = 4096  # rows of ints formatted per piece of streamed JSON
 
 
 def _emit_json(obj: dict, stdout: IO[str]) -> None:
     obj = dict(obj)
     obj.setdefault("schema_version", SCHEMA_VERSION)
     obj.setdefault("tool_version", __version__)
-    stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    stdout.writelines(_json_pieces(obj, "\n"))
+    stdout.write("\n")
+
+
+def _json_pieces(obj: Any, nl: str) -> Iterator[str]:
+    """Yield ``json.dumps(obj, sort_keys=True, indent=2)`` in pieces; ``nl``
+    is a newline followed by the indent of ``obj``'s own line."""
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            # json writes a non-string key as the string of its JSON form
+            yield sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+            yield from _json_pieces(value, inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = nl + "  "
+        yield "["
+        if _is_int_rows(obj):
+            # one %d template per block of rows instead of one piece per int
+            row = inner + "[" + ",".join([inner + "  %d"] * len(obj[0])) + inner + "]"
+            for start in range(0, len(obj), ROW_BLOCK):
+                block = obj[start : start + ROW_BLOCK]
+                text = ",".join([row] * len(block)) % tuple(chain.from_iterable(block))
+                yield "," + text if start else text
+        else:
+            sep = inner
+            for item in obj:
+                yield sep
+                yield from _json_pieces(item, inner)
+                sep = "," + inner
+        yield nl + "]"
+    else:
+        yield json.dumps(obj)
+
+
+def _is_int_rows(items: list | tuple) -> bool:
+    """Whether ``items`` are lists or tuples of one nonzero length holding
+    only plain ints (bools and int subclasses excluded)."""
+    return (
+        set(map(type, items)) <= {list, tuple}
+        and len(items[0]) > 0
+        and set(map(len, items)) == {len(items[0])}
+        and set(map(type, chain.from_iterable(items))) == {int}
+    )
 
 
 def _load_instance(path: str, stdin: IO[str]) -> MarkedPermutationGraph:
     if path == "-":
         return parse_instance(stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 become lone surrogates, as they do on stdin,
+    # so the parser reports them as an InstanceTextError
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_instance(fh.read())
 
 
@@ -244,4 +302,7 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
 
 
 def main() -> None:
+    if sys.stdin is not None:
+        # read stdin as _load_instance reads files, whatever the locale
+        sys.stdin.reconfigure(errors="surrogateescape")
     sys.exit(run(sys.argv[1:]))

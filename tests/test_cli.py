@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -7,8 +8,12 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpgraphs.cli import run
+from mpgraphs import __version__
+from mpgraphs.census import census_report, random_instance
+from mpgraphs.cli import ROW_BLOCK, SCHEMA_VERSION, _emit_json, _is_int_rows, run
 
 from .conftest import FIXTURE_DIR, GOLDEN_DIR, REPO_ROOT
 
@@ -115,6 +120,51 @@ class TestCensus:
         code, out, _ = capture(["census", PRISM_TXT])
         assert code == 0
         assert "c4_count: 3" in out and "p10_count: 0" in out
+
+    def test_large_census_pinned(self):
+        # 497,028 witnesses, ~30 MB of JSON; the digest was recorded from
+        # the json.dumps(sort_keys=True, indent=2) writer
+        _, instance, _ = capture(["random", "60", "--seed", "1", "--c4-free"])
+        code, out, _ = capture(["census", "-", "--json"], stdin_text=instance)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "d6aa595aa8a0a90f045e34bf62e6ab506e964dff9f44fb23242e49a60556f371"
+        )
+
+
+NON_UTF8_INSTANCE = b"\xff3 0 1 2\n"
+
+
+class TestNonUtf8Input:
+    def test_file_gives_instance_text_error(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(NON_UTF8_INSTANCE)
+        code, out, _ = capture(["census", str(bad), "--json"])
+        assert code == 2
+        obj = assert_valid_json(out)
+        assert obj["error"] == "InstanceTextError"
+        assert obj["certificate"] == {"token": "\udcff3"}
+
+    def test_file_and_stdin_agree(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(NON_UTF8_INSTANCE)
+        # a strict stdin decoder, as under most UTF-8 locales
+        env = dict(src_env(), PYTHONIOENCODING="utf-8:strict")
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "mpgraphs", "census", path, "--json"],
+                input=NON_UTF8_INSTANCE,
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            for path in (str(bad), "-")
+        ]
+        for proc in runs:
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == b""
+            assert json.loads(proc.stdout)["error"] == "InstanceTextError"
+        assert runs[0].stdout == runs[1].stdout
 
 
 class TestWitness:
@@ -289,6 +339,106 @@ class TestCheck:
     def test_missing_args_exit_2(self):
         code, out, _ = capture(["check", PETERSEN_TXT, "--lemma", "replace"])
         assert code == 2
+
+
+def emitted(obj: dict) -> str:
+    buf = io.StringIO()
+    _emit_json(obj, buf)
+    return buf.getvalue()
+
+
+def dumped(obj: dict) -> str:
+    """The oracle: the whole document from one json.dumps call."""
+    full = {"schema_version": SCHEMA_VERSION, "tool_version": __version__, **obj}
+    return json.dumps(full, sort_keys=True, indent=2) + "\n"
+
+
+TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["", "\udcff", "\ud800x", '"\\/\b\f\n\r\t\x00\x1f', "é€\U0001f600"]
+)
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+ROW_ITEMS = st.integers() | st.booleans() | st.floats(allow_nan=False)
+
+
+@st.composite
+def int_rows(draw, items=st.integers()):
+    """Non-empty lists of list or tuple rows of one length.  With plain int
+    ``items`` and a nonzero length they take the row-template path; with
+    bools or floats among the ``items`` they must fall back."""
+    width = draw(st.integers(0, 6))
+    row = st.lists(items, min_size=width, max_size=width)
+    return draw(st.lists(row | row.map(tuple), min_size=1, max_size=8))
+
+
+ROWS = (
+    int_rows()
+    | int_rows(ROW_ITEMS)
+    # mostly ragged rows, which fall back too
+    | st.lists(st.lists(st.integers(), max_size=4), min_size=1, max_size=6)
+)
+JSON_VALUES = st.recursive(
+    SCALARS | ROWS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, children, max_size=4)
+    | st.dictionaries(st.integers(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class RecordingIO(io.StringIO):
+    """A stdout that records every write it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, s: str) -> int:
+        self.writes.append(s)
+        return super().write(s)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(TEXT, JSON_VALUES, max_size=5))
+    def test_matches_json_dumps(self, obj):
+        assert emitted(obj) == dumped(obj)
+
+    @pytest.mark.parametrize(
+        "rows, fast",
+        [
+            ([[1, 2], (3, 4)], True),
+            ([[1, True]], False),
+            ([[1, 2.0]], False),
+            ([[1], [2, 3]], False),
+            ([[]], False),
+            ([[1], 2], False),
+            ([[[1]]], False),
+            ([["1"]], False),
+        ],
+    )
+    def test_row_shape_check(self, rows, fast):
+        assert _is_int_rows(rows) is fast
+        assert emitted({"rows": rows}) == dumped({"rows": rows})
+
+    @pytest.mark.parametrize("m", [30, 40])
+    def test_census_reports_match_json_dumps(self, m):
+        report = census_report(random_instance(m, seed=1, require_c4_free=True))
+        obj = report.to_json_dict()
+        assert emitted(obj) == dumped(obj)
+
+    def test_census_is_streamed_in_blocks(self):
+        report = census_report(random_instance(30, seed=1, require_c4_free=True))
+        obj = report.to_json_dict()
+        blocks = -(-report.p10_count // ROW_BLOCK)
+        assert blocks > 2
+        out = RecordingIO()
+        _emit_json(obj, out)
+        assert "".join(out.writes) == dumped(obj)
+        # a witness row is 7 lines: its brackets and its 5 edges
+        lines = [w.count("\n") for w in out.writes]
+        assert max(lines) <= 7 * ROW_BLOCK
+        assert sum(n > 7 for n in lines) == blocks
 
 
 def src_env() -> dict:
