@@ -26,12 +26,11 @@ from .core import (
     FourCycle,
     MarkedPermutationGraph,
     _check_index,
-    _subset_is_petersen,
     enumerate_m_c4,
     validate,
 )
 from .crossing import build_crossing_graph
-from .errors import ExhaustedAttempts, InvalidJobs, OutOfScanRange
+from .errors import ExhaustedAttempts, IndicesNotDistinct, InvalidJobs, InvalidSeed, OutOfScanRange
 from .witness import PetersenWitness, find_p10_through
 
 
@@ -244,21 +243,22 @@ def check_replace(
 ) -> ReplaceVerdict:
     """Either some witness holds both edges, or the two edges are freely
     interchangeable inside witnesses: for every 4-set F avoiding both,
-    F+{a} certifies iff F+{b} does."""
+    F+{a} certifies iff F+{b} does; else the lexicographically first F
+    that fails is the counterexample.  With no witness through both, F+{a}
+    certifies iff F = X-{a} for a witness X, so this costs one census plus
+    one pass over it; ``witnesses``, when given, must be G's census."""
     _check_index(G, a)
     _check_index(G, b)
     if a == b:
-        raise ValueError("edges must be distinct")
+        raise IndicesNotDistinct("edges must be distinct", a=a, b=b)
     if witnesses is None:
         witnesses = enumerate_m_p10(G)
     if any(a in X and b in X for X in witnesses):
         return ReplaceVerdict(ok=True, branch="shared_witness", counterexample=None)
-    rest = [v for v in range(G.m) if v != a and v != b]
-    for F in itertools.combinations(rest, 4):
-        with_a = _subset_is_petersen(G, tuple(sorted(F + (a,))))
-        with_b = _subset_is_petersen(G, tuple(sorted(F + (b,))))
-        if with_a != with_b:
-            return ReplaceVerdict(ok=False, branch=None, counterexample=F)
+    with_a = {tuple(x for x in X if x != a) for X in witnesses if a in X}
+    with_b = {tuple(x for x in X if x != b) for X in witnesses if b in X}
+    if with_a != with_b:
+        return ReplaceVerdict(ok=False, branch=None, counterexample=min(with_a ^ with_b))
     return ReplaceVerdict(ok=True, branch="swap_equivalent", counterexample=None)
 
 
@@ -283,7 +283,7 @@ def check_redrawing(G: MarkedPermutationGraph, a: int, b: int) -> RedrawingVerdi
     _check_index(G, a)
     _check_index(G, b)
     if a == b:
-        raise ValueError("anchors must be distinct")
+        raise IndicesNotDistinct("anchors must be distinct", a=a, b=b)
     Ha = build_crossing_graph(G, a)
     Hb = build_crossing_graph(G, b)
     others = [v for v in range(G.m) if v not in (a, b)]
@@ -486,8 +486,12 @@ def random_instance(
     max_attempts: int = 1000,
 ) -> MarkedPermutationGraph:
     """Uniform random sigma from a counter-based Philox stream, optionally
-    rejection-sampled until no matched 4-cycle remains.  numpy is imported
-    here, not at module level, so that importing mpgraphs does not load it."""
+    rejection-sampled until no matched 4-cycle remains.  The seed is the
+    Philox key, so 0 <= seed < 2**128; others raise InvalidSeed.  numpy is
+    imported here, not at module level, so that importing mpgraphs does not
+    load it."""
+    if not 0 <= seed < 2**128:
+        raise InvalidSeed(f"seed {seed} outside 0..2**128-1", seed=seed)
     import numpy as np
 
     rng = np.random.Generator(np.random.Philox(key=seed))

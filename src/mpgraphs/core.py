@@ -410,38 +410,33 @@ def _edge_endpoints(G: MarkedPermutationGraph, e: GraphEdge) -> tuple[int, int]:
     return i, m + G.sigma[i]
 
 
-def find_cyclic_cut(G: MarkedPermutationGraph, max_size: int = 4) -> tuple[GraphEdge, ...] | None:
-    """Smallest edge set of size <= max_size whose removal leaves at least
-    two components that each contain a cycle, or None.  Exhaustive over all
-    C(3m, <=4) subsets; sizes ascend, so the first hit is minimum."""
+def find_cyclic_cut(G: MarkedPermutationGraph) -> tuple[GraphEdge, ...] | None:
+    """Smallest set of at most 4 edges whose removal leaves at least two
+    components that each contain a cycle, or None.  Exhaustive over all
+    C(3m, <=4) subsets, by size and then in combinations order, so the
+    first hit is minimum; each costs one O(m) union-find pass, in which an
+    edge inside a component marks its root cyclic and a union carries the
+    mark to the surviving root."""
     all_edges = graph_edges(G)
     endpoints = [_edge_endpoints(G, e) for e in all_edges]
-    nv = 2 * G.m
-    idx = range(len(all_edges))
-    for size in range(1, max_size + 1):
-        for cut in itertools.combinations(idx, size):
-            cutset = set(cut)
-            parent = list(range(nv))
-
-            def root(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
+    for size in range(1, 5):
+        for cut in itertools.combinations(range(len(all_edges)), size):
+            parent = list(range(2 * G.m))
+            cyclic: set[int] = set()  # roots of components holding a cycle
             for eidx, (u, v) in enumerate(endpoints):
-                if eidx in cutset:
+                if eidx in cut:
                     continue
-                ru, rv = root(u), root(v)
-                if ru != rv:
-                    parent[ru] = rv
-            vcount: Counter = Counter(root(v) for v in range(nv))
-            ecount: Counter = Counter()
-            for eidx, (u, v) in enumerate(endpoints):
-                if eidx not in cutset:
-                    ecount[root(u)] += 1
-            cyclic = sum(1 for r, vc in vcount.items() if ecount[r] >= vc)
-            if cyclic >= 2:
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
+                parent[u] = v
+                if u == v or u in cyclic:
+                    cyclic.discard(u)
+                    cyclic.add(v)
+            if len(cyclic) >= 2:
                 return tuple(all_edges[i] for i in cut)
     return None
 

@@ -103,3 +103,11 @@ class InvalidK(MpgError):
 
 class InvalidJobs(MpgError):
     """Worker count below 1."""
+
+
+class IndicesNotDistinct(MpgError):
+    """A checker that compares two edges or anchors was given one twice."""
+
+
+class InvalidSeed(MpgError):
+    """Random seed outside the Philox key range 0 <= seed < 2**128."""

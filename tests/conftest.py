@@ -3,14 +3,16 @@
 The oracles here deliberately avoid the library's own algorithms: girth is
 re-derived by exhaustive simple-cycle enumeration, Petersen recognition by
 a networkx isomorphism test against the reference graph, P4-freeness
-by twin elimination, crossing rows by a pair loop and the first induced
-P4 by a scan over 4-subsets.
+by twin elimination, crossing rows by a pair loop, the first induced P4 by
+a scan over 4-subsets, the cyclic cut by counting vertices and edges per
+component, and the replace lemma by a scan over 4-sets.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+from collections import Counter
 from pathlib import Path
 
 import networkx as nx
@@ -166,6 +168,61 @@ def first_p4_by_quads(H):
         if p is not None:
             return p
     return None
+
+
+def cyclic_cut_by_counting(G):
+    """find_cyclic_cut by its first algorithm: for each subset, in the same
+    order, join the other edges' ends, then count vertices and edges per
+    component; a component holds a cycle when it has as many edges as
+    vertices."""
+    from mpgraphs.core import _edge_endpoints, graph_edges
+
+    all_edges = graph_edges(G)
+    endpoints = [_edge_endpoints(G, e) for e in all_edges]
+    nv = 2 * G.m
+    idx = range(len(all_edges))
+    for size in range(1, 5):
+        for cut in itertools.combinations(idx, size):
+            cutset = set(cut)
+            parent = list(range(nv))
+
+            def root(x: int) -> int:
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            for eidx, (u, v) in enumerate(endpoints):
+                if eidx in cutset:
+                    continue
+                ru, rv = root(u), root(v)
+                if ru != rv:
+                    parent[ru] = rv
+            vcount: Counter = Counter(root(v) for v in range(nv))
+            ecount: Counter = Counter()
+            for eidx, (u, v) in enumerate(endpoints):
+                if eidx not in cutset:
+                    ecount[root(u)] += 1
+            cyclic = sum(1 for r, vc in vcount.items() if ecount[r] >= vc)
+            if cyclic >= 2:
+                return tuple(all_edges[i] for i in cut)
+    return None
+
+
+def replace_by_four_sets(G, a: int, b: int, is_witness):
+    """check_replace by its first algorithm, with the certification test
+    ``is_witness`` (a sorted 5-tuple -> bool) passed in: a 5-set through
+    both edges, else every 4-set F avoiding both in lexicographic order,
+    comparing F+{a} with F+{b}."""
+    from mpgraphs.census import ReplaceVerdict
+
+    rest = [v for v in range(G.m) if v != a and v != b]
+    if any(is_witness(tuple(sorted(T + (a, b)))) for T in itertools.combinations(rest, 3)):
+        return ReplaceVerdict(ok=True, branch="shared_witness", counterexample=None)
+    for F in itertools.combinations(rest, 4):
+        if is_witness(tuple(sorted(F + (a,)))) != is_witness(tuple(sorted(F + (b,)))):
+            return ReplaceVerdict(ok=False, branch=None, counterexample=F)
+    return ReplaceVerdict(ok=True, branch="swap_equivalent", counterexample=None)
 
 
 def instance_to_networkx(G) -> nx.MultiGraph:

@@ -30,7 +30,7 @@ from mpgraphs import (
 from mpgraphs.core import PETERSEN_PATTERNS, _subset_is_petersen
 from mpgraphs.errors import ExhaustedAttempts, InvalidJobs, OutOfScanRange
 
-from .conftest import all_instances, instances
+from .conftest import all_instances, instances, replace_by_four_sets
 
 
 class TestEnumerateMP10:
@@ -191,6 +191,36 @@ class TestCheckReplace:
             wits = enumerate_m_p10(G)
             for a, b in itertools.permutations(range(5), 2):
                 assert check_replace(G, a, b, witnesses=wits).ok
+
+    def test_same_verdict_as_four_sets_exhaustively(self):
+        for m in (3, 4, 5, 6):
+            for G in all_instances(m):
+                wits = enumerate_m_p10(G)
+                for a, b in itertools.permutations(range(m), 2):
+                    expected = replace_by_four_sets(G, a, b, lambda X: _subset_is_petersen(G, X))
+                    assert check_replace(G, a, b, witnesses=wits) == expected, (G, a, b)
+                    assert check_replace(G, a, b) == expected, (G, a, b)
+
+    def test_counterexample_branch_on_doctored_witnesses(self, gk1, gk2):
+        # The lemma holds on every instance, so the counterexample branch is
+        # reached only through witness lists that are not the census: here
+        # the census with one, or every, witness through a dropped.  The
+        # four-set scan is given the same list.
+        reached = 0
+        for G in (gk1.graph, gk2.graph, generate_gk(3).graph):
+            census = enumerate_m_p10(G)
+            for a, b in itertools.permutations(range(G.m), 2):
+                if check_replace(G, a, b, witnesses=census).branch != "swap_equivalent":
+                    continue
+                through_a = [X for X in census if a in X]
+                for dropped in [[X] for X in through_a] + [through_a]:
+                    given = [X for X in census if X not in dropped]
+                    expected = replace_by_four_sets(G, a, b, set(given).__contains__)
+                    verdict = check_replace(G, a, b, witnesses=given)
+                    assert not verdict.ok and verdict.branch is None
+                    assert verdict == expected, (G, a, b, dropped)
+                    reached += 1
+        assert reached > 0
 
 
 class TestCheckRedrawing:

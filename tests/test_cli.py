@@ -279,6 +279,19 @@ class TestRandom:
         assert code == 2
         assert assert_valid_json(out)["error"] == "ExhaustedAttempts"
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range_exit_2(self, seed):
+        code, out, _ = capture(["random", "5", "--seed", str(seed)])
+        assert code == 2
+        obj = assert_valid_json(out)
+        assert obj["error"] == "InvalidSeed" and obj["certificate"] == {"seed": seed}
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_at_ends_of_philox_key_range(self, seed):
+        code, out, _ = capture(["random", "5", "--seed", str(seed)])
+        assert code == 0
+        assert out.endswith(f"\n# seed: {seed}\n")
+
 
 class TestDraw:
     def test_svg_crossings(self):
@@ -339,6 +352,14 @@ class TestCheck:
     def test_missing_args_exit_2(self):
         code, out, _ = capture(["check", PETERSEN_TXT, "--lemma", "replace"])
         assert code == 2
+
+    @pytest.mark.parametrize("lemma, index", [("replace", "0"), ("redrawing", "1")])
+    def test_equal_indices_exit_2(self, lemma, index):
+        code, out, _ = capture(["check", PETERSEN_TXT, "--lemma", lemma, "--args", index, index])
+        assert code == 2
+        obj = assert_valid_json(out)
+        assert obj["error"] == "IndicesNotDistinct"
+        assert obj["certificate"] == {"a": int(index), "b": int(index)}
 
 
 def emitted(obj: dict) -> str:
@@ -476,6 +497,23 @@ def loaded_by_cli_import(module: str) -> bool:
 def test_cli_import_leaves_numpy_unloaded():
     # only random_instance needs numpy, and it imports it itself
     assert not loaded_by_cli_import("numpy")
+
+
+def test_bad_seed_refused_before_numpy_loads():
+    code = (
+        "import sys\n"
+        "from mpgraphs.census import random_instance\n"
+        "from mpgraphs.errors import InvalidSeed\n"
+        "try:\n"
+        "    random_instance(5, seed=-1)\n"
+        "except InvalidSeed:\n"
+        "    print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

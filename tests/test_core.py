@@ -19,6 +19,7 @@ from mpgraphs import (
     is_petersen,
     parse_instance,
     parse_instances,
+    random_instance,
     reflect,
     rotate_a,
     suppress_match,
@@ -37,6 +38,7 @@ from mpgraphs.errors import (
 from .conftest import (
     FIXTURE_DIR,
     all_instances,
+    cyclic_cut_by_counting,
     girth_by_cycle_enumeration,
     instance_to_networkx,
     instances,
@@ -285,3 +287,32 @@ class TestCyclicConnectivity:
 
     def test_gk2_not_cyclically_5_connected(self, gk2):
         assert not is_cyclically_5_edge_connected(gk2.graph)
+
+    def test_same_cut_as_counting_exhaustively(self):
+        for m in (3, 4, 5):
+            for G in all_instances(m):
+                assert find_cyclic_cut(G) == cyclic_cut_by_counting(G), G
+
+    def test_same_cut_as_counting_on_named_instances(self, gk1, gk2):
+        for G in (PRISM, PETERSEN, gk1.graph, gk2.graph):
+            assert find_cyclic_cut(G) == cyclic_cut_by_counting(G), G
+
+    @pytest.mark.parametrize(
+        "m, seed, has_cut",
+        [
+            (8, 1, True),
+            (8, 2, False),
+            (8, 3, True),
+            (8, 4, False),
+            (9, 1, True),
+            (9, 2, False),
+            (10, 1, True),
+            (10, 3, False),
+        ],
+    )
+    def test_same_cut_as_counting_on_random_instances(self, m, seed, has_cut):
+        # even seeds are drawn 4-cycle-free, as in conftest.seeded_instances
+        G = random_instance(m, seed=seed, require_c4_free=seed % 2 == 0)
+        cut = find_cyclic_cut(G)
+        assert (cut is not None) == has_cut
+        assert cut == cyclic_cut_by_counting(G)
