@@ -30,7 +30,14 @@ from .core import (
     validate,
 )
 from .crossing import build_crossing_graph
-from .errors import ExhaustedAttempts, IndicesNotDistinct, InvalidJobs, InvalidSeed, OutOfScanRange
+from .errors import (
+    ExhaustedAttempts,
+    IndicesNotDistinct,
+    InvalidAttempts,
+    InvalidJobs,
+    InvalidSeed,
+    OutOfScanRange,
+)
 from .witness import PetersenWitness, find_p10_through
 
 
@@ -329,7 +336,7 @@ class CensusReport:
             "c4_count": self.c4_count,
             "p10_count": self.p10_count,
             "c4_list": [[c.i, c.j] for c in self.four_cycles],
-            "p10_list": [list(X) for X in self.witnesses],
+            "p10_list": list(self.witnesses),
             "per_edge_counts": list(self.per_edge),
             "zhang_ok": self.zhang_ok,
             "lower_bound_applicable": self.lower_bound_applicable,
@@ -487,11 +494,15 @@ def random_instance(
 ) -> MarkedPermutationGraph:
     """Uniform random sigma from a counter-based Philox stream, optionally
     rejection-sampled until no matched 4-cycle remains.  The seed is the
-    Philox key, so 0 <= seed < 2**128; others raise InvalidSeed.  numpy is
-    imported here, not at module level, so that importing mpgraphs does not
-    load it."""
+    Philox key, so 0 <= seed < 2**128; others raise InvalidSeed.
+    max_attempts below 1 raises InvalidAttempts.  numpy is imported here,
+    not at module level, so that importing mpgraphs does not load it."""
     if not 0 <= seed < 2**128:
         raise InvalidSeed(f"seed {seed} outside 0..2**128-1", seed=seed)
+    if max_attempts < 1:
+        raise InvalidAttempts(
+            f"max_attempts must be at least 1, got {max_attempts}", max_attempts=max_attempts
+        )
     import numpy as np
 
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -40,26 +40,14 @@ class TwinPair:
     kind: TwinKind
 
 
-def _path_order(H: CrossingGraph, quad: tuple[int, ...]) -> InducedPath4 | None:
-    """If the 4 vertices induce a path, return it oriented from its
-    smaller endpoint; otherwise None."""
-    pairs = [(u, v) for i, u in enumerate(quad) for v in quad[i + 1 :]]
-    edges = [(u, v) for u, v in pairs if H.has_edge(u, v)]
-    if len(edges) != 3:
-        return None
-    deg = {v: 0 for v in quad}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    ends = sorted(v for v in quad if deg[v] == 1)
-    if len(ends) != 2 or sorted(deg.values()) != [1, 1, 2, 2]:
-        return None  # 3 edges but wrong degrees: triangle plus isolated vertex
-    x, w = ends
-    y = next(v for v in quad if v not in (x, w) and H.has_edge(x, v))
-    z = next(v for v in quad if v not in (x, y, w))
-    if not (H.has_edge(y, z) and H.has_edge(z, w)):
-        return None
-    return InducedPath4(x, y, z, w)
+def _path_order(H: CrossingGraph, quad: tuple[int, ...]) -> InducedPath4:
+    """The path that the ascending 4-tuple ``quad`` is known to induce,
+    oriented from its smaller endpoint.  The ends are the two vertices
+    whose row within the quad has one bit, the end's one neighbour."""
+    mask = sum(1 << v for v in quad)
+    rows = {v: H.adj[v] & mask for v in quad}
+    x, w = (v for v in quad if rows[v].bit_count() == 1)
+    return InducedPath4(x, rows[x].bit_length() - 1, rows[w].bit_length() - 1, w)
 
 
 def find_induced_p4(H: CrossingGraph) -> InducedPath4 | None:

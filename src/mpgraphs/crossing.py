@@ -20,14 +20,18 @@ ROW_GAP = 10  # vertical units between the two rows
 
 @dataclass(frozen=True, eq=False)
 class CrossingGraph:
-    """The crossing relation on the m-1 A-indices other than the anchor,
-    one Python-int bitmask per row: bit y of ``adj[x]`` is set iff x ~ y.
-    Row ``anchor`` is 0 and no row has bit ``anchor`` set."""
+    """The crossing relation of ``graph`` on the m-1 A-indices other than
+    the anchor, one Python-int bitmask per row: bit y of ``adj[x]`` is set
+    iff x ~ y.  Row ``anchor`` is 0 and no row has bit ``anchor`` set."""
 
     anchor: int
-    m: int
+    graph: MarkedPermutationGraph
     vertices: tuple[int, ...]
     adj: tuple[int, ...] = field(repr=False)
+
+    @property
+    def m(self) -> int:
+        return self.graph.m
 
     def has_edge(self, x: int, y: int) -> bool:
         return bool(self.adj[x] >> y & 1)
@@ -65,7 +69,7 @@ def build_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
         adj[x] ^= later
         later |= 1 << x
     verts = tuple(x for x in range(m) if x != a)
-    return CrossingGraph(anchor=a, m=m, vertices=verts, adj=tuple(adj))
+    return CrossingGraph(anchor=a, graph=G, vertices=verts, adj=tuple(adj))
 
 
 def _ccw(p: Point, q: Point, r: Point) -> float:

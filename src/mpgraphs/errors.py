@@ -97,6 +97,10 @@ class ExhaustedAttempts(MpgError):
     """Rejection sampling hit the attempt cap."""
 
 
+class InvalidAttempts(MpgError):
+    """Rejection-sampling attempt cap below 1."""
+
+
 class InvalidK(MpgError):
     """Family parameter below 1."""
 

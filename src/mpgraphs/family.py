@@ -128,14 +128,14 @@ class GkVerdict:
         }
 
 
-def verify_gk(inst: GkInstance, jobs: int = 1) -> GkVerdict:
+def verify_gk(inst: GkInstance) -> GkVerdict:
     """Census-verify the family claims: no matched 4-cycle, exactly 6k+6
     witnesses, and every witness is one full special group plus one edge
     outside that group.  Asserting the structure, not just the count,
     catches off-by-one transcription slips."""
     G = inst.graph
     c4 = len(enumerate_m_c4(G))
-    wits = enumerate_m_p10(G, jobs=jobs)
+    wits = enumerate_m_p10(G)
     g1 = set(inst.special_group(1))
     g2 = set(inst.special_group(2))
     bad = tuple(

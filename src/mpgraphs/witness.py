@@ -36,7 +36,7 @@ from .core import (
     enumerate_m_c4,
     validate,
 )
-from .crossing import build_crossing_graph
+from .crossing import CrossingGraph, build_crossing_graph
 from .errors import (
     DegenerateArc,
     InternalInvariantViolated,
@@ -102,16 +102,15 @@ def witness_report_dict(witness: PetersenWitness, trace: ReductionTrace) -> dict
     return {"edges": list(witness), "trace": trace.to_json_dict()}
 
 
-def p10_from_p4(G: MarkedPermutationGraph, a: int, p: InducedPath4) -> PetersenWitness:
+def p10_from_p4(H: CrossingGraph, p: InducedPath4) -> PetersenWitness:
     """Anchor plus the four path vertices certify a Petersen subdivision.
 
-    The path must be an induced P4 of the crossing graph at ``a`` (checked;
+    The path must be an induced P4 of the crossing graph H (checked;
     NotAnInducedP4 otherwise).  The two geometric cases behind this fact
     need not be distinguished: the result is verified by the rank-pattern
     test (core._subset_is_petersen) and a failure would abort loudly.
     """
-    _check_index(G, a, "anchor")
-    H = build_crossing_graph(G, a)
+    G, a = H.graph, H.anchor
     quad = p.vertices()
     if len(set(quad)) != 4 or any(v not in H.vertices for v in quad):
         raise NotAnInducedP4("path vertices must be 4 distinct non-anchor indices", path=list(quad), anchor=a)
@@ -164,8 +163,8 @@ class TwinContraction(NamedTuple):
     q_prime: Arc
 
 
-def twin_contract(G: MarkedPermutationGraph, a: int, pair: TwinPair) -> TwinContraction:
-    """Contract onto {a} + arc x..y and its matched A'-path Q'.
+def twin_contract(H: CrossingGraph, pair: TwinPair) -> TwinContraction:
+    """Contract H's instance onto {a} + arc x..y and its matched A'-path Q'.
 
     Q' runs x' to y' for non-adjacent twins and y' to x' for adjacent ones;
     either way the matching restricted to the kept arc lands exactly in Q'
@@ -173,14 +172,13 @@ def twin_contract(G: MarkedPermutationGraph, a: int, pair: TwinPair) -> TwinCont
     through the re-encoding.  The twin orientation is normalized here by
     rotated distance from the anchor.
     """
-    _check_index(G, a, "anchor")
+    G, a = H.graph, H.anchor
     m, sigma = G.m, G.sigma
     x, y = pair.x, pair.y
     for v in (x, y):
         _check_index(G, v, "twin vertex")
     if x == y or a in (x, y):
         raise NotTwins("twin vertices must be two distinct non-anchor indices", a=a, x=x, y=y)
-    H = build_crossing_graph(G, a)
     if not is_twin_pair(H, x, y):
         raise NotTwins(f"{x} and {y} are not twins in the crossing graph at {a}", a=a, x=x, y=y)
     if (x - a) % m > (y - a) % m:
@@ -227,17 +225,19 @@ class _Run(NamedTuple):
     witness: PetersenWitness | None = None
 
 
-def _apply_step(run: _Run, step: TraceStep | TwinPair) -> _Run:
-    """The run after ``step``, with the step appended as applied.  P4Found
-    sets the witness, lifted to the original instance.  A twin step comes
-    as recorded (TwinContractStep, from a trace) or as found (TwinPair,
-    from the engine); either is recorded as twin_contract normalizes it,
-    and a recorded one must equal that, orientation and Q' included."""
+def _apply_step(run: _Run, step: TraceStep | TwinPair, H: CrossingGraph | None) -> _Run:
+    """The run after ``step``, with the step appended as applied; H is the
+    current instance's crossing graph at the anchor, None for C4Reduce.
+    P4Found sets the witness, lifted to the original instance.  A twin
+    step comes as recorded (TwinContractStep, from a trace) or as found
+    (TwinPair, from the engine); either is recorded as twin_contract
+    normalizes it, and a recorded one must equal that, orientation and Q'
+    included."""
     cur, a, to_orig, steps, _ = run
     if isinstance(step, (TwinContractStep, P4FoundStep)) and step.a != a:
         raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
     if isinstance(step, P4FoundStep):
-        local = p10_from_p4(cur, a, step.path)
+        local = p10_from_p4(H, step.path)
         witness = tuple(sorted(to_orig[v] for v in local))
         return run._replace(steps=steps + (step,), witness=witness)
     if isinstance(step, C4ReduceStep):
@@ -245,10 +245,10 @@ def _apply_step(run: _Run, step: TraceStep | TwinPair) -> _Run:
     else:
         recorded = step if isinstance(step, TwinContractStep) else None
         if recorded is not None:
-            adjacent = build_crossing_graph(cur, a).has_edge(step.x, step.y)
+            adjacent = H.has_edge(step.x, step.y)
             step = TwinPair(step.x, step.y, TwinKind.TRUE_TWINS if adjacent else TwinKind.FALSE_TWINS)
         try:
-            tc = twin_contract(cur, a, step)
+            tc = twin_contract(H, step)
         except DegenerateArc as exc:
             raise InternalInvariantViolated(
                 "degenerate twin arc in a C4-free instance",
@@ -275,13 +275,15 @@ def find_p10_through(
 
     Requires e to lie in every matched 4-cycle; otherwise
     PreconditionViolated carries a counterexample cycle.  Each iteration
-    chooses a step and applies it with the code replay_trace uses, so the
-    trace replays to the same witness.  The returned witness is
-    re-verified in the original instance.  Running out of moves is
-    impossible for valid inputs and raises InternalInvariantViolated.
+    chooses a step and applies it, with the crossing graph it chose from,
+    by the code replay_trace uses, so the trace replays to the same
+    witness.  The returned witness is re-verified in the original
+    instance.  Running out of moves is impossible for valid inputs and
+    raises InternalInvariantViolated.
     """
     _check_index(G, e, "edge")
-    for c4 in enumerate_m_c4(G):
+    c4s = enumerate_m_c4(G)
+    for c4 in c4s:
         if not c4.contains_edge(e):
             raise PreconditionViolated(
                 f"matched 4-cycle ({c4.i},{c4.j}) avoids edge {e}",
@@ -291,7 +293,6 @@ def find_p10_through(
     run = _Run(G, e, tuple(range(G.m)))
     while run.witness is None:
         cur, a = run.graph, run.a
-        c4s = enumerate_m_c4(cur)
         for c4 in c4s:
             if not c4.contains_edge(a):
                 raise InternalInvariantViolated(
@@ -307,6 +308,7 @@ def find_p10_through(
                 instance=cur.to_text(),
                 edge=a,
             )
+        H = None
         if c4s:
             # deterministic choice: reduce the partner with smallest index
             step = C4ReduceStep(min(c4.i if c4.j == a else c4.j for c4 in c4s))
@@ -320,7 +322,8 @@ def find_p10_through(
                     instance=cur.to_text(),
                     anchor=a,
                 )
-        run = _apply_step(run, step)
+        run = _apply_step(run, step, H)
+        c4s = enumerate_m_c4(run.graph) if run.witness is None else []
     witness = run.witness
     if e not in witness or not _subset_is_petersen(G, witness):
         raise InternalInvariantViolated(
@@ -343,7 +346,8 @@ def replay_trace(
     trace without P4Found, raises InternalInvariantViolated."""
     run = _Run(G, e, tuple(range(G.m)))
     for step in trace.steps:
-        run = _apply_step(run, step)
+        H = None if isinstance(step, C4ReduceStep) else build_crossing_graph(run.graph, run.a)
+        run = _apply_step(run, step, H)
         if run.witness is not None:
             return run.witness
     raise InternalInvariantViolated("trace ended without P4Found", steps=len(trace.steps))

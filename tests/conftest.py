@@ -19,7 +19,7 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from mpgraphs import PETERSEN, PRISM, SuppressedGraph, generate_gk, validate
+from mpgraphs import PETERSEN, PRISM, InducedPath4, SuppressedGraph, generate_gk, validate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"
@@ -157,14 +157,34 @@ def crossing_adj_by_pairs(G, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return verts, tuple(adj)
 
 
+def induced_path_order(H, quad):
+    """If the 4 vertices induce a path, return it oriented from its
+    smaller endpoint; otherwise None.  Degrees are counted pair by pair."""
+    pairs = [(u, v) for i, u in enumerate(quad) for v in quad[i + 1 :]]
+    edges = [(u, v) for u, v in pairs if H.has_edge(u, v)]
+    if len(edges) != 3:
+        return None
+    deg = {v: 0 for v in quad}
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    ends = sorted(v for v in quad if deg[v] == 1)
+    if len(ends) != 2 or sorted(deg.values()) != [1, 1, 2, 2]:
+        return None  # 3 edges but wrong degrees: triangle plus isolated vertex
+    x, w = ends
+    y = next(v for v in quad if v not in (x, w) and H.has_edge(x, v))
+    z = next(v for v in quad if v not in (x, y, w))
+    if not (H.has_edge(y, z) and H.has_edge(z, w)):
+        return None
+    return InducedPath4(x, y, z, w)
+
+
 def first_p4_by_quads(H):
     """The first 4-subset of H.vertices, in lexicographic order, that
-    induces a path, oriented by the library's _path_order; None if H is
-    P4-free.  O(n^4)."""
-    from mpgraphs.cograph import _path_order
-
+    induces a path, oriented by induced_path_order; None if H is P4-free.
+    O(n^4)."""
     for quad in itertools.combinations(H.vertices, 4):
-        p = _path_order(H, quad)
+        p = induced_path_order(H, quad)
         if p is not None:
             return p
     return None

@@ -28,7 +28,7 @@ from mpgraphs import (
     validate,
 )
 from mpgraphs.core import PETERSEN_PATTERNS, _subset_is_petersen
-from mpgraphs.errors import ExhaustedAttempts, InvalidJobs, OutOfScanRange
+from mpgraphs.errors import ExhaustedAttempts, InvalidAttempts, InvalidJobs, OutOfScanRange
 
 from .conftest import all_instances, instances, replace_by_four_sets
 
@@ -285,6 +285,13 @@ class TestRandomInstance:
         G = random_instance(10, seed=7, require_c4_free=True, max_attempts=100000)
         assert enumerate_m_c4(G) == []
 
+    @pytest.mark.parametrize("attempts", [0, -1])
+    @pytest.mark.parametrize("c4_free", [False, True])
+    def test_attempt_cap_below_1_refused(self, attempts, c4_free):
+        with pytest.raises(InvalidAttempts) as exc:
+            random_instance(5, seed=1, require_c4_free=c4_free, max_attempts=attempts)
+        assert exc.value.certificate == {"max_attempts": attempts}
+
 
 class TestCensusReport:
     def test_petersen_report(self):
@@ -292,7 +299,7 @@ class TestCensusReport:
         assert r.c4_count == 0 and r.p10_count == 1
         assert r.zhang_ok and not r.lower_bound_applicable
         d = r.to_json_dict()
-        assert d["p10_list"] == [[0, 1, 2, 3, 4]]
+        assert d["p10_list"] == [(0, 1, 2, 3, 4)]
         assert sum(d["per_edge_counts"]) == 5 * r.p10_count
 
     def test_prism_report(self):

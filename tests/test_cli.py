@@ -279,6 +279,17 @@ class TestRandom:
         assert code == 2
         assert assert_valid_json(out)["error"] == "ExhaustedAttempts"
 
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_attempt_cap_below_1_exit_2(self, attempts):
+        code, out, _ = capture(["random", "5", "--seed", "1", "--max-attempts", str(attempts)])
+        assert code == 2
+        obj = assert_valid_json(out)
+        assert obj["error"] == "InvalidAttempts" and obj["certificate"] == {"max_attempts": attempts}
+
+    def test_one_attempt_prints_an_instance(self):
+        one = capture(["random", "5", "--seed", "1", "--max-attempts", "1"])
+        assert one[0] == 0 and one == capture(["random", "5", "--seed", "1"])
+
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_philox_key_range_exit_2(self, seed):
         code, out, _ = capture(["random", "5", "--seed", str(seed)])
@@ -499,21 +510,32 @@ def test_cli_import_leaves_numpy_unloaded():
     assert not loaded_by_cli_import("numpy")
 
 
-def test_bad_seed_refused_before_numpy_loads():
+def numpy_loaded_after_refusal(kwargs: str, error: str) -> bool:
+    """Whether numpy is loaded once ``random_instance(5, <kwargs>)`` has
+    raised ``error`` in a fresh interpreter; fails if it did not raise."""
     code = (
         "import sys\n"
         "from mpgraphs.census import random_instance\n"
-        "from mpgraphs.errors import InvalidSeed\n"
+        f"from mpgraphs.errors import {error}\n"
         "try:\n"
-        "    random_instance(5, seed=-1)\n"
-        "except InvalidSeed:\n"
+        f"    random_instance(5, {kwargs})\n"
+        f"except {error}:\n"
         "    print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout in ("True\n", "False\n"), proc.stdout
+    return proc.stdout == "True\n"
+
+
+def test_bad_seed_refused_before_numpy_loads():
+    assert not numpy_loaded_after_refusal("seed=-1", "InvalidSeed")
+
+
+def test_bad_attempt_cap_refused_before_numpy_loads():
+    assert not numpy_loaded_after_refusal("seed=1, max_attempts=0", "InvalidAttempts")
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

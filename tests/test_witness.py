@@ -57,28 +57,31 @@ ONE_C4 = validate(6, [0, 1, 3, 5, 2, 4])
 # the crossing graph at anchor 0 already has an induced P4.
 TWIN_THEN_P4 = validate(8, [0, 1, 2, 4, 6, 3, 5, 7])
 
+PETERSEN_H0 = build_crossing_graph(PETERSEN, 0)  # the path 1-3-2-4
+
 
 def twin_then_p4_trace():
     """A hand-built TwinContract, P4Found trace on TWIN_THEN_P4 at anchor 0,
     and the witness it must replay to."""
-    tc = twin_contract(TWIN_THEN_P4, 0, TwinPair(2, 7, TwinKind.FALSE_TWINS))
+    tc = twin_contract(build_crossing_graph(TWIN_THEN_P4, 0), TwinPair(2, 7, TwinKind.FALSE_TWINS))
     a = tc.index_map.index(0)
-    p4 = find_induced_p4(build_crossing_graph(tc.graph, a))
+    H = build_crossing_graph(tc.graph, a)
+    p4 = find_induced_p4(H)
     trace = ReductionTrace((TwinContractStep(0, tc.x, tc.y, tc.q_prime), P4FoundStep(a, p4)))
-    return trace, tuple(sorted(tc.index_map[v] for v in p10_from_p4(tc.graph, a, p4)))
+    return trace, tuple(sorted(tc.index_map[v] for v in p10_from_p4(H, p4)))
 
 
 class TestP10FromP4:
     def test_petersen(self):
-        assert p10_from_p4(PETERSEN, 0, InducedPath4(1, 3, 2, 4)) == (0, 1, 2, 3, 4)
+        assert p10_from_p4(PETERSEN_H0, InducedPath4(1, 3, 2, 4)) == (0, 1, 2, 3, 4)
 
     def test_not_a_path(self):
         with pytest.raises(NotAnInducedP4):
-            p10_from_p4(PETERSEN, 0, InducedPath4(1, 2, 3, 4))
+            p10_from_p4(PETERSEN_H0, InducedPath4(1, 2, 3, 4))
 
     def test_anchor_in_path_rejected(self):
         with pytest.raises(NotAnInducedP4):
-            p10_from_p4(PETERSEN, 1, InducedPath4(1, 3, 2, 4))
+            p10_from_p4(build_crossing_graph(PETERSEN, 1), InducedPath4(1, 3, 2, 4))
 
     @given(instances(5, 9), st.data())
     @settings(max_examples=100)
@@ -86,10 +89,11 @@ class TestP10FromP4:
         from mpgraphs import find_induced_p4
 
         a = data.draw(st.integers(0, G.m - 1))
-        p = find_induced_p4(build_crossing_graph(G, a))
+        H = build_crossing_graph(G, a)
+        p = find_induced_p4(H)
         if p is None:
             return
-        X = p10_from_p4(G, a, p)
+        X = p10_from_p4(H, p)
         assert a in X
         assert is_petersen(suppress_match(G, X))
 
@@ -121,30 +125,34 @@ class TestC4Reduce:
 
 class TestTwinContract:
     def test_identity_m4(self):
-        tc = twin_contract(validate(4, [0, 1, 2, 3]), 0, TwinPair(1, 2, TwinKind.FALSE_TWINS))
+        H = build_crossing_graph(validate(4, [0, 1, 2, 3]), 0)
+        tc = twin_contract(H, TwinPair(1, 2, TwinKind.FALSE_TWINS))
         assert tc.graph == validate(3, [0, 1, 2])
         assert tc.q_prime == Arc(Side.A_PRIME, 1, 2)
 
     def test_reversal_true_twins(self):
-        tc = twin_contract(validate(5, [0, 4, 3, 2, 1]), 0, TwinPair(1, 2, TwinKind.TRUE_TWINS))
+        H = build_crossing_graph(validate(5, [0, 4, 3, 2, 1]), 0)
+        tc = twin_contract(H, TwinPair(1, 2, TwinKind.TRUE_TWINS))
         assert tc.graph == validate(3, [0, 2, 1])
         assert tc.index_map == (0, 1, 2)
         # adjacent twins flip the matched path's direction
         assert tc.q_prime == Arc(Side.A_PRIME, 3, 4)
 
     def test_identity_m5(self):
-        tc = twin_contract(validate(5, [0, 1, 2, 3, 4]), 0, TwinPair(1, 2, TwinKind.FALSE_TWINS))
+        H = build_crossing_graph(validate(5, [0, 1, 2, 3, 4]), 0)
+        tc = twin_contract(H, TwinPair(1, 2, TwinKind.FALSE_TWINS))
         assert tc.graph == validate(3, [0, 1, 2])
 
     def test_not_twins(self):
         with pytest.raises(NotTwins):
-            twin_contract(PETERSEN, 0, TwinPair(1, 2, TwinKind.FALSE_TWINS))
+            twin_contract(PETERSEN_H0, TwinPair(1, 2, TwinKind.FALSE_TWINS))
 
     def test_degenerate_arc(self):
         # twins 1 and 3 around the anchor of (4, identity): the outside arc
         # has no interior beyond the anchor, signalling a matched 4-cycle
+        H = build_crossing_graph(validate(4, [0, 1, 2, 3]), 0)
         with pytest.raises(DegenerateArc):
-            twin_contract(validate(4, [0, 1, 2, 3]), 0, TwinPair(1, 3, TwinKind.FALSE_TWINS))
+            twin_contract(H, TwinPair(1, 3, TwinKind.FALSE_TWINS))
 
     @given(instances(5, 9), st.data())
     @settings(max_examples=150)
@@ -156,7 +164,7 @@ class TestTwinContract:
         if t is None:
             return
         try:
-            tc = twin_contract(G, a, t)
+            tc = twin_contract(H, t)
         except DegenerateArc:
             assert enumerate_m_c4(G)  # only possible when a 4-cycle exists
             return
@@ -235,7 +243,7 @@ class TestFindP10Through:
     def test_p4_certification_runs(self, monkeypatch):
         monkeypatch.setattr(witness_module, "_subset_is_petersen", lambda G, X: False)
         with pytest.raises(InternalInvariantViolated, match="did not yield a Petersen"):
-            p10_from_p4(PETERSEN, 0, InducedPath4(1, 3, 2, 4))
+            p10_from_p4(PETERSEN_H0, InducedPath4(1, 3, 2, 4))
         with pytest.raises(InternalInvariantViolated, match="did not yield a Petersen"):
             find_p10_through(PETERSEN, 0)
 
@@ -323,13 +331,64 @@ class TestTraceReplay:
         # the step it records passes the recorded-step check on replay
         trace, lifted = twin_then_p4_trace()
         start = _Run(TWIN_THEN_P4, 0, tuple(range(8)))
-        found = _apply_step(start, TwinPair(7, 2, TwinKind.FALSE_TWINS))
+        H = build_crossing_graph(TWIN_THEN_P4, 0)
+        found = _apply_step(start, TwinPair(7, 2, TwinKind.FALSE_TWINS), H)
         assert found.steps == trace.steps[:1]
-        assert found == _apply_step(start, trace.steps[0])
+        assert found == _apply_step(start, trace.steps[0], H)
         assert replay_trace(TWIN_THEN_P4, 0, ReductionTrace(found.steps + trace.steps[1:])) == lifted
 
     def test_degenerate_twin_arc_is_an_invariant_violation(self):
         G = validate(4, [0, 1, 2, 3])
         with pytest.raises(InternalInvariantViolated, match="degenerate twin arc") as exc:
-            _apply_step(_Run(G, 0, tuple(range(4))), TwinPair(1, 3, TwinKind.FALSE_TWINS))
+            _apply_step(
+                _Run(G, 0, tuple(range(4))), TwinPair(1, 3, TwinKind.FALSE_TWINS), build_crossing_graph(G, 0)
+            )
         assert isinstance(exc.value.__cause__, DegenerateArc)
+
+
+class TestOneCrossingGraphPerState:
+    """The engine and replay build one crossing graph per state that needs
+    one, and hand it to the step code, which builds none of its own."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        real = witness_module.build_crossing_graph
+
+        def counting(G, a):
+            built.append((G.m, a))
+            return real(G, a)
+
+        monkeypatch.setattr(witness_module, "build_crossing_graph", counting)
+        return built
+
+    def test_petersen_edge_0(self, builds):
+        X, trace = find_p10_through(PETERSEN, 0)
+        assert builds == [(5, 0)]
+        builds.clear()
+        assert replay_trace(PETERSEN, 0, trace) == X
+        assert builds == [(5, 0)]
+
+    def test_twin_then_p4(self, builds):
+        # no known engine run takes the twin branch, so the engine side is
+        # its loop body by hand: each state's graph is built through the
+        # counted name and handed to _apply_step
+        trace, lifted = twin_then_p4_trace()
+        run = _Run(TWIN_THEN_P4, 0, tuple(range(8)))
+        H = witness_module.build_crossing_graph(run.graph, run.a)
+        run = _apply_step(run, TwinPair(2, 7, TwinKind.FALSE_TWINS), H)
+        H = witness_module.build_crossing_graph(run.graph, run.a)
+        run = _apply_step(run, P4FoundStep(run.a, find_induced_p4(H)), H)
+        assert run.steps == trace.steps and run.witness == lifted
+        assert builds == [(8, 0), (run.graph.m, run.a)]
+        builds.clear()
+        assert replay_trace(TWIN_THEN_P4, 0, trace) == lifted
+        assert builds == [(8, 0), (run.graph.m, run.a)]
+
+    def test_no_build_for_a_c4_state(self, builds):
+        X, trace = find_p10_through(ONE_C4, 0)
+        assert isinstance(trace.steps[0], C4ReduceStep)
+        assert [m for m, _ in builds] == [5]
+        builds.clear()
+        assert replay_trace(ONE_C4, 0, trace) == X
+        assert [m for m, _ in builds] == [5]
