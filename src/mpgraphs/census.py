@@ -22,7 +22,6 @@ from math import factorial
 from typing import Callable, Sequence
 
 from .core import (
-    PETERSEN_PATTERNS,
     FourCycle,
     MarkedPermutationGraph,
     _check_index,
@@ -41,72 +40,65 @@ from .errors import (
 from .witness import PetersenWitness, find_p10_through
 
 
-def _arc_table() -> dict[tuple[bool, bool, bool], tuple[int, int, int, int]]:
-    """Order of (x0, x1, x2), as (s0 < s1, s0 < s2, s1 < s2) for their
-    sigma values, -> (a3, b3, a4, b4): sigma[x3] must fill one of gaps
-    a3..b3-1 and sigma[x4] one of gaps a4..b4-1.  Gap g lies between the
-    g-th and (g+1)-th smallest of s0, s1, s2: gap 0 below all three, gap 3
-    above all three.  Read cyclically, gap 3 is followed by gap 0 again,
-    numbered 4 so that every arc is a range.
-
-    In cyclic value order a Petersen pattern reads x0, x3, x1, x4, x2 or
-    its reverse, so sigma[x3] must sit on the arc from s0 to s1 that avoids
-    s2, and sigma[x4] on the arc from s1 to s2 that avoids s0.  The two
-    arcs are independent: every choice of one gap from each is a Petersen
-    pattern, and the 6 triple orders hold the 10 patterns between them.
-    """
-    gaps: dict[tuple[bool, bool, bool], tuple[set[int], set[int]]] = {}
-    for P in PETERSEN_PATTERNS:
-        order = (P[0] < P[1], P[0] < P[2], P[1] < P[2])
-        x3_gaps, x4_gaps = gaps.setdefault(order, (set(), set()))
-        x3_gaps.add(sum(v < P[3] for v in P[:3]))
-        x4_gaps.add(sum(v < P[4] for v in P[:3]))
-
-    def arc(gs: set[int]) -> tuple[int, int]:
-        first = next(g for g in gs if (g - 1) % 4 not in gs)
-        return first, first + len(gs)
-
-    return {order: (*arc(g3), *arc(g4)) for order, (g3, g4) in gaps.items()}
-
-
-_ARCS = _arc_table()
-
-
 def _petersen_search(sigma: tuple[int, ...]) -> list[PetersenWitness]:
     """Every Petersen 5-subset, in lexicographic order.
 
-    x0 < x1 < x2 run over all triples.  The triple's order fixes the arcs
-    of values open to x3 and to x4 (see _arc_table).  The indices after x2
-    with values on an arc are one slice of a list of those indices in
-    cyclic value order, and every x3 < x4 from the two slices completes a
+    x0 < x1 < x2 run over all triples.  In cyclic value order a Petersen
+    pattern reads x0, x3, x1, x4, x2 or its reverse, so sigma[x3] must sit
+    on the arc of values from s0 to s1 that avoids s2, sigma[x4] on the arc
+    from s1 to s2 that avoids s0, and every x3 < x4 after x2 with values on
+    those arcs completes a witness.  The indices after x2 with values on an
+    arc are one slice of ring[x2], and below[x2] gives the slice's bounds.
+
+    A triple is dropped at the first of three tests it fails: its x4 arc
+    is empty (two lookups in below[x2]), its x3 arc is empty (two more, and
+    equal bounds), or no x3 precedes an x4 (min of the x3 slice above max
+    of the x4 slice).  Only triples that pass the first two are sliced, and
+    only those that pass all three are sorted and listed, at O(1) per
     witness.
     """
     m = len(sigma)
     inv = [0] * m
     for i, v in enumerate(sigma):
         inv[v] = i
-    # later[p]: the values sigma[q] for q > p, ascending; ring[p]: those q
-    # in the same order, twice over, so that an arc across the top of the
-    # value range is still one slice
-    later = [sorted(sigma[p + 1:]) for p in range(m)]
-    ring = [[inv[v] for v in vals] * 2 for vals in later]
+    # below[p][v]: how many q > p have sigma[q] < v; ring[p]: those q in
+    # ascending order of sigma[q], twice over, so that an arc across the
+    # top of the value range is still one slice
+    below = [[0] * (m + 1)]
+    for s in reversed(sigma[1:]):
+        prev = below[-1]
+        below.append(prev[: s + 1] + [c + 1 for c in prev[s + 1 :]])
+    below.reverse()
+    ring = [[q for q in inv if q > p] * 2 for p in range(m)]
     out: list[PetersenWitness] = []
     for x0 in range(m):
         s0 = sigma[x0]
         for x1 in range(x0 + 1, m - 3):
             s1 = sigma[x1]
+            lo3, hi3 = (s0, s1) if s0 < s1 else (s1, s0)
             for x2 in range(x1 + 1, m - 2):
                 s2 = sigma[x2]
-                a3, b3, a4, b4 = _ARCS[s0 < s1, s0 < s2, s1 < s2]
-                vals = later[x2]
-                lo, mid, hi = sorted((s0, s1, s2))
-                c1 = bisect(vals, lo)
-                cut = (0, c1, bisect(vals, mid), bisect(vals, hi), len(vals), len(vals) + c1)
-                x4s = ring[x2][cut[a4]:cut[b4]]
-                if not x4s:
+                row = below[x2]
+                # the values open to x4 are those between lo4 and hi4, or,
+                # when s0 lies between them, those above hi4 and then below
+                # lo4, which run on into ring's second copy
+                lo4, hi4 = (s1, s2) if s1 < s2 else (s2, s1)
+                i4, j4 = row[lo4], row[hi4]
+                if lo4 < s0 < hi4:
+                    i4, j4 = j4, m - 1 - x2 + i4
+                if i4 == j4:
+                    continue
+                i3, j3 = row[lo3], row[hi3]
+                if lo3 < s2 < hi3:
+                    i3, j3 = j3, m - 1 - x2 + i3
+                if i3 == j3:
+                    continue
+                x3s = ring[x2][i3:j3]
+                x4s = ring[x2][i4:j4]
+                if min(x3s) > max(x4s):
                     continue
                 x4s.sort()
-                x3s = sorted(ring[x2][cut[a3]:cut[b3]])
+                x3s.sort()
                 out += [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s[bisect(x4s, x3):]]
     return out
 
@@ -143,10 +135,12 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
 
     The census is exhaustive and exact: a subset is a witness exactly when
     its rank pattern is in PETERSEN_PATTERNS, and the search drops a prefix
-    only when its exact rank pattern cannot complete to one.  It costs
-    O(log m) for each of the C(m,3) triples x0 < x1 < x2 and for each later
-    index whose value lies where a Petersen pattern needs x3 or x4, plus
-    O(1) per witness; brute force costs C(m,5) subset checks whatever the
+    only when its exact rank pattern cannot complete to one.  After an
+    O(m^2) table, each of the C(m,3) triples x0 < x1 < x2 costs two lookups
+    when no later value lies where a Petersen pattern needs x4, and two more
+    when none lies where it needs x3.  Only a triple with some x3 before
+    some x4 has its two slices of later indices sorted, and each witness
+    then costs O(1); brute force costs C(m,5) subset checks whatever the
     answer.
 
     The search always runs in this process: starting workers and pickling

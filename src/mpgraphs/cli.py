@@ -34,7 +34,7 @@ from .core import (
     parse_instance,
 )
 from .crossing import standard_drawing
-from .errors import MpgError, PreconditionViolated
+from .errors import InvalidLemmaArgs, MpgError, PreconditionViolated
 from .family import generate_gk
 from .witness import find_p10_through, witness_report_dict
 
@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         nargs="*",
         default=[],
-        help="edge/anchor indices for redrawing and replace (two integers)",
+        help="edge/anchor indices: two for redrawing and replace, none for zhang and lower",
     )
     return parser
 
@@ -278,13 +278,16 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
         return 0 if cut is None else 1
 
     if args.command == "check":
+        takes_pair = args.lemma in ("redrawing", "replace")
+        if len(args.args) != (2 if takes_pair else 0):
+            raise InvalidLemmaArgs(
+                f"--lemma {args.lemma} "
+                + ("needs two indices via --args A B" if takes_pair else "takes no --args"),
+                lemma=args.lemma,
+                args=args.args,
+            )
         G = _load_instance(args.file, stdin)
-        if args.lemma in ("redrawing", "replace"):
-            if len(args.args) != 2:
-                raise MpgError(
-                    f"--lemma {args.lemma} needs two indices via --args A B",
-                    args=args.args,
-                )
+        if takes_pair:
             a, b = args.args
             verdict = (
                 check_redrawing(G, a, b)

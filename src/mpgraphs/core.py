@@ -154,7 +154,14 @@ def parse_instances(text: str) -> list[MarkedPermutationGraph]:
 
 
 def parse_instance(text: str) -> MarkedPermutationGraph:
-    return parse_instances(text)[0]
+    """The one instance in ``text``; more than one raises InstanceTextError
+    with their count, where parse_instances returns them all."""
+    instances = parse_instances(text)
+    if len(instances) > 1:
+        raise InstanceTextError(
+            f"expected one instance, found {len(instances)}", instances=len(instances)
+        )
+    return instances[0]
 
 
 PRISM = validate(3, [0, 1, 2])

@@ -113,5 +113,10 @@ class IndicesNotDistinct(MpgError):
     """A checker that compares two edges or anchors was given one twice."""
 
 
+class InvalidLemmaArgs(MpgError):
+    """``check --args`` holds the wrong number of indices for the lemma:
+    redrawing and replace take two, zhang and lower none."""
+
+
 class InvalidSeed(MpgError):
     """Random seed outside the Philox key range 0 <= seed < 2**128."""

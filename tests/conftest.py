@@ -5,13 +5,15 @@ re-derived by exhaustive simple-cycle enumeration, Petersen recognition by
 a networkx isomorphism test against the reference graph, P4-freeness
 by twin elimination, crossing rows by a pair loop, the first induced P4 by
 a scan over 4-subsets, the cyclic cut by counting vertices and edges per
-component, and the replace lemma by a scan over 4-sets.
+component, the replace lemma by a scan over 4-sets, and the census by the
+triple walk that takes three bisects and a slice for every triple.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+from bisect import bisect
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +22,8 @@ import pytest
 from hypothesis import strategies as st
 
 from mpgraphs import PETERSEN, PRISM, InducedPath4, SuppressedGraph, generate_gk, validate
+from mpgraphs.core import PETERSEN_PATTERNS
+from mpgraphs.witness import PetersenWitness
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"
@@ -243,6 +247,79 @@ def replace_by_four_sets(G, a: int, b: int, is_witness):
         if is_witness(tuple(sorted(F + (a,)))) != is_witness(tuple(sorted(F + (b,)))):
             return ReplaceVerdict(ok=False, branch=None, counterexample=F)
     return ReplaceVerdict(ok=True, branch="swap_equivalent", counterexample=None)
+
+
+def _arc_table() -> dict[tuple[bool, bool, bool], tuple[int, int, int, int]]:
+    """The arcs of petersen_by_sorted_slices, read off PETERSEN_PATTERNS.
+
+    Order of (x0, x1, x2), as (s0 < s1, s0 < s2, s1 < s2) for their sigma
+    values, -> (a3, b3, a4, b4): sigma[x3] must fill one of gaps
+    a3..b3-1 and sigma[x4] one of gaps a4..b4-1.  Gap g lies between the
+    g-th and (g+1)-th smallest of s0, s1, s2: gap 0 below all three, gap 3
+    above all three.  Read cyclically, gap 3 is followed by gap 0 again,
+    numbered 4 so that every arc is a range.
+
+    In cyclic value order a Petersen pattern reads x0, x3, x1, x4, x2 or
+    its reverse, so sigma[x3] must sit on the arc from s0 to s1 that avoids
+    s2, and sigma[x4] on the arc from s1 to s2 that avoids s0.  The two
+    arcs are independent: every choice of one gap from each is a Petersen
+    pattern, and the 6 triple orders hold the 10 patterns between them.
+    """
+    gaps: dict[tuple[bool, bool, bool], tuple[set[int], set[int]]] = {}
+    for P in PETERSEN_PATTERNS:
+        order = (P[0] < P[1], P[0] < P[2], P[1] < P[2])
+        x3_gaps, x4_gaps = gaps.setdefault(order, (set(), set()))
+        x3_gaps.add(sum(v < P[3] for v in P[:3]))
+        x4_gaps.add(sum(v < P[4] for v in P[:3]))
+
+    def arc(gs: set[int]) -> tuple[int, int]:
+        first = next(g for g in gs if (g - 1) % 4 not in gs)
+        return first, first + len(gs)
+
+    return {order: (*arc(g3), *arc(g4)) for order, (g3, g4) in gaps.items()}
+
+
+_ARCS = _arc_table()
+
+
+def petersen_by_sorted_slices(sigma: tuple[int, ...]) -> list[PetersenWitness]:
+    """The census by its first triple walk: every Petersen 5-subset, in
+    lexicographic order, with three bisects and a slice for every triple.
+
+    x0 < x1 < x2 run over all triples.  The triple's order fixes the arcs
+    of values open to x3 and to x4 (see _arc_table).  The indices after x2
+    with values on an arc are one slice of a list of those indices in
+    cyclic value order, and every x3 < x4 from the two slices completes a
+    witness.
+    """
+    m = len(sigma)
+    inv = [0] * m
+    for i, v in enumerate(sigma):
+        inv[v] = i
+    # later[p]: the values sigma[q] for q > p, ascending; ring[p]: those q
+    # in the same order, twice over, so that an arc across the top of the
+    # value range is still one slice
+    later = [sorted(sigma[p + 1:]) for p in range(m)]
+    ring = [[inv[v] for v in vals] * 2 for vals in later]
+    out: list[PetersenWitness] = []
+    for x0 in range(m):
+        s0 = sigma[x0]
+        for x1 in range(x0 + 1, m - 3):
+            s1 = sigma[x1]
+            for x2 in range(x1 + 1, m - 2):
+                s2 = sigma[x2]
+                a3, b3, a4, b4 = _ARCS[s0 < s1, s0 < s2, s1 < s2]
+                vals = later[x2]
+                lo, mid, hi = sorted((s0, s1, s2))
+                c1 = bisect(vals, lo)
+                cut = (0, c1, bisect(vals, mid), bisect(vals, hi), len(vals), len(vals) + c1)
+                x4s = ring[x2][cut[a4]:cut[b4]]
+                if not x4s:
+                    continue
+                x4s.sort()
+                x3s = sorted(ring[x2][cut[a3]:cut[b3]])
+                out += [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s[bisect(x4s, x3):]]
+    return out
 
 
 def instance_to_networkx(G) -> nx.MultiGraph:

@@ -30,7 +30,7 @@ from mpgraphs import (
 from mpgraphs.core import PETERSEN_PATTERNS, _subset_is_petersen
 from mpgraphs.errors import ExhaustedAttempts, InvalidAttempts, InvalidJobs, OutOfScanRange
 
-from .conftest import all_instances, instances, replace_by_four_sets
+from .conftest import all_instances, instances, petersen_by_sorted_slices, replace_by_four_sets
 
 
 class TestEnumerateMP10:
@@ -68,6 +68,12 @@ def brute_force_p10(G):
     return [X for X in itertools.combinations(range(G.m), 5) if _subset_is_petersen(G, X)]
 
 
+def census_digest(witnesses):
+    """A witness list's length and hash, so that two large censuses can be
+    compared without holding both lists."""
+    return len(witnesses), hash(tuple(witnesses))
+
+
 # The module, whose os the jobs tests patch.
 census_module = importlib.import_module("mpgraphs.census")
 
@@ -93,6 +99,20 @@ class TestPetersenSearch:
     def test_equals_brute_force_on_random(self, m, seed, c4_free):
         G = random_instance(m, seed=seed, require_c4_free=c4_free)
         assert enumerate_m_p10(G) == brute_force_p10(G)
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_equals_sorted_slices_on_gk(self, k):
+        G = generate_gk(k).graph
+        assert enumerate_m_p10(G) == petersen_by_sorted_slices(G.sigma)
+
+    @pytest.mark.parametrize("c4_free", [False, True])
+    @pytest.mark.parametrize("m", [50, 60, 80])
+    def test_equals_sorted_slices_on_random(self, m, c4_free):
+        G = random_instance(m, seed=2, require_c4_free=c4_free)
+        assert bool(enumerate_m_c4(G)) != c4_free
+        # up to ~2M witnesses at m = 80: hold one list at a time
+        expected = census_digest(petersen_by_sorted_slices(G.sigma))
+        assert census_digest(enumerate_m_p10(G)) == expected
 
     def test_jobs_1_2_4_identical(self, monkeypatch):
         # jobs changes nothing, even where four CPUs are reported

@@ -135,6 +135,31 @@ class TestCensus:
 NON_UTF8_INSTANCE = b"\xff3 0 1 2\n"
 
 
+TWO_INSTANCES = "3 0 1 2\n5 0 2 4 1 3\n"
+
+
+class TestOneInstancePerInput:
+    @pytest.mark.parametrize("route", ["file", "stdin"])
+    def test_two_instances_exit_2(self, tmp_path, route):
+        path = tmp_path / "two.txt"
+        path.write_text(TWO_INSTANCES)
+        source = str(path) if route == "file" else "-"
+        code, out, _ = capture(["census", source], stdin_text=TWO_INSTANCES)
+        assert code == 2
+        obj = assert_valid_json(out)
+        assert obj["error"] == "InstanceTextError"
+        assert obj["certificate"] == {"instances": 2}
+
+    @pytest.mark.parametrize("argv", [["gk", "4"], ["random", "12", "--seed", "7"]])
+    def test_generated_instance_pipes_into_census(self, argv):
+        # the generators' extra lines are # comments, not instances
+        code, text, _ = capture(argv)
+        assert code == 0 and text.count("\n") == 2
+        code, out, _ = capture(["census", "-"], stdin_text=text)
+        assert code == 0
+        assert out.startswith(f"instance: {text.splitlines()[0]}\n")
+
+
 class TestNonUtf8Input:
     def test_file_gives_instance_text_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -363,6 +388,18 @@ class TestCheck:
     def test_missing_args_exit_2(self):
         code, out, _ = capture(["check", PETERSEN_TXT, "--lemma", "replace"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "lemma, indices",
+        [("zhang", ["1", "2", "3"]), ("lower", ["0"])]
+        + [(lemma, indices) for lemma in ("redrawing", "replace") for indices in ([], ["0"], ["0", "1", "2"])],
+    )
+    def test_wrong_index_count_exit_2(self, lemma, indices):
+        code, out, _ = capture(["check", PETERSEN_TXT, "--lemma", lemma, "--args", *indices])
+        assert code == 2
+        obj = assert_valid_json(out)
+        assert obj["error"] == "InvalidLemmaArgs"
+        assert obj["certificate"] == {"lemma": lemma, "args": [int(i) for i in indices]}
 
     @pytest.mark.parametrize("lemma, index", [("replace", "0"), ("redrawing", "1")])
     def test_equal_indices_exit_2(self, lemma, index):

@@ -92,6 +92,11 @@ class TestTextFormat:
         text = "# header\n3 0 1 2\n5 0 2 4 1 3\n"
         assert parse_instances(text) == [PRISM, PETERSEN]
 
+    def test_parse_instance_rejects_several(self):
+        with pytest.raises(InstanceTextError) as exc:
+            parse_instance("# header\n3 0 1 2\n5 0 2 4 1 3\n")
+        assert exc.value.certificate == {"instances": 2}
+
     def test_bad_token(self):
         with pytest.raises(InstanceTextError):
             parse_instance("3 0 x 2")
