@@ -3,7 +3,7 @@
 If an edge lies in every matched 4-cycle, a Petersen subdivision through
 it exists, and the engine produces one constructively: reduce away
 4-cycles through the edge, then read the witness off an induced P4 of the
-crossing graph (contracting twin pairs if no P4 shows up directly).
+crossing graph, which a 4-cycle-free state always has.
 The returned trace replays step by step to the same witness.
 """
 

@@ -1,13 +1,15 @@
 """Ground-truth enumeration and executable theorem checkers.
 
 The Petersen census is exhaustive: every 5-subset of matching edges is
-accounted for, and no crossing-graph shortcut is used anywhere (whether
-every witness through an anchor arises from an induced P4 there is an open
-converse, so such a shortcut could silently under-count).  What makes it
-fast is that a 5-subset's verdict depends only on the rank pattern of sigma
-on it, and only 10 of the 120 patterns certify; the enumerator grows
-subsets one index at a time and abandons a prefix as soon as its exact rank
-pattern can no longer complete to one of those 10.
+accounted for, and it reads no crossing graph.  (It could: a subset X
+containing a is a witness iff X - a induces a P4 in the crossing graph at
+a, a lemma proved in the tests; the census is the independent count the
+witness engine is checked against.)  What makes it fast is that a
+5-subset's verdict depends only on the rank pattern of sigma on it, and
+only 10 of the 120 patterns certify; the search walks the index triples
+x0 < x1 < x2 and, from a per-position rank table ``below``, rules out each
+triple that no x3 < x4 after it can complete to one of those 10 before
+slicing anything, then lists the completions of the rest.
 """
 
 from __future__ import annotations

@@ -1,18 +1,10 @@
-"""Induced-P4 search and twin detection on crossing graphs.
-
-Twins here use the adjacency-closed reading N(x)\\{y} = N(y)\\{x}, which
-covers both non-adjacent (false) and adjacent (true) twins; with the
-open-neighbourhood reading alone, complete graphs would have no twins at
-all and the P4-free dichotomy below would fail on them.
-"""
+"""Induced-P4 search on crossing graphs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .crossing import CrossingGraph
-from .errors import TooFewVertices
 
 
 @dataclass(frozen=True)
@@ -26,18 +18,6 @@ class InducedPath4:
 
     def vertices(self) -> tuple[int, int, int, int]:
         return (self.x, self.y, self.z, self.w)
-
-
-class TwinKind(Enum):
-    FALSE_TWINS = "false_twins"  # non-adjacent
-    TRUE_TWINS = "true_twins"  # adjacent
-
-
-@dataclass(frozen=True)
-class TwinPair:
-    x: int
-    y: int
-    kind: TwinKind
 
 
 def _path_order(H: CrossingGraph, quad: tuple[int, ...]) -> InducedPath4:
@@ -90,27 +70,8 @@ def find_induced_p4(H: CrossingGraph) -> InducedPath4 | None:
     return None
 
 
-def is_twin_pair(H: CrossingGraph, x: int, y: int) -> bool:
-    """N(x)\\{y} = N(y)\\{x}: the two rows differ at most in bits x and y."""
-    return ((H.adj[x] ^ H.adj[y]) & ~(1 << x | 1 << y)) == 0
-
-
-def find_twins(H: CrossingGraph) -> TwinPair | None:
-    """Lexicographically smallest twin pair, tagged true/false by
-    adjacency; None if twin-free."""
-    verts = H.vertices
-    if len(verts) < 2:
-        raise TooFewVertices(f"{len(verts)} vertex", vertices=list(verts))
-    for i, x in enumerate(verts):
-        for y in verts[i + 1 :]:
-            if is_twin_pair(H, x, y):
-                kind = TwinKind.TRUE_TWINS if H.has_edge(x, y) else TwinKind.FALSE_TWINS
-                return TwinPair(x, y, kind)
-    return None
-
-
 def is_p4_free(H: CrossingGraph) -> bool:
-    """True iff H has no induced P4, i.e. H is a cograph.  The tests check
-    this against twin elimination, the characterisation the engine's twin
-    branch relies on."""
+    """True iff H has no induced P4, i.e. H is a cograph.  For the crossing
+    graph at edge e this holds iff e lies in no Petersen witness (the
+    lemma in mpgraphs.witness)."""
     return find_induced_p4(H) is None

@@ -41,23 +41,6 @@ class VertexRef:
     index: int
 
 
-@dataclass(frozen=True)
-class Arc:
-    """A traversal along one cycle in its fixed orientation, endpoints
-    inclusive.  ``start == end`` denotes the single vertex."""
-
-    side: Side
-    start: int
-    end: int
-
-    def vertices(self, m: int) -> tuple[int, ...]:
-        span = (self.end - self.start) % m
-        return tuple((self.start + t) % m for t in range(span + 1))
-
-    def to_json_dict(self) -> dict:
-        return {"side": self.side.value, "start": self.start, "end": self.end}
-
-
 class FourCycle(NamedTuple):
     """A matched 4-cycle, keyed by its A-side index pair.
 
@@ -358,9 +341,6 @@ def reflect(G: MarkedPermutationGraph) -> MarkedPermutationGraph:
 def swap_sides(G: MarkedPermutationGraph) -> MarkedPermutationGraph:
     """Exchange the roles of A and A'; sigma becomes its inverse."""
     return validate(G.m, G.inverse())
-
-
-SYMMETRY_OPS = ("rotate_a", "rotate_a_prime", "reflect", "swap_sides")
 
 
 def apply_symmetry(G: MarkedPermutationGraph, op: str, k: int = 0) -> MarkedPermutationGraph:

@@ -58,25 +58,12 @@ class IndexOutOfRange(MpgError):
     """An A-index argument outside 0..m-1."""
 
 
-class TooFewVertices(MpgError):
-    """Twin search needs at least two vertices."""
-
-
 class NotAnInducedP4(MpgError):
     """The given quadruple is not an induced 4-vertex path of the crossing graph."""
 
 
 class NotAC4ThroughE(MpgError):
     """The designated pair is not a matched 4-cycle through the given edge."""
-
-
-class NotTwins(MpgError):
-    """The given vertices are not twins in the crossing graph."""
-
-
-class DegenerateArc(MpgError):
-    """Twin contraction would not shrink the instance; signals a matched
-    4-cycle exists and the caller skipped the reduction step."""
 
 
 class PreconditionViolated(MpgError):

@@ -1,17 +1,23 @@
 """Constructive extraction of a Petersen subdivision through a matching edge.
 
-Given an edge contained in every matched 4-cycle, the engine alternates
-two shrinking moves until a direct certificate appears:
+Given an edge contained in every matched 4-cycle, the engine repeats one
+of two moves until a certificate appears:
 
 * a matched 4-cycle through the edge is removed and its degree-2 ends
   suppressed (``c4_reduce``);
-* otherwise, if the crossing graph has an induced P4, the anchor plus the
-  path vertices are the witness (``p10_from_p4``);
-* otherwise the crossing graph is a cograph, so it has a twin pair, and
-  the instance contracts onto the twin-bounded arcs (``twin_contract``).
+* otherwise the crossing graph at the edge has an induced P4, and the
+  anchor plus the path vertices are the witness (``p10_from_p4``).
 
-Every step records an index map, so the witness found downstream lifts to
-the original instance, where it is re-verified before being returned.
+The second move cannot fail, by this lemma: a 5-subset X containing a is a
+Petersen witness iff X - a induces a P4 in the crossing graph H_a.  Both
+sides depend only on the rank pattern of sigma on X and on a's place in
+it, so the 600 cases at m = 5, checked in the tests, prove it for every m.
+The paper's theorem gives every 4-cycle-free state a witness through its
+anchor, hence an induced P4 in H_a; a P4-free one would refute the theorem
+and raises InternalInvariantViolated.
+
+Each reduction records an index map, so the witness found downstream lifts
+to the original instance, where it is re-verified before being returned.
 """
 
 from __future__ import annotations
@@ -19,18 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .cograph import (
-    InducedPath4,
-    TwinKind,
-    TwinPair,
-    find_induced_p4,
-    find_twins,
-    is_twin_pair,
-)
+from .cograph import InducedPath4, find_induced_p4
 from .core import (
-    Arc,
     MarkedPermutationGraph,
-    Side,
     _check_index,
     _subset_is_petersen,
     enumerate_m_c4,
@@ -38,11 +35,9 @@ from .core import (
 )
 from .crossing import CrossingGraph, build_crossing_graph
 from .errors import (
-    DegenerateArc,
     InternalInvariantViolated,
     NotAC4ThroughE,
     NotAnInducedP4,
-    NotTwins,
     PreconditionViolated,
     TooSmall,
 )
@@ -59,23 +54,6 @@ class C4ReduceStep:
 
 
 @dataclass(frozen=True)
-class TwinContractStep:
-    a: int
-    x: int
-    y: int
-    q_prime: Arc
-
-    def to_json_dict(self) -> dict:
-        return {
-            "step": "TwinContract",
-            "a": self.a,
-            "x": self.x,
-            "y": self.y,
-            "q_prime": self.q_prime.to_json_dict(),
-        }
-
-
-@dataclass(frozen=True)
 class P4FoundStep:
     a: int
     path: InducedPath4
@@ -84,7 +62,7 @@ class P4FoundStep:
         return {"step": "P4Found", "a": self.a, "path": list(self.path.vertices())}
 
 
-TraceStep = Union[C4ReduceStep, TwinContractStep, P4FoundStep]
+TraceStep = Union[C4ReduceStep, P4FoundStep]
 
 
 @dataclass(frozen=True)
@@ -155,64 +133,6 @@ def c4_reduce(G: MarkedPermutationGraph, a: int, z: int) -> C4Reduction:
     return C4Reduction(validate(m - 1, new_sigma), tuple(survivors))
 
 
-class TwinContraction(NamedTuple):
-    graph: MarkedPermutationGraph
-    index_map: tuple[int, ...]  # new A-index -> old A-index
-    x: int  # normalized: x on the arc from the anchor to y
-    y: int
-    q_prime: Arc
-
-
-def twin_contract(H: CrossingGraph, pair: TwinPair) -> TwinContraction:
-    """Contract H's instance onto {a} + arc x..y and its matched A'-path Q'.
-
-    Q' runs x' to y' for non-adjacent twins and y' to x' for adjacent ones;
-    either way the matching restricted to the kept arc lands exactly in Q'
-    (asserted).  New cycle edges a-x, a-y, a'-(Q' ends) appear implicitly
-    through the re-encoding.  The twin orientation is normalized here by
-    rotated distance from the anchor.
-    """
-    G, a = H.graph, H.anchor
-    m, sigma = G.m, G.sigma
-    x, y = pair.x, pair.y
-    for v in (x, y):
-        _check_index(G, v, "twin vertex")
-    if x == y or a in (x, y):
-        raise NotTwins("twin vertices must be two distinct non-anchor indices", a=a, x=x, y=y)
-    if not is_twin_pair(H, x, y):
-        raise NotTwins(f"{x} and {y} are not twins in the crossing graph at {a}", a=a, x=x, y=y)
-    if (x - a) % m > (y - a) % m:
-        x, y = y, x
-    if (x - a) % m == 1 and (y - a) % m == m - 1:
-        raise DegenerateArc(
-            "arc from y back to x has no internal vertex besides the anchor",
-            a=a,
-            x=x,
-            y=y,
-        )
-    adjacent = H.has_edge(x, y)
-    a_part = [a] + list(Arc(Side.A, x, y).vertices(m))
-    if adjacent:
-        q_prime = Arc(Side.A_PRIME, sigma[y], sigma[x])
-    else:
-        q_prime = Arc(Side.A_PRIME, sigma[x], sigma[y])
-    ap_part = [sigma[a]] + list(q_prime.vertices(m))
-    if len(a_part) != len(ap_part) or set(sigma[v] for v in a_part) != set(ap_part):
-        raise InternalInvariantViolated(
-            "matching does not pair the kept arc with Q'",
-            instance=G.to_text(),
-            a=a,
-            x=x,
-            y=y,
-            q_prime=q_prime.to_json_dict(),
-        )
-    ap_label = {v: i for i, v in enumerate(ap_part)}
-    new_sigma = [ap_label[sigma[v]] for v in a_part]
-    return TwinContraction(
-        validate(len(a_part), new_sigma), tuple(a_part), x, y, q_prime
-    )
-
-
 class _Run(NamedTuple):
     """An engine run or replay: the current instance, the anchor's index in
     it, its A-index -> original A-index map, the steps applied so far and,
@@ -225,47 +145,22 @@ class _Run(NamedTuple):
     witness: PetersenWitness | None = None
 
 
-def _apply_step(run: _Run, step: TraceStep | TwinPair, H: CrossingGraph | None) -> _Run:
-    """The run after ``step``, with the step appended as applied; H is the
-    current instance's crossing graph at the anchor, None for C4Reduce.
-    P4Found sets the witness, lifted to the original instance.  A twin
-    step comes as recorded (TwinContractStep, from a trace) or as found
-    (TwinPair, from the engine); either is recorded as twin_contract
-    normalizes it, and a recorded one must equal that, orientation and Q'
-    included."""
+def _apply_step(run: _Run, step: TraceStep, H: CrossingGraph | None) -> _Run:
+    """The run after ``step``, with the step appended; H is the current
+    instance's crossing graph at the anchor, None for C4Reduce.  P4Found
+    sets the witness, lifted to the original instance.  A step of any
+    other type raises InternalInvariantViolated."""
     cur, a, to_orig, steps, _ = run
-    if isinstance(step, (TwinContractStep, P4FoundStep)) and step.a != a:
-        raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
-    if isinstance(step, P4FoundStep):
-        local = p10_from_p4(H, step.path)
-        witness = tuple(sorted(to_orig[v] for v in local))
-        return run._replace(steps=steps + (step,), witness=witness)
     if isinstance(step, C4ReduceStep):
         graph, index_map = c4_reduce(cur, a, step.z)
-    else:
-        recorded = step if isinstance(step, TwinContractStep) else None
-        if recorded is not None:
-            adjacent = H.has_edge(step.x, step.y)
-            step = TwinPair(step.x, step.y, TwinKind.TRUE_TWINS if adjacent else TwinKind.FALSE_TWINS)
-        try:
-            tc = twin_contract(H, step)
-        except DegenerateArc as exc:
-            raise InternalInvariantViolated(
-                "degenerate twin arc in a C4-free instance",
-                instance=cur.to_text(),
-                anchor=a,
-                certificate=exc.certificate,
-            ) from exc
-        graph, index_map = tc.graph, tc.index_map
-        step = TwinContractStep(a, tc.x, tc.y, tc.q_prime)
-        if recorded is not None and recorded != step:
-            raise InternalInvariantViolated(
-                "recorded twin step differs from the contraction performed",
-                instance=cur.to_text(),
-                recorded=recorded.to_json_dict(),
-                performed=step.to_json_dict(),
-            )
-    return _Run(graph, index_map.index(a), tuple(to_orig[old] for old in index_map), steps + (step,))
+        return _Run(graph, index_map.index(a), tuple(to_orig[old] for old in index_map), steps + (step,))
+    if not isinstance(step, P4FoundStep):
+        raise InternalInvariantViolated("unknown trace step", step=repr(step))
+    if step.a != a:
+        raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
+    local = p10_from_p4(H, step.path)
+    witness = tuple(sorted(to_orig[v] for v in local))
+    return run._replace(steps=steps + (step,), witness=witness)
 
 
 def find_p10_through(
@@ -278,8 +173,9 @@ def find_p10_through(
     chooses a step and applies it, with the crossing graph it chose from,
     by the code replay_trace uses, so the trace replays to the same
     witness.  The returned witness is re-verified in the original
-    instance.  Running out of moves is impossible for valid inputs and
-    raises InternalInvariantViolated.
+    instance.  A 4-cycle-free state whose crossing graph at the anchor is
+    P4-free would refute the paper's theorem and raises
+    InternalInvariantViolated.
     """
     _check_index(G, e, "edge")
     c4s = enumerate_m_c4(G)
@@ -315,13 +211,14 @@ def find_p10_through(
         else:
             H = build_crossing_graph(cur, a)
             p4 = find_induced_p4(H)
-            step = P4FoundStep(a, p4) if p4 is not None else find_twins(H)
-            if step is None:
+            if p4 is None:
                 raise InternalInvariantViolated(
-                    "crossing graph is P4-free yet has no twins",
+                    "4-cycle-free state with a P4-free crossing graph at the "
+                    "anchor: a counterexample to the extraction theorem",
                     instance=cur.to_text(),
                     anchor=a,
                 )
+            step = P4FoundStep(a, p4)
         run = _apply_step(run, step, H)
         c4s = enumerate_m_c4(run.graph) if run.witness is None else []
     witness = run.witness
@@ -342,11 +239,13 @@ def replay_trace(
     """Re-apply the recorded steps from the original instance, with the
     engine's own step code, and return the witness of the first P4Found
     lifted to G; for a trace the engine wrote, that is the witness it
-    returned.  A recorded anchor that differs from the current one, or a
-    trace without P4Found, raises InternalInvariantViolated."""
+    returned.  A recorded anchor that differs from the current one, a step
+    that is neither C4Reduce nor P4Found, or a trace without P4Found,
+    raises InternalInvariantViolated.  Only P4Found needs a crossing
+    graph."""
     run = _Run(G, e, tuple(range(G.m)))
     for step in trace.steps:
-        H = None if isinstance(step, C4ReduceStep) else build_crossing_graph(run.graph, run.a)
+        H = build_crossing_graph(run.graph, run.a) if isinstance(step, P4FoundStep) else None
         run = _apply_step(run, step, H)
         if run.witness is not None:
             return run.witness

@@ -218,6 +218,15 @@ class TestWitness:
         assert out == (GOLDEN_DIR / golden).read_text()
         assert_valid_json(out)
 
+    def test_trace_steps_are_c4_reduce_or_p4_found(self):
+        # the engine has no third move, and the schema admits none
+        obj = json.loads((GOLDEN_DIR / "witness_random30_seed1_e21.json").read_text())
+        jsonschema.validate(obj, SCHEMA)
+        twin = {"step": "TwinContract", "a": 0, "x": 1, "y": 2, "q_prime": {"side": "A'", "start": 1, "end": 2}}
+        obj["trace"].insert(0, twin)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(obj, SCHEMA)
+
     def test_prism_precondition_exit_1(self):
         code, out, _ = capture(["witness", PRISM_TXT, "--edge", "0"])
         assert code == 1

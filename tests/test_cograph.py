@@ -5,16 +5,12 @@ from hypothesis import strategies as st
 from mpgraphs import (
     PETERSEN,
     InducedPath4,
-    TwinKind,
     build_crossing_graph,
     find_induced_p4,
-    find_twins,
     generate_gk,
     is_p4_free,
     validate,
 )
-from mpgraphs.errors import TooFewVertices
-
 from .conftest import (
     all_instances,
     first_p4_by_quads,
@@ -77,42 +73,6 @@ class TestFindInducedP4:
         assert x < w  # canonical endpoint order
 
 
-class TestFindTwins:
-    def test_empty_graph_false_twins(self):
-        t = find_twins(EMPTY3)
-        assert (t.x, t.y, t.kind) == (1, 2, TwinKind.FALSE_TWINS)
-
-    def test_complete_graph_true_twins(self):
-        t = find_twins(K4)
-        assert (t.x, t.y, t.kind) == (1, 2, TwinKind.TRUE_TWINS)
-
-    def test_path_has_no_twins(self):
-        assert find_twins(PETERSEN_H0) is None
-
-    def test_too_few_vertices(self):
-        H = build_crossing_graph(validate(3, [0, 1, 2]), 0)
-        # prism crossing graphs do have 2 vertices; shrink artificially
-        import dataclasses
-
-        tiny = dataclasses.replace(H, vertices=(1,))
-        with pytest.raises(TooFewVertices):
-            find_twins(tiny)
-
-    @given(instances(), st.data())
-    @settings(max_examples=100)
-    def test_twin_pair_really_is_twins(self, G, data):
-        a = data.draw(st.integers(0, G.m - 1))
-        H = build_crossing_graph(G, a)
-        t = find_twins(H)
-        if t is None:
-            return
-        for z in H.vertices:
-            if z in (t.x, t.y):
-                continue
-            assert H.has_edge(z, t.x) == H.has_edge(z, t.y)
-        assert (t.kind is TwinKind.TRUE_TWINS) == H.has_edge(t.x, t.y)
-
-
 class TestIsP4Free:
     def test_examples(self):
         assert not is_p4_free(PETERSEN_H0)
@@ -122,11 +82,11 @@ class TestIsP4Free:
     @given(instances(), st.data())
     @settings(max_examples=150)
     def test_dichotomy_on_crossing_graphs(self, G, data):
-        # the direction the induction leans on: no induced P4 forces twins
+        # P4-free iff twin deletion reduces H to one vertex, also at m = 8
+        # and 9, beyond the exhaustive test below
         a = data.draw(st.integers(0, G.m - 1))
         H = build_crossing_graph(G, a)
-        if is_p4_free(H):
-            assert find_twins(H) is not None
+        assert is_p4_free(H) == p4_free_by_twin_elimination(H)
 
     def test_matches_twin_elimination_exhaustively(self):
         # every anchor of every instance with 3 <= m <= 7: 40,314 graphs

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,40 +9,32 @@ from hypothesis import strategies as st
 from mpgraphs import (
     PETERSEN,
     PRISM,
-    Arc,
     InducedPath4,
     ReductionTrace,
-    Side,
-    TwinContractStep,
-    TwinKind,
-    TwinPair,
     build_crossing_graph,
     c4_reduce,
     enumerate_m_c4,
     enumerate_m_p10,
     find_induced_p4,
     find_p10_through,
-    find_twins,
     is_petersen,
     p10_from_p4,
     replay_trace,
     suppress_match,
-    twin_contract,
     validate,
 )
 from mpgraphs.census import _qualifying_edges, random_instance
+from mpgraphs.core import _subset_is_petersen
 from mpgraphs.errors import (
-    DegenerateArc,
     InternalInvariantViolated,
     NotAC4ThroughE,
     NotAnInducedP4,
-    NotTwins,
     PreconditionViolated,
     TooSmall,
 )
-from mpgraphs.witness import C4ReduceStep, P4FoundStep, _apply_step, _Run
+from mpgraphs.witness import C4ReduceStep, P4FoundStep
 
-from .conftest import all_instances, instances
+from .conftest import all_instances, induced_path_order, instances, seeded_instances
 
 # The module, whose _subset_is_petersen the certification tests patch.
 witness_module = importlib.import_module("mpgraphs.witness")
@@ -50,25 +43,7 @@ witness_module = importlib.import_module("mpgraphs.witness")
 # precondition, so the engine must take the C4-reduction path
 ONE_C4 = validate(6, [0, 1, 3, 5, 2, 4])
 
-# At anchor 0 the twins 2, 7 contract onto an m = 7 instance whose crossing
-# graph has an induced P4.  No instance with m <= 7 has a twin contraction
-# followed by an induced P4, at any anchor and for any twin pair, so this
-# is as small as such a trace gets.  The engine would not take this route:
-# the crossing graph at anchor 0 already has an induced P4.
-TWIN_THEN_P4 = validate(8, [0, 1, 2, 4, 6, 3, 5, 7])
-
 PETERSEN_H0 = build_crossing_graph(PETERSEN, 0)  # the path 1-3-2-4
-
-
-def twin_then_p4_trace():
-    """A hand-built TwinContract, P4Found trace on TWIN_THEN_P4 at anchor 0,
-    and the witness it must replay to."""
-    tc = twin_contract(build_crossing_graph(TWIN_THEN_P4, 0), TwinPair(2, 7, TwinKind.FALSE_TWINS))
-    a = tc.index_map.index(0)
-    H = build_crossing_graph(tc.graph, a)
-    p4 = find_induced_p4(H)
-    trace = ReductionTrace((TwinContractStep(0, tc.x, tc.y, tc.q_prime), P4FoundStep(a, p4)))
-    return trace, tuple(sorted(tc.index_map[v] for v in p10_from_p4(H, p4)))
 
 
 class TestP10FromP4:
@@ -123,57 +98,72 @@ class TestC4Reduce:
             assert red.index_map == tuple(sorted(red.index_map))
 
 
-class TestTwinContract:
-    def test_identity_m4(self):
-        H = build_crossing_graph(validate(4, [0, 1, 2, 3]), 0)
-        tc = twin_contract(H, TwinPair(1, 2, TwinKind.FALSE_TWINS))
-        assert tc.graph == validate(3, [0, 1, 2])
-        assert tc.q_prime == Arc(Side.A_PRIME, 1, 2)
+def witnesses_from_p4s(H) -> set:
+    """{a} + Q over the 4-sets Q of H_a's vertices that induce a P4."""
+    a = H.anchor
+    quads = itertools.combinations(H.vertices, 4)
+    return {tuple(sorted((a,) + q)) for q in quads if induced_path_order(H, q) is not None}
 
-    def test_reversal_true_twins(self):
-        H = build_crossing_graph(validate(5, [0, 4, 3, 2, 1]), 0)
-        tc = twin_contract(H, TwinPair(1, 2, TwinKind.TRUE_TWINS))
-        assert tc.graph == validate(3, [0, 2, 1])
-        assert tc.index_map == (0, 1, 2)
-        # adjacent twins flip the matched path's direction
-        assert tc.q_prime == Arc(Side.A_PRIME, 3, 4)
 
-    def test_identity_m5(self):
-        H = build_crossing_graph(validate(5, [0, 1, 2, 3, 4]), 0)
-        tc = twin_contract(H, TwinPair(1, 2, TwinKind.FALSE_TWINS))
-        assert tc.graph == validate(3, [0, 1, 2])
+class TestP4Lemma:
+    """X containing a is a Petersen witness iff X - a induces a P4 in H_a.
 
-    def test_not_twins(self):
-        with pytest.raises(NotTwins):
-            twin_contract(PETERSEN_H0, TwinPair(1, 2, TwinKind.FALSE_TWINS))
+    Both sides depend only on the rank pattern of sigma on X and on a's
+    place in it: H_a[X - a] compares the cyclic orders of X on the two
+    rows, seen from a.  So the 120 patterns times 5 anchors at m = 5 are
+    every case there is, and the first test is the proof for all m.  The
+    engine's P4Found move therefore succeeds on every 4-cycle-free state,
+    by the paper's theorem, and an edge lies in no witness iff its
+    crossing graph is a cograph."""
 
-    def test_degenerate_arc(self):
-        # twins 1 and 3 around the anchor of (4, identity): the outside arc
-        # has no interior beyond the anchor, signalling a matched 4-cycle
-        H = build_crossing_graph(validate(4, [0, 1, 2, 3]), 0)
-        with pytest.raises(DegenerateArc):
-            twin_contract(H, TwinPair(1, 3, TwinKind.FALSE_TWINS))
+    def test_proof_on_every_m5_pattern_and_anchor(self):
+        cases = hits = 0
+        for G in all_instances(5):
+            X = (0, 1, 2, 3, 4)
+            petersen = _subset_is_petersen(G, X)
+            assert petersen == is_petersen(suppress_match(G, X))
+            for a in X:
+                H = build_crossing_graph(G, a)
+                quad = tuple(v for v in X if v != a)
+                assert H.vertices == quad
+                assert (induced_path_order(H, quad) is not None) == petersen, (G.to_text(), a)
+                cases += 1
+                hits += petersen
+        assert (cases, hits) == (600, 50)  # the 10 Petersen patterns, 5 anchors each
 
-    @given(instances(5, 9), st.data())
-    @settings(max_examples=150)
-    def test_matched_arcs_pair_up(self, G, data):
-        # the twin lemma: matching restricted to the kept arc lands in Q'
-        a = data.draw(st.integers(0, G.m - 1))
-        H = build_crossing_graph(G, a)
-        t = find_twins(H)
-        if t is None:
-            return
-        try:
-            tc = twin_contract(H, t)
-        except DegenerateArc:
-            assert enumerate_m_c4(G)  # only possible when a 4-cycle exists
-            return
-        m = G.m
-        arc_vertices = Arc(Side.A, tc.x, tc.y).vertices(m)
-        q_vertices = set(tc.q_prime.vertices(m))
-        assert {G.sigma[v] for v in arc_vertices} == q_vertices
-        assert tc.graph.m < m
-        assert tc.graph.m == len(arc_vertices) + 1
+    def test_witnesses_through_every_anchor_exhaustively(self):
+        # every anchor of every instance with 3 <= m <= 7, with and without
+        # matched 4-cycles
+        for m in range(3, 8):
+            for G in all_instances(m):
+                W = enumerate_m_p10(G)
+                for a in range(m):
+                    H = build_crossing_graph(G, a)
+                    assert witnesses_from_p4s(H) == {X for X in W if a in X}, (G.to_text(), a)
+
+    @pytest.mark.parametrize("m", [20, 30, 40])
+    def test_witnesses_through_seeded_anchors(self, m):
+        rng = random.Random(m)
+        for G in seeded_instances(m):
+            W = enumerate_m_p10(G)
+            for a in rng.sample(range(m), 3):
+                H = build_crossing_graph(G, a)
+                assert witnesses_from_p4s(H) == {X for X in W if a in X}, (G.to_text(), a)
+
+    def test_c4_partner_is_isolated_or_universal_exhaustively(self):
+        # z is next to a on both rows, so it crosses all of H_a or none of
+        # it and lies in no induced P4: by the lemma no witness through a
+        # contains z, and c4_reduce, which deletes z, keeps them all
+        pairs = 0
+        for m in range(3, 9):
+            for G in all_instances(m):
+                for c4 in enumerate_m_c4(G):
+                    for a, z in ((c4.i, c4.j), (c4.j, c4.i)):
+                        H = build_crossing_graph(G, a)
+                        others = sum(1 << v for v in H.vertices if v != z)
+                        assert H.adj[z] & others in (0, others), (G.to_text(), a, z)
+                        pairs += 1
+        assert pairs == 212_024 + 6 * 6  # m = 3: all 6 instances, 3 cycles each, both ends
 
 
 class TestFindP10Through:
@@ -263,6 +253,19 @@ class TestFindP10Through:
         assert calls[0][0].m == 5
         assert calls[1] == (ONE_C4, (0, 2, 3, 4, 5))
 
+    @pytest.mark.parametrize(
+        "G, state",
+        [(PETERSEN, PETERSEN), (ONE_C4, c4_reduce(ONE_C4, 0, 1).graph)],
+        ids=["c4_free", "after_c4"],
+    )
+    def test_p4_free_state_is_an_invariant_violation(self, monkeypatch, G, state):
+        # the lemma and the paper's theorem rule this out; the error names
+        # the 4-cycle-free state and its anchor, after any reductions
+        monkeypatch.setattr(witness_module, "find_induced_p4", lambda H: None)
+        with pytest.raises(InternalInvariantViolated, match="counterexample to the extraction theorem") as exc:
+            find_p10_through(G, 0)
+        assert exc.value.certificate == {"instance": state.to_text(), "anchor": 0}
+
     @given(instances(3, 7), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_census_or_raises(self, G, data):
@@ -290,60 +293,32 @@ class TestTraceReplay:
                 X, trace = find_p10_through(G, e)
                 assert replay_trace(G, e, trace) == X
 
-    def test_replay_twin_contract_then_p4(self):
-        trace, lifted = twin_then_p4_trace()
-        X = replay_trace(TWIN_THEN_P4, 0, trace)
-        assert X == lifted
-        assert 0 in X and is_petersen(suppress_match(TWIN_THEN_P4, X))
-
-    @pytest.mark.parametrize("which", ["twin", "p4"])
+    @pytest.mark.parametrize("which", ["after_c4", "p4"])
     def test_wrong_anchor_raises(self, which):
-        if which == "twin":
-            trace, _ = twin_then_p4_trace()
-            G, first = TWIN_THEN_P4, trace.steps[0]
-            steps = (TwinContractStep(1, first.x, first.y, first.q_prime),) + trace.steps[1:]
+        if which == "after_c4":
+            _, trace = find_p10_through(ONE_C4, 0)
+            reduce, found = trace.steps
+            G, steps = ONE_C4, (reduce, P4FoundStep(found.a + 1, found.path))
         else:
             G, steps = PETERSEN, (P4FoundStep(1, InducedPath4(1, 3, 2, 4)),)
         with pytest.raises(InternalInvariantViolated, match="anchor mismatch"):
             replay_trace(G, 0, ReductionTrace(steps))
 
-    @pytest.mark.parametrize("corruption", ["q_prime", "swapped"])
-    def test_corrupted_twin_step_raises(self, corruption):
-        trace, _ = twin_then_p4_trace()
-        first = trace.steps[0]
-        if corruption == "q_prime":
-            bad = TwinContractStep(first.a, first.x, first.y, Arc(Side.A_PRIME, 1, 1))
-        else:
-            bad = TwinContractStep(first.a, first.y, first.x, first.q_prime)
-        with pytest.raises(InternalInvariantViolated, match="differs from the contraction") as exc:
-            replay_trace(TWIN_THEN_P4, 0, ReductionTrace((bad,) + trace.steps[1:]))
-        assert exc.value.certificate["recorded"] == bad.to_json_dict()
-        assert exc.value.certificate["performed"] == first.to_json_dict()
+    def test_foreign_step_is_an_invariant_violation(self):
+        # a step of no known type, here one as a parsed JSON trace holds it,
+        # is refused by the step interpreter, not by an AttributeError
+        foreign = {"step": "TwinContract", "a": 0, "x": 1, "y": 2}
+        _, trace = find_p10_through(ONE_C4, 0)
+        for steps in ((foreign,), (trace.steps[0], foreign)):
+            with pytest.raises(InternalInvariantViolated, match="unknown trace step") as exc:
+                replay_trace(ONE_C4, 0, ReductionTrace(steps))
+            assert exc.value.certificate == {"step": repr(foreign)}
 
     def test_trace_without_p4_found_raises(self):
         _, trace = find_p10_through(ONE_C4, 1)
         for steps in ((), trace.steps[:-1]):
             with pytest.raises(InternalInvariantViolated, match="without P4Found"):
                 replay_trace(ONE_C4, 1, ReductionTrace(steps))
-
-    def test_found_twin_pair_is_recorded_normalized(self):
-        # the engine hands over a TwinPair, in whatever order it was found;
-        # the step it records passes the recorded-step check on replay
-        trace, lifted = twin_then_p4_trace()
-        start = _Run(TWIN_THEN_P4, 0, tuple(range(8)))
-        H = build_crossing_graph(TWIN_THEN_P4, 0)
-        found = _apply_step(start, TwinPair(7, 2, TwinKind.FALSE_TWINS), H)
-        assert found.steps == trace.steps[:1]
-        assert found == _apply_step(start, trace.steps[0], H)
-        assert replay_trace(TWIN_THEN_P4, 0, ReductionTrace(found.steps + trace.steps[1:])) == lifted
-
-    def test_degenerate_twin_arc_is_an_invariant_violation(self):
-        G = validate(4, [0, 1, 2, 3])
-        with pytest.raises(InternalInvariantViolated, match="degenerate twin arc") as exc:
-            _apply_step(
-                _Run(G, 0, tuple(range(4))), TwinPair(1, 3, TwinKind.FALSE_TWINS), build_crossing_graph(G, 0)
-            )
-        assert isinstance(exc.value.__cause__, DegenerateArc)
 
 
 class TestOneCrossingGraphPerState:
@@ -369,22 +344,6 @@ class TestOneCrossingGraphPerState:
         assert replay_trace(PETERSEN, 0, trace) == X
         assert builds == [(5, 0)]
 
-    def test_twin_then_p4(self, builds):
-        # no known engine run takes the twin branch, so the engine side is
-        # its loop body by hand: each state's graph is built through the
-        # counted name and handed to _apply_step
-        trace, lifted = twin_then_p4_trace()
-        run = _Run(TWIN_THEN_P4, 0, tuple(range(8)))
-        H = witness_module.build_crossing_graph(run.graph, run.a)
-        run = _apply_step(run, TwinPair(2, 7, TwinKind.FALSE_TWINS), H)
-        H = witness_module.build_crossing_graph(run.graph, run.a)
-        run = _apply_step(run, P4FoundStep(run.a, find_induced_p4(H)), H)
-        assert run.steps == trace.steps and run.witness == lifted
-        assert builds == [(8, 0), (run.graph.m, run.a)]
-        builds.clear()
-        assert replay_trace(TWIN_THEN_P4, 0, trace) == lifted
-        assert builds == [(8, 0), (run.graph.m, run.a)]
-
     def test_no_build_for_a_c4_state(self, builds):
         X, trace = find_p10_through(ONE_C4, 0)
         assert isinstance(trace.steps[0], C4ReduceStep)
@@ -392,3 +351,14 @@ class TestOneCrossingGraphPerState:
         builds.clear()
         assert replay_trace(ONE_C4, 0, trace) == X
         assert [m for m, _ in builds] == [5]
+
+    def test_replay_builds_only_for_p4_found(self, builds):
+        # two matched 4-cycles through edge 21: three C4Reduce steps, then
+        # one graph for the 4-cycle-free state
+        G = random_instance(30, seed=1)
+        X, trace = find_p10_through(G, 21)
+        assert [type(s) for s in trace.steps] == [C4ReduceStep] * 3 + [P4FoundStep]
+        assert builds == [(27, trace.steps[-1].a)]
+        builds.clear()
+        assert replay_trace(G, 21, trace) == X
+        assert builds == [(27, trace.steps[-1].a)]
