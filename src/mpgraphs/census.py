@@ -19,11 +19,11 @@ import io
 import itertools
 import os
 from bisect import bisect
-from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
+    MAX_M,
     FourCycle,
     MarkedPermutationGraph,
     _check_index,
@@ -38,8 +38,9 @@ from .errors import (
     InvalidJobs,
     InvalidSeed,
     OutOfScanRange,
+    TooLarge,
 )
-from .witness import PetersenWitness, find_p10_through
+from .witness import PetersenWitness, _find_p10_through
 
 
 def _petersen_search(sigma: tuple[int, ...]) -> list[PetersenWitness]:
@@ -169,14 +170,13 @@ def count_per_edge(G: MarkedPermutationGraph, witnesses: Sequence[PetersenWitnes
 # Checkers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZhangVerdict:
+class ZhangVerdict(NamedTuple):
     ok: bool
     c4_count: int
     p10_count: int
 
     def to_json_dict(self) -> dict:
-        return {"lemma": "zhang", "ok": self.ok, "c4_count": self.c4_count, "p10_count": self.p10_count}
+        return {"lemma": "zhang", **self._asdict()}
 
 
 def check_zhang(
@@ -189,21 +189,14 @@ def check_zhang(
     return ZhangVerdict(ok=(c4 >= 2 or p10 >= 1), c4_count=c4, p10_count=p10)
 
 
-@dataclass(frozen=True)
-class LowerBoundVerdict:
+class LowerBoundVerdict(NamedTuple):
     applicable: bool
     ok: bool
     p10_count: int
     required: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "lemma": "lower",
-            "applicable": self.applicable,
-            "ok": self.ok,
-            "p10_count": self.p10_count,
-            "required": self.required,
-        }
+        return {"lemma": "lower", **self._asdict()}
 
 
 def check_lower_bound(
@@ -223,19 +216,14 @@ def check_lower_bound(
     )
 
 
-@dataclass(frozen=True)
-class ReplaceVerdict:
+class ReplaceVerdict(NamedTuple):
     ok: bool
     branch: str | None  # "shared_witness" | "swap_equivalent"
     counterexample: tuple[int, ...] | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "lemma": "replace",
-            "ok": self.ok,
-            "branch": self.branch,
-            "counterexample": list(self.counterexample) if self.counterexample else None,
-        }
+        cx = self.counterexample
+        return {"lemma": "replace", **self._asdict(), "counterexample": list(cx) if cx else None}
 
 
 def check_replace(
@@ -265,19 +253,14 @@ def check_replace(
     return ReplaceVerdict(ok=True, branch="swap_equivalent", counterexample=None)
 
 
-@dataclass(frozen=True)
-class RedrawingVerdict:
+class RedrawingVerdict(NamedTuple):
     ok: bool
     failing_clause: int | None
     counterexample: tuple[int, ...] | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "lemma": "redrawing",
-            "ok": self.ok,
-            "failing_clause": self.failing_clause,
-            "counterexample": list(self.counterexample) if self.counterexample else None,
-        }
+        cx = self.counterexample
+        return {"lemma": "redrawing", **self._asdict(), "counterexample": list(cx) if cx else None}
 
 
 def check_redrawing(G: MarkedPermutationGraph, a: int, b: int) -> RedrawingVerdict:
@@ -306,8 +289,7 @@ def check_redrawing(G: MarkedPermutationGraph, a: int, b: int) -> RedrawingVerdi
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     instance_id: str
     m: int
     four_cycles: tuple[FourCycle, ...]
@@ -360,8 +342,7 @@ def census_report(G: MarkedPermutationGraph, jobs: int = 1) -> CensusReport:
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     instance_index: int
     sigma: tuple[int, ...]
     c4_count: int
@@ -369,8 +350,7 @@ class ScanRow:
     violations: int
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     m: int
     instance_count: int
     rows: tuple[ScanRow, ...]
@@ -425,7 +405,7 @@ def _scan_instance(
     for e in _qualifying_edges(G, c4s):
         runs += 1
         try:
-            X, _trace = find_p10_through(G, e)
+            X, _trace = _find_p10_through(G, e, c4s)
         except Exception as exc:  # noqa: BLE001 - scans must record, not crash
             violations.append(
                 {
@@ -491,8 +471,11 @@ def random_instance(
     """Uniform random sigma from a counter-based Philox stream, optionally
     rejection-sampled until no matched 4-cycle remains.  The seed is the
     Philox key, so 0 <= seed < 2**128; others raise InvalidSeed.
-    max_attempts below 1 raises InvalidAttempts.  numpy is imported here,
-    not at module level, so that importing mpgraphs does not load it."""
+    max_attempts below 1 raises InvalidAttempts, and m above MAX_M raises
+    TooLarge.  numpy is imported here, after those checks, not at module
+    level, so that importing mpgraphs does not load it."""
+    if m > MAX_M:
+        raise TooLarge(f"m={m} above the limit {MAX_M}", m=m, limit=MAX_M)
     if not 0 <= seed < 2**128:
         raise InvalidSeed(f"seed {seed} outside 0..2**128-1", seed=seed)
     if max_attempts < 1:

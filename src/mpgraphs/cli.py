@@ -29,6 +29,7 @@ from .census import (
     random_instance,
 )
 from .core import (
+    MAX_M,
     MarkedPermutationGraph,
     find_cyclic_cut,
     parse_instance,
@@ -131,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge", type=int, required=True)
 
     p = sub.add_parser("gk", help="emit the extremal family instance G_k")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=int, help=f"at least 1, with m = 3k+7 at most {MAX_M}")
 
     p = sub.add_parser("scan", help="exhaustively verify all instances of a half-order")
     p.add_argument("m", type=int)
@@ -140,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("random", help="seeded random instance")
-    p.add_argument("m", type=int)
+    p.add_argument("m", type=int, help=f"half-order, at most {MAX_M}")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--c4-free", action="store_true")
     p.add_argument("--max-attempts", type=int, default=100000)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crossing import CrossingGraph
 
 
-@dataclass(frozen=True)
-class InducedPath4:
+class InducedPath4(NamedTuple):
     """Induced path x-y-z-w: edges exactly xy, yz, zw."""
 
     x: int

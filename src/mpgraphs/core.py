@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -25,6 +24,11 @@ from .errors import (
 )
 
 
+# Largest m that random_instance and generate_gk build: far above what a
+# census finishes on, and built in seconds, not hours or all of memory.
+MAX_M = 10**6
+
+
 class Side(Enum):
     A = "A"
     A_PRIME = "A'"
@@ -33,8 +37,7 @@ class Side(Enum):
         return Side.A_PRIME if self is Side.A else Side.A
 
 
-@dataclass(frozen=True)
-class VertexRef:
+class VertexRef(NamedTuple):
     """One endpoint of a matching edge: a side plus an index mod m."""
 
     side: Side
@@ -55,8 +58,7 @@ class FourCycle(NamedTuple):
         return e == self.i or e == self.j
 
 
-@dataclass(frozen=True)
-class MarkedPermutationGraph:
+class MarkedPermutationGraph(NamedTuple):
     """Immutable instance; construct through :func:`validate`."""
 
     m: int
@@ -184,8 +186,7 @@ def enumerate_m_c4(G: MarkedPermutationGraph) -> list[FourCycle]:
 # Match-subgraph suppression
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuppressedGraph:
+class SuppressedGraph(NamedTuple):
     """Cubic multigraph left after suppressing degree-2 vertices of a
     match-subgraph.  Loops are forbidden by construction (|X| >= 2);
     parallel edges are meaningful and must be preserved."""

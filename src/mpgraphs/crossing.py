@@ -7,7 +7,7 @@ disagree; the crossing graph records that relation on A - {a}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import MarkedPermutationGraph, _check_index
 from .errors import UnsupportedFormat
@@ -18,16 +18,19 @@ Segment = tuple[Point, Point]
 ROW_GAP = 10  # vertical units between the two rows
 
 
-@dataclass(frozen=True, eq=False)
-class CrossingGraph:
+class CrossingGraph(NamedTuple):
     """The crossing relation of ``graph`` on the m-1 A-indices other than
     the anchor, one Python-int bitmask per row: bit y of ``adj[x]`` is set
-    iff x ~ y.  Row ``anchor`` is 0 and no row has bit ``anchor`` set."""
+    iff x ~ y.  Row ``anchor`` is 0 and no row has bit ``anchor`` set.
+    It equals any tuple with the same fields; its repr leaves out adj."""
 
     anchor: int
     graph: MarkedPermutationGraph
     vertices: tuple[int, ...]
-    adj: tuple[int, ...] = field(repr=False)
+    adj: tuple[int, ...]
+
+    def __repr__(self) -> str:
+        return f"CrossingGraph(anchor={self.anchor!r}, graph={self.graph!r}, vertices={self.vertices!r})"
 
     @property
     def m(self) -> int:

@@ -89,7 +89,11 @@ class InvalidAttempts(MpgError):
 
 
 class InvalidK(MpgError):
-    """Family parameter below 1."""
+    """Family parameter below 1, or so large that m = 3k+7 exceeds MAX_M."""
+
+
+class TooLarge(MpgError):
+    """Requested random half-order above MAX_M."""
 
 
 class InvalidJobs(MpgError):

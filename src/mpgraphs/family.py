@@ -8,11 +8,11 @@ witness is one full group plus one outside edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .census import enumerate_m_p10
-from .core import MarkedPermutationGraph, enumerate_m_c4, validate
+from .core import MAX_M, MarkedPermutationGraph, enumerate_m_c4, validate
 from .errors import IndexOutOfRange, InvalidK
 from .witness import PetersenWitness
 
@@ -23,8 +23,7 @@ class EdgeClass(Enum):
     SPECIAL = "special"
 
 
-@dataclass(frozen=True)
-class EdgeClassification:
+class EdgeClassification(NamedTuple):
     kind: EdgeClass
     group: int | None = None  # 1 or 2 for special edges
 
@@ -35,8 +34,7 @@ class EdgeClassification:
         return out
 
 
-@dataclass(frozen=True)
-class GkInstance:
+class GkInstance(NamedTuple):
     k: int
     graph: MarkedPermutationGraph
     classification: tuple[EdgeClassification, ...]
@@ -63,7 +61,8 @@ class GkInstance:
 
 
 def generate_gk(k: int) -> GkInstance:
-    """Build (G_k, M_k) with m = 3k+7.
+    """Build (G_k, M_k) with m = 3k+7.  k below 1, or with 3k+7 above
+    MAX_M, raises InvalidK.
 
     0-based transcription of the 1-based construction tables:
       vertical  sigma[2i-2]    = i-1        for 1 <= i <= k
@@ -75,6 +74,8 @@ def generate_gk(k: int) -> GkInstance:
     if k < 1:
         raise InvalidK(f"family parameter must be >= 1, got {k}", k=k)
     m = 3 * k + 7
+    if m > MAX_M:
+        raise InvalidK(f"k={k} gives m={m} above the limit {MAX_M}", k=k, m=m, limit=MAX_M)
     sigma: list[int | None] = [None] * m
     cls: list[EdgeClassification | None] = [None] * m
     for i in range(1, k + 1):
@@ -108,8 +109,7 @@ def classify_edge(inst: GkInstance, i: int) -> EdgeClassification:
     return inst.classification[i]
 
 
-@dataclass(frozen=True)
-class GkVerdict:
+class GkVerdict(NamedTuple):
     ok: bool
     k: int
     c4_count: int
@@ -118,14 +118,7 @@ class GkVerdict:
     bad_witnesses: tuple[PetersenWitness, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "k": self.k,
-            "c4_count": self.c4_count,
-            "p10_count": self.p10_count,
-            "expected_p10": self.expected_p10,
-            "bad_witnesses": [list(X) for X in self.bad_witnesses],
-        }
+        return {**self._asdict(), "bad_witnesses": [list(X) for X in self.bad_witnesses]}
 
 
 def verify_gk(inst: GkInstance) -> GkVerdict:

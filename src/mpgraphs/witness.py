@@ -22,11 +22,11 @@ to the original instance, where it is re-verified before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .cograph import InducedPath4, find_induced_p4
 from .core import (
+    FourCycle,
     MarkedPermutationGraph,
     _check_index,
     _subset_is_petersen,
@@ -45,16 +45,14 @@ from .errors import (
 PetersenWitness = tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class C4ReduceStep:
+class C4ReduceStep(NamedTuple):
     z: int
 
     def to_json_dict(self) -> dict:
         return {"step": "C4Reduce", "z": self.z}
 
 
-@dataclass(frozen=True)
-class P4FoundStep:
+class P4FoundStep(NamedTuple):
     a: int
     path: InducedPath4
 
@@ -65,8 +63,7 @@ class P4FoundStep:
 TraceStep = Union[C4ReduceStep, P4FoundStep]
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """The proof steps behind a witness.  Each step's indices refer to the
     instance current at that point of a replay; the last step is P4Found."""
 
@@ -177,8 +174,15 @@ def find_p10_through(
     P4-free would refute the paper's theorem and raises
     InternalInvariantViolated.
     """
+    return _find_p10_through(G, e, enumerate_m_c4(G))
+
+
+def _find_p10_through(
+    G: MarkedPermutationGraph, e: int, c4s: list[FourCycle]
+) -> tuple[PetersenWitness, ReductionTrace]:
+    """find_p10_through(G, e), given c4s = enumerate_m_c4(G) by a caller
+    that has listed them already."""
     _check_index(G, e, "edge")
-    c4s = enumerate_m_c4(G)
     for c4 in c4s:
         if not c4.contains_edge(e):
             raise PreconditionViolated(

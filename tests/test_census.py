@@ -20,6 +20,7 @@ from mpgraphs import (
     enumerate_m_c4,
     enumerate_m_p10,
     exhaustive_scan,
+    find_p10_through,
     generate_gk,
     is_petersen,
     random_instance,
@@ -280,6 +281,32 @@ class TestExhaustiveScan:
 
     def test_jobs_deterministic(self):
         assert exhaustive_scan(5, jobs=3).rows == exhaustive_scan(5).rows
+
+    def test_engine_reuses_the_scan_c4_list(self, monkeypatch):
+        # the scan lists each instance's 4-cycles once and hands the list to
+        # the engine, which then lists them only after each C4Reduce step:
+        # one call per engine run fewer than the public find_p10_through
+        census_module = importlib.import_module("mpgraphs.census")
+        witness_module = importlib.import_module("mpgraphs.witness")
+        calls = []
+
+        def counting(G):
+            calls.append(G)
+            return enumerate_m_c4(G)
+
+        monkeypatch.setattr(census_module, "enumerate_m_c4", counting)
+        monkeypatch.setattr(witness_module, "enumerate_m_c4", counting)
+        report = exhaustive_scan(6)
+        scan_calls = len(calls)
+        calls.clear()
+        runs = 0
+        for sigma in itertools.permutations(range(6)):
+            G = validate(6, sigma)
+            for e in census_module._qualifying_edges(G, enumerate_m_c4(G)):
+                find_p10_through(G, e)
+                runs += 1
+        assert runs == report.witness_runs > 0
+        assert scan_calls == report.instance_count + len(calls) - report.witness_runs
 
     def test_csv_shape(self):
         r = exhaustive_scan(3)

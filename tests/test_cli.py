@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mpgraphs import __version__
 from mpgraphs.census import census_report, random_instance
+from mpgraphs.core import MAX_M
 from mpgraphs.cli import ROW_BLOCK, SCHEMA_VERSION, _emit_json, _is_int_rows, run
 
 from .conftest import FIXTURE_DIR, GOLDEN_DIR, REPO_ROOT
@@ -255,6 +256,16 @@ class TestGk:
         assert code == 2
         assert assert_valid_json(out)["error"] == "InvalidK"
 
+    # the smallest k whose m = 3k+7 is above the limit, and one that would
+    # build a 3*10**8-edge instance; both are refused before any is built
+    @pytest.mark.parametrize("k", [(MAX_M - 7) // 3 + 1, 10**8])
+    def test_k_above_limit_exit_2(self, k):
+        code, out, _ = capture(["gk", str(k)])
+        assert code == 2
+        obj = assert_valid_json(out)
+        assert obj["error"] == "InvalidK"
+        assert obj["certificate"] == {"k": k, "m": 3 * k + 7, "limit": MAX_M}
+
 
 class TestScan:
     def test_m3_summary_and_csv(self, tmp_path):
@@ -330,6 +341,14 @@ class TestRandom:
         assert code == 2
         obj = assert_valid_json(out)
         assert obj["error"] == "InvalidSeed" and obj["certificate"] == {"seed": seed}
+
+    # numpy is never asked for these: the limit is checked first
+    @pytest.mark.parametrize("m", [MAX_M + 1, 10**11])
+    def test_m_above_limit_exit_2(self, m):
+        code, out, _ = capture(["random", str(m), "--seed", "1"])
+        assert code == 2
+        obj = assert_valid_json(out)
+        assert obj["error"] == "TooLarge" and obj["certificate"] == {"m": m, "limit": MAX_M}
 
     @pytest.mark.parametrize("seed", [0, 2**128 - 1])
     def test_seed_at_ends_of_philox_key_range(self, seed):
@@ -551,20 +570,23 @@ def loaded_by_cli_import(module: str) -> bool:
     return proc.stdout == "True\n"
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # only random_instance needs numpy, and it imports it itself
-    assert not loaded_by_cli_import("numpy")
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+def test_cli_import_leaves_module_unloaded(module):
+    # only random_instance needs numpy, and it imports it itself; the value
+    # types are NamedTuples, so nothing loads dataclasses or the inspect
+    # module that dataclasses imports
+    assert not loaded_by_cli_import(module)
 
 
-def numpy_loaded_after_refusal(kwargs: str, error: str) -> bool:
-    """Whether numpy is loaded once ``random_instance(5, <kwargs>)`` has
-    raised ``error`` in a fresh interpreter; fails if it did not raise."""
+def numpy_loaded_after_refusal(args: str, error: str) -> bool:
+    """Whether numpy is loaded once ``random_instance(<args>)`` has raised
+    ``error`` in a fresh interpreter; fails if it did not raise."""
     code = (
         "import sys\n"
         "from mpgraphs.census import random_instance\n"
         f"from mpgraphs.errors import {error}\n"
         "try:\n"
-        f"    random_instance(5, {kwargs})\n"
+        f"    random_instance({args})\n"
         f"except {error}:\n"
         "    print('numpy' in sys.modules)\n"
     )
@@ -577,11 +599,21 @@ def numpy_loaded_after_refusal(kwargs: str, error: str) -> bool:
 
 
 def test_bad_seed_refused_before_numpy_loads():
-    assert not numpy_loaded_after_refusal("seed=-1", "InvalidSeed")
+    assert not numpy_loaded_after_refusal("5, seed=-1", "InvalidSeed")
 
 
 def test_bad_attempt_cap_refused_before_numpy_loads():
-    assert not numpy_loaded_after_refusal("seed=1, max_attempts=0", "InvalidAttempts")
+    assert not numpy_loaded_after_refusal("5, seed=1, max_attempts=0", "InvalidAttempts")
+
+
+def test_m_above_limit_refused_before_numpy_loads():
+    assert not numpy_loaded_after_refusal(f"{MAX_M + 1}, seed=1", "TooLarge")
+
+
+@pytest.mark.parametrize("command", ["gk", "random"])
+def test_help_states_size_limit(command, capsys):
+    assert run([command, "--help"]) == 0
+    assert f"at most {MAX_M}" in capsys.readouterr().out
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

@@ -5,15 +5,28 @@ from hypothesis import strategies as st
 from mpgraphs import (
     PETERSEN,
     PRISM,
+    C4ReduceStep,
+    EdgeClass,
+    EdgeClassification,
     FourCycle,
+    InducedPath4,
+    P4FoundStep,
+    ReductionTrace,
     Side,
     SuppressedGraph,
     VertexRef,
     apply_symmetry,
+    build_crossing_graph,
+    census_report,
+    check_lower_bound,
+    check_redrawing,
+    check_replace,
+    check_zhang,
     enumerate_m_c4,
     enumerate_m_p10,
     find_cyclic_cut,
     friend,
+    generate_gk,
     girth,
     is_cyclically_5_edge_connected,
     is_petersen,
@@ -25,7 +38,9 @@ from mpgraphs import (
     suppress_match,
     swap_sides,
     validate,
+    verify_gk,
 )
+from mpgraphs.census import ScanReport, ScanRow
 from mpgraphs.errors import (
     InstanceTextError,
     LengthMismatch,
@@ -321,3 +336,101 @@ class TestCyclicConnectivity:
         cut = find_cyclic_cut(G)
         assert (cut is not None) == has_cut
         assert cut == cyclic_cut_by_counting(G)
+
+
+# One sample of each immutable value type, with its repr as the library has
+# always printed it: ``Name(field=value, ...)`` in field order, except the
+# compact MarkedPermutationGraph and a CrossingGraph without its ``adj``.
+GK1 = "MarkedPermutationGraph(10, [0, 2, 4, 1, 3, 5, 7, 9, 6, 8])"
+VERT = "EdgeClassification(kind=<EdgeClass.VERTICAL: 'vertical'>, group=None)"
+SPECIAL = "EdgeClassification(kind=<EdgeClass.SPECIAL: 'special'>, group={})"
+VALUE_TYPE_SAMPLES = {
+    "VertexRef": (
+        lambda: VertexRef(Side.A_PRIME, 2),
+        "VertexRef(side=<Side.A_PRIME: \"A'\">, index=2)",
+    ),
+    "MarkedPermutationGraph": (lambda: PETERSEN, "MarkedPermutationGraph(5, [0, 2, 4, 1, 3])"),
+    "SuppressedGraph": (
+        lambda: suppress_match(PRISM, [0, 1]),
+        "SuppressedGraph(n=4, edges=((0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)), "
+        "labels=('A0', 'A1', \"A'0\", \"A'1\"))",
+    ),
+    "CrossingGraph": (
+        lambda: build_crossing_graph(PETERSEN, 0),
+        "CrossingGraph(anchor=0, graph=MarkedPermutationGraph(5, [0, 2, 4, 1, 3]), "
+        "vertices=(1, 2, 3, 4))",
+    ),
+    "InducedPath4": (lambda: InducedPath4(1, 3, 2, 4), "InducedPath4(x=1, y=3, z=2, w=4)"),
+    "C4ReduceStep": (lambda: C4ReduceStep(1), "C4ReduceStep(z=1)"),
+    "P4FoundStep": (
+        lambda: P4FoundStep(0, InducedPath4(1, 3, 2, 4)),
+        "P4FoundStep(a=0, path=InducedPath4(x=1, y=3, z=2, w=4))",
+    ),
+    "ReductionTrace": (
+        lambda: ReductionTrace((C4ReduceStep(1),)),
+        "ReductionTrace(steps=(C4ReduceStep(z=1),))",
+    ),
+    "ZhangVerdict": (lambda: check_zhang(PETERSEN), "ZhangVerdict(ok=True, c4_count=0, p10_count=1)"),
+    "LowerBoundVerdict": (
+        lambda: check_lower_bound(PETERSEN),
+        "LowerBoundVerdict(applicable=False, ok=True, p10_count=1, required=1)",
+    ),
+    "ReplaceVerdict": (
+        lambda: check_replace(PETERSEN, 0, 1),
+        "ReplaceVerdict(ok=True, branch='shared_witness', counterexample=None)",
+    ),
+    "RedrawingVerdict": (
+        lambda: check_redrawing(PETERSEN, 0, 1),
+        "RedrawingVerdict(ok=True, failing_clause=None, counterexample=None)",
+    ),
+    "CensusReport": (
+        lambda: census_report(PETERSEN),
+        "CensusReport(instance_id='5 0 2 4 1 3', m=5, four_cycles=(), "
+        "witnesses=((0, 1, 2, 3, 4),), per_edge=(1, 1, 1, 1, 1), zhang_ok=True, "
+        "lower_bound_applicable=False, lower_bound_ok=True)",
+    ),
+    "ScanRow": (
+        lambda: ScanRow(0, (0, 1, 2), 3, 0, 0),
+        "ScanRow(instance_index=0, sigma=(0, 1, 2), c4_count=3, p10_count=0, violations=0)",
+    ),
+    "ScanReport": (
+        lambda: ScanReport(3, 6, (), (), 0),
+        "ScanReport(m=3, instance_count=6, rows=(), violations=(), witness_runs=0)",
+    ),
+    "EdgeClassification": (
+        lambda: EdgeClassification(EdgeClass.SPECIAL, group=1),
+        SPECIAL.format(1),
+    ),
+    "GkInstance": (
+        lambda: generate_gk(1),
+        f"GkInstance(k=1, graph={GK1}, classification=("
+        + ", ".join([VERT] + [SPECIAL.format(1)] * 4 + [VERT] + [SPECIAL.format(2)] * 4)
+        + "))",
+    ),
+    "GkVerdict": (
+        lambda: verify_gk(generate_gk(1)),
+        "GkVerdict(ok=True, k=1, c4_count=0, p10_count=12, expected_p10=12, bad_witnesses=())",
+    ),
+}
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("name", list(VALUE_TYPE_SAMPLES))
+    def test_frozen_with_stable_repr(self, name):
+        make, expected = VALUE_TYPE_SAMPLES[name]
+        value = make()
+        assert type(value).__name__ == name
+        assert repr(value) == expected
+        for field in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 0
+
+    def test_values_are_tuples_of_their_fields(self):
+        assert VertexRef(Side.A, 0) == (Side.A, 0)
+        m, sigma = PETERSEN
+        assert (m, sigma) == (5, (0, 2, 4, 1, 3))
+        H = build_crossing_graph(PETERSEN, 0)
+        assert H == build_crossing_graph(PETERSEN, 0) and H is not build_crossing_graph(PETERSEN, 0)
+        assert H != build_crossing_graph(PETERSEN, 1)

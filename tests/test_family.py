@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from mpgraphs import (
@@ -99,7 +97,7 @@ class TestVerifyGk:
     def test_mutation_is_caught(self, gk2):
         sig = list(gk2.graph.sigma)
         sig[0], sig[1] = sig[1], sig[0]
-        mutated = dataclasses.replace(gk2, graph=validate(gk2.m, sig))
+        mutated = gk2._replace(graph=validate(gk2.m, sig))
         v = verify_gk(mutated)
         assert not v.ok
 
