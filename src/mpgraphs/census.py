@@ -17,10 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import os
 from bisect import bisect
-from math import factorial
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     MAX_M,
@@ -41,6 +39,8 @@ from .errors import (
     TooLarge,
 )
 from .witness import PetersenWitness, _find_p10_through
+
+MAX_ATTEMPTS = 100000  # default cap on rejection draws, here and in `mpg random`
 
 
 def _petersen_search(sigma: tuple[int, ...]) -> list[PetersenWitness]:
@@ -106,32 +106,6 @@ def _petersen_search(sigma: tuple[int, ...]) -> list[PetersenWitness]:
     return out
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise InvalidJobs(f"jobs must be at least 1, got {jobs}", jobs=jobs)
-
-
-def _fan_out(worker: Callable[..., object], head: tuple, n: int, jobs: int) -> list:
-    """Split range(n) into at most ``jobs`` contiguous pieces of about
-    equal length and return ``worker(*head, start, stop)`` for each piece,
-    in order.  More than one piece runs in a process pool; only then is
-    multiprocessing imported, so ``import mpgraphs`` does not load it.
-
-    ``jobs`` below 1 raises InvalidJobs before any process starts; above
-    os.cpu_count() it is capped, which changes no result.
-    """
-    _check_jobs(jobs)
-    jobs = min(jobs, os.cpu_count() or 1)
-    bounds = [-(-n * i // jobs) for i in range(jobs + 1)]
-    tasks = [(*head, a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    if len(tasks) <= 1:
-        return [worker(*task) for task in tasks]
-    import multiprocessing
-
-    with multiprocessing.Pool(len(tasks)) as pool:
-        return pool.starmap(worker, tasks)
-
-
 def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWitness]:
     """All 5-subsets whose match-subgraph suppresses to the Petersen graph,
     in lexicographic order.  Empty when m < 5.
@@ -146,12 +120,13 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
     then costs O(1); brute force costs C(m,5) subset checks whatever the
     answer.
 
-    The search always runs in this process: starting workers and pickling
-    the witness lists back cost more than the search itself, on the family
-    and on random instances alike.  ``jobs`` is accepted for compatibility
-    and changes nothing, but jobs < 1 still raises InvalidJobs.
+    The search always runs in this process.  ``jobs`` changes nothing; it
+    is kept, with jobs < 1 raising InvalidJobs, only because the census
+    benchmark's ``census.pool_speedup`` passes it, and both go with the
+    next change to the benchmark.
     """
-    _check_jobs(jobs)
+    if jobs < 1:
+        raise InvalidJobs(f"jobs must be at least 1, got {jobs}", jobs=jobs)
     return _petersen_search(G.sigma)
 
 
@@ -322,11 +297,11 @@ class CensusReport(NamedTuple):
         }
 
 
-def census_report(G: MarkedPermutationGraph, jobs: int = 1) -> CensusReport:
+def census_report(G: MarkedPermutationGraph) -> CensusReport:
     """Full ground-truth report: all matched 4-cycles, all witnesses,
     per-edge counts, and the standing theorem flags."""
     c4s = tuple(enumerate_m_c4(G))
-    wits = tuple(enumerate_m_p10(G, jobs=jobs))
+    wits = tuple(enumerate_m_p10(G))
     per_edge = tuple(count_per_edge(G, wits))
     zh = check_zhang(G, wits)
     lb = check_lower_bound(G, wits)
@@ -431,34 +406,27 @@ def _scan_instance(
     return row, violations, runs
 
 
-def _scan_range_worker(m: int, start: int, stop: int) -> tuple[list[ScanRow], list[dict], int]:
+def exhaustive_scan(m: int) -> ScanReport:
+    """Run every m! instance through the zhang check and, for every edge
+    satisfying the extraction precondition, the witness engine, in one
+    process.  Symmetry deduplication is deliberately not applied:
+    correctness over speed."""
+    if not 3 <= m <= 8:
+        raise OutOfScanRange(f"scan supports 3 <= m <= 8, got {m}", m=m)
     rows: list[ScanRow] = []
     violations: list[dict] = []
     runs = 0
-    perms = itertools.islice(itertools.permutations(range(m)), start, stop)
-    for offset, sigma in enumerate(perms):
-        row, viol, r = _scan_instance(start + offset, MarkedPermutationGraph(m, sigma))
+    for index, sigma in enumerate(itertools.permutations(range(m))):
+        row, viol, r = _scan_instance(index, MarkedPermutationGraph(m, sigma))
         rows.append(row)
         violations.extend(viol)
         runs += r
-    return rows, violations, runs
-
-
-def exhaustive_scan(m: int, jobs: int = 1) -> ScanReport:
-    """Run every m! instance through the zhang check and, for every edge
-    satisfying the extraction precondition, the witness engine.  Symmetry
-    deduplication is deliberately not applied: correctness over speed.
-    jobs < 1 raises InvalidJobs; jobs is capped at os.cpu_count()."""
-    if not 3 <= m <= 8:
-        raise OutOfScanRange(f"scan supports 3 <= m <= 8, got {m}", m=m)
-    total = factorial(m)
-    parts = _fan_out(_scan_range_worker, (m,), total, jobs)
     return ScanReport(
         m=m,
-        instance_count=total,
-        rows=tuple(row for part in parts for row in part[0]),
-        violations=tuple(v for part in parts for v in part[1]),
-        witness_runs=sum(part[2] for part in parts),
+        instance_count=len(rows),
+        rows=tuple(rows),
+        violations=tuple(violations),
+        witness_runs=runs,
     )
 
 
@@ -466,7 +434,7 @@ def random_instance(
     m: int,
     seed: int,
     require_c4_free: bool = False,
-    max_attempts: int = 1000,
+    max_attempts: int = MAX_ATTEMPTS,
 ) -> MarkedPermutationGraph:
     """Uniform random sigma from a counter-based Philox stream, optionally
     rejection-sampled until no matched 4-cycle remains.  The seed is the

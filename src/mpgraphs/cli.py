@@ -20,6 +20,7 @@ from typing import IO, Any, Iterator
 
 from . import __version__
 from .census import (
+    MAX_ATTEMPTS,
     census_report,
     check_redrawing,
     check_replace,
@@ -40,7 +41,6 @@ from .family import generate_gk
 from .witness import find_p10_through, witness_report_dict
 
 SCHEMA_VERSION = 1
-JOBS_HELP = "worker processes: at least 1, capped at the number of CPUs"
 ROW_BLOCK = 4096  # rows of ints formatted per piece of streamed JSON
 
 
@@ -125,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate all matched 4-cycles and Petersen witnesses")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="at least 1; the census always runs in one process")
 
     p = sub.add_parser("witness", help="certified Petersen subdivision through an edge")
     p.add_argument("file")
@@ -137,14 +136,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="exhaustively verify all instances of a half-order")
     p.add_argument("m", type=int)
     p.add_argument("--out", help="write the per-instance CSV summary here")
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("random", help="seeded random instance")
     p.add_argument("m", type=int, help=f"half-order, at most {MAX_M}")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--c4-free", action="store_true")
-    p.add_argument("--max-attempts", type=int, default=100000)
+    p.add_argument(
+        "--max-attempts",
+        type=int,
+        default=MAX_ATTEMPTS,
+        help=f"draws tried for --c4-free before giving up: at least 1 (default {MAX_ATTEMPTS})",
+    )
 
     p = sub.add_parser("draw", help="standard two-row drawing (svg or dot)")
     p.add_argument("file")
@@ -206,7 +209,7 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
 
     if args.command == "census":
         G = _load_instance(args.file, stdin)
-        report = census_report(G, jobs=args.jobs)
+        report = census_report(G)
         if args.json:
             _emit_json(report.to_json_dict(), stdout)
         else:
@@ -235,7 +238,7 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
         return 0
 
     if args.command == "scan":
-        report = exhaustive_scan(args.m, jobs=args.jobs)
+        report = exhaustive_scan(args.m)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(report.to_csv())

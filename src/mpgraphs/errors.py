@@ -97,7 +97,9 @@ class TooLarge(MpgError):
 
 
 class InvalidJobs(MpgError):
-    """Worker count below 1."""
+    """``enumerate_m_p10`` given jobs below 1.  Nothing else takes jobs;
+    this goes, with that keyword, in the next change to the benchmark,
+    which is its only caller that passes it."""
 
 
 class IndicesNotDistinct(MpgError):

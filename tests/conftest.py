@@ -12,7 +12,6 @@ triple walk that takes three bisects and a slice for every triple.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from bisect import bisect
 from collections import Counter
 from pathlib import Path
@@ -48,30 +47,6 @@ def gk1():
 @pytest.fixture(scope="session")
 def gk2():
     return generate_gk(2)
-
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    """Stand in for multiprocessing.Pool: each pool records its requested
-    size in the returned list and runs its tasks in this process, so no
-    worker is ever started."""
-    sizes: list[int] = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, tasks):
-            return list(itertools.starmap(fn, tasks))
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    return sizes
 
 
 # ---------------------------------------------------------------------------

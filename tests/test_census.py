@@ -1,6 +1,6 @@
 import importlib
 import itertools
-import multiprocessing
+import math
 import sys
 
 import pytest
@@ -28,6 +28,7 @@ from mpgraphs import (
     suppress_match,
     validate,
 )
+from mpgraphs.census import MAX_ATTEMPTS
 from mpgraphs.core import PETERSEN_PATTERNS, _subset_is_petersen
 from mpgraphs.errors import ExhaustedAttempts, InvalidAttempts, InvalidJobs, OutOfScanRange
 
@@ -75,10 +76,6 @@ def census_digest(witnesses):
     return len(witnesses), hash(tuple(witnesses))
 
 
-# The module, whose os the jobs tests patch.
-census_module = importlib.import_module("mpgraphs.census")
-
-
 class TestPetersenSearch:
     def test_closed_form_table_is_the_petersen_verdict(self):
         # on m = 5 the whole instance is the subset, so sigma is its pattern
@@ -115,40 +112,15 @@ class TestPetersenSearch:
         expected = census_digest(petersen_by_sorted_slices(G.sigma))
         assert census_digest(enumerate_m_p10(G)) == expected
 
-    def test_jobs_1_2_4_identical(self, monkeypatch):
-        # jobs changes nothing, even where four CPUs are reported
-        monkeypatch.setattr(census_module.os, "cpu_count", lambda: 4)
-        for G in (generate_gk(8).graph, random_instance(30, seed=5)):
-            serial = enumerate_m_p10(G, jobs=1)
-            assert enumerate_m_p10(G, jobs=2) == serial
-            assert enumerate_m_p10(G, jobs=4) == serial
-
-
-class NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a process pool was started")
-
 
 class TestJobsBounds:
     @pytest.mark.parametrize("jobs", [0, -1, -100000])
-    def test_nonpositive_jobs_rejected_before_any_pool(self, monkeypatch, jobs):
-        monkeypatch.setattr(multiprocessing, "Pool", NoPool)
-        for call in (
-            lambda: enumerate_m_p10(generate_gk(4).graph, jobs=jobs),
-            lambda: enumerate_m_p10(PRISM, jobs=jobs),
-            lambda: exhaustive_scan(5, jobs=jobs),
-        ):
+    def test_nonpositive_jobs_rejected_before_any_pool(self, jobs):
+        # enumerate_m_p10 is the one function left that takes jobs
+        for G in (generate_gk(4).graph, PRISM):
             with pytest.raises(InvalidJobs) as exc:
-                call()
+                enumerate_m_p10(G, jobs=jobs)
             assert exc.value.certificate == {"jobs": jobs}
-
-    def test_jobs_capped_at_cpu_count(self, monkeypatch, recording_pool):
-        monkeypatch.setattr(census_module.os, "cpu_count", lambda: 3)
-        G = generate_gk(4).graph
-        assert enumerate_m_p10(G, jobs=100000) == enumerate_m_p10(G, jobs=1)
-        assert exhaustive_scan(5, jobs=100000).rows == exhaustive_scan(5).rows
-        # the census runs in-process whatever jobs is; only scan starts a pool
-        assert recording_pool == [3]
 
 
 class TestCountPerEdge:
@@ -279,8 +251,15 @@ class TestExhaustiveScan:
         with pytest.raises(OutOfScanRange):
             exhaustive_scan(2)
 
-    def test_jobs_deterministic(self):
-        assert exhaustive_scan(5, jobs=3).rows == exhaustive_scan(5).rows
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_rows_match_an_independent_census(self, m):
+        r = exhaustive_scan(m)
+        expected = []
+        for i, sigma in enumerate(itertools.permutations(range(m))):
+            G = validate(m, sigma)
+            expected.append((i, sigma, len(enumerate_m_c4(G)), len(brute_force_p10(G)), 0))
+        assert r.rows == tuple(expected)
+        assert r.instance_count == len(expected) == math.factorial(m)
 
     def test_engine_reuses_the_scan_c4_list(self, monkeypatch):
         # the scan lists each instance's 4-cycles once and hands the list to
@@ -327,6 +306,12 @@ class TestRandomInstance:
         with pytest.raises(ExhaustedAttempts) as exc:
             random_instance(3, seed=0, require_c4_free=True, max_attempts=100)
         assert exc.value.certificate["attempts"] == 100
+
+    def test_default_attempt_cap_is_the_cli_default(self):
+        # m = 3 has no 4-cycle-free instance, so every default draw is spent
+        with pytest.raises(ExhaustedAttempts) as exc:
+            random_instance(3, seed=0, require_c4_free=True)
+        assert exc.value.certificate["attempts"] == MAX_ATTEMPTS == 100000
 
     def test_c4_free_m10_reachable(self):
         G = random_instance(10, seed=7, require_c4_free=True, max_attempts=100000)

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpgraphs import __version__
-from mpgraphs.census import census_report, random_instance
+from mpgraphs.census import MAX_ATTEMPTS, census_report, random_instance
 from mpgraphs.core import MAX_M
 from mpgraphs.cli import ROW_BLOCK, SCHEMA_VERSION, _emit_json, _is_int_rows, run
 
@@ -96,26 +95,11 @@ class TestCensus:
         obj = assert_valid_json(out)
         assert obj["p10_count"] == 30 and obj["c4_count"] == 0
 
-    def test_jobs_byte_identical(self):
-        _, gk_out, _ = capture(["gk", "5"])
-        _, serial, _ = capture(["census", "-", "--json", "--jobs", "1"], stdin_text=gk_out)
-        _, parallel, _ = capture(["census", "-", "--json", "--jobs", "8"], stdin_text=gk_out)
-        assert serial == parallel
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_nonpositive_jobs_exit_2(self, jobs):
-        code, out, _ = capture(["census", PETERSEN_TXT, "--json", "--jobs", jobs])
-        assert code == 2
-        obj = assert_valid_json(out)
-        assert obj["error"] == "InvalidJobs" and obj["certificate"] == {"jobs": int(jobs)}
-
-    def test_huge_jobs_capped(self, monkeypatch, recording_pool):
-        monkeypatch.setattr(importlib.import_module("mpgraphs.census").os, "cpu_count", lambda: 2)
-        _, gk_out, _ = capture(["gk", "4"])
-        _, serial, _ = capture(["census", "-", "--json"], stdin_text=gk_out)
-        code, capped, _ = capture(["census", "-", "--json", "--jobs", "100000"], stdin_text=gk_out)
-        assert code == 0 and capped == serial
-        assert recording_pool == []
+    def test_jobs_option_removed(self, capsys):
+        # the census runs in one process and takes no --jobs
+        code, out, _ = capture(["census", PETERSEN_TXT, "--jobs", "2"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_plain_output(self):
         code, out, _ = capture(["census", PRISM_TXT])
@@ -288,10 +272,11 @@ class TestScan:
         assert code == 2
         assert assert_valid_json(out)["error"] == "OutOfScanRange"
 
-    def test_nonpositive_jobs_exit_2(self):
-        code, out, _ = capture(["scan", "4", "--jobs", "0"])
-        assert code == 2
-        assert assert_valid_json(out)["error"] == "InvalidJobs"
+    def test_jobs_option_removed(self, capsys):
+        # the scan runs in one process and takes no --jobs
+        code, out, _ = capture(["scan", "4", "--jobs", "2"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestRandom:
@@ -330,6 +315,10 @@ class TestRandom:
         assert code == 2
         obj = assert_valid_json(out)
         assert obj["error"] == "InvalidAttempts" and obj["certificate"] == {"max_attempts": attempts}
+
+    def test_help_states_attempt_cap_default(self, capsys):
+        assert run(["random", "--help"]) == 0
+        assert f"(default {MAX_ATTEMPTS})" in " ".join(capsys.readouterr().out.split())
 
     def test_one_attempt_prints_an_instance(self):
         one = capture(["random", "5", "--seed", "1", "--max-attempts", "1"])
@@ -617,6 +606,6 @@ def test_help_states_size_limit(command, capsys):
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
-    # only a scan with more than one piece needs a pool, and _fan_out
-    # imports multiprocessing itself
+    # every subcommand runs in one process, so nothing should pull in
+    # multiprocessing
     assert not loaded_by_cli_import("multiprocessing")
