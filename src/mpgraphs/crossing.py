@@ -39,9 +39,6 @@ class CrossingGraph(NamedTuple):
     def has_edge(self, x: int, y: int) -> bool:
         return bool(self.adj[x] >> y & 1)
 
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        return tuple(y for y in range(self.m) if self.adj[x] >> y & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(x, y) for x in self.vertices for y in self.vertices if x < y and self.has_edge(x, y)]
 
@@ -80,7 +77,9 @@ def _ccw(p: Point, q: Point, r: Point) -> float:
 
 
 def count_segment_crossings(segments: list[Segment]) -> int:
-    """Pairwise proper intersections (shared endpoints do not count)."""
+    """Pairwise proper intersections (shared endpoints do not count): the
+    geometric reference that the tests recount drawn segments with.  It
+    is O(len(segments)^2), and no drawing calls it."""
     count = 0
     for i, (p, q) in enumerate(segments):
         for r, s in segments[i + 1 :]:
@@ -93,31 +92,24 @@ def count_segment_crossings(segments: list[Segment]) -> int:
     return count
 
 
-def _layout(G: MarkedPermutationGraph, a: int) -> tuple[list[Point], list[Point], list[Segment]]:
-    """Unit-spaced coordinates: A-row at y=0 starting with the anchor,
-    A'-row at y=ROW_GAP starting with the anchor's friend.  Wraparound
-    cycle edges are never drawn, so all drawn segments are straight."""
-    m = G.m
-    top = [(float((x - a) % m), 0.0) for x in range(m)]
-    bot = [(float((v - G.sigma[a]) % m), float(ROW_GAP)) for v in range(m)]
-    matching = [(top[x], bot[G.sigma[x]]) for x in range(m)]
-    return top, bot, matching
-
-
 def standard_drawing(G: MarkedPermutationGraph, a: int, format: str = "svg") -> str:
     """Render the standard drawing as an SVG 1.1 or DOT document.
 
-    The pairwise crossing count of the emitted matching segments is
-    computed geometrically and embedded as a comment line for harness
-    parsing; it equals the crossing graph's edge count.
+    A-vertex x sits in column (x - a) mod m of the A-row and A'-vertex v
+    in column (v - sigma[a]) mod m of the A'-row, so column t holds
+    (a + t) mod m and (sigma[a] + t) mod m and every coordinate is an
+    integer.  Wraparound cycle edges are never drawn, so all drawn
+    segments are straight.  The embedded ``crossings:`` comment, for
+    harness parsing, is the crossing graph's edge count.
     """
     _check_index(G, a, "anchor")
     fmt = format.lower()
     if fmt not in ("svg", "dot"):
         raise UnsupportedFormat(f"unsupported drawing format {format!r}", format=format)
-    m = G.m
-    top, bot, matching = _layout(G, a)
-    crossings = count_segment_crossings(matching)
+    m, sigma, b = G.m, G.sigma, G.sigma[a]
+    top = [(x - a) % m for x in range(m)]
+    bot = [(v - b) % m for v in range(m)]
+    crossings = build_crossing_graph(G, a).edge_count()
     header = f"instance: {G.to_text()} | anchor: {a}"
     if fmt == "dot":
         lines = [
@@ -128,62 +120,38 @@ def standard_drawing(G: MarkedPermutationGraph, a: int, format: str = "svg") -> 
             "  splines=line;",
             '  node [shape=circle, fixedsize=true, width=0.35];',
         ]
-        for x in range(m):
-            px, py = top[x]
-            lines.append(f'  "A{x}" [pos="{px:g},{ROW_GAP - py:g}!"];')
-        for v in range(m):
-            px, py = bot[v]
-            lines.append(f'  "A\'{v}" [pos="{px:g},{ROW_GAP - py:g}!"];')
-        order_top = sorted(range(m), key=lambda x: top[x][0])
-        order_bot = sorted(range(m), key=lambda v: bot[v][0])
-        for t in range(m - 1):
-            lines.append(f'  "A{order_top[t]}" -- "A{order_top[t + 1]}";')
-        for t in range(m - 1):
-            lines.append(f'  "A\'{order_bot[t]}" -- "A\'{order_bot[t + 1]}";')
-        for x in range(m):
-            lines.append(f'  "A{x}" -- "A\'{G.sigma[x]}" [kind=matching];')
+        lines += [f'  "A{x}" [pos="{top[x]},{ROW_GAP}!"];' for x in range(m)]
+        lines += [f'  "A\'{v}" [pos="{bot[v]},0!"];' for v in range(m)]
+        lines += [f'  "A{(a + t) % m}" -- "A{(a + t + 1) % m}";' for t in range(m - 1)]
+        lines += [f'  "A\'{(b + t) % m}" -- "A\'{(b + t + 1) % m}";' for t in range(m - 1)]
+        lines += [f'  "A{x}" -- "A\'{sigma[x]}" [kind=matching];' for x in range(m)]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    scale, margin = 40.0, 30.0
-
-    def sx(p: Point) -> tuple[float, float]:
-        return margin + scale * p[0], margin + scale * p[1]
-
-    width = 2 * margin + scale * (m - 1)
-    height = 2 * margin + scale * ROW_GAP
+    scale, margin = 40, 30  # column t is at x = margin + scale * t
+    y_top, y_bot = margin, margin + scale * ROW_GAP
+    width, height = 2 * margin + scale * (m - 1), y_bot + margin
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width:g}" height="{height:g}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
         f"<!-- crossings: {crossings} -->",
         f"<!-- {header} -->",
     ]
-    order_top = sorted(range(m), key=lambda x: top[x][0])
-    order_bot = sorted(range(m), key=lambda v: bot[v][0])
-    for row, order, pts in (("A", order_top, top), ("Ap", order_bot, bot)):
-        for t in range(m - 1):
-            (x1, y1), (x2, y2) = sx(pts[order[t]]), sx(pts[order[t + 1]])
-            lines.append(
-                f'<line class="cycle-{row}" x1="{x1:g}" y1="{y1:g}" x2="{x2:g}" y2="{y2:g}" '
-                'stroke="#999" stroke-width="1"/>'
-            )
-    for x in range(m):
-        (x1, y1), (x2, y2) = sx(matching[x][0]), sx(matching[x][1])
-        lines.append(
-            f'<line class="matching" x1="{x1:g}" y1="{y1:g}" x2="{x2:g}" y2="{y2:g}" '
-            'stroke="#000" stroke-width="1.5"/>'
-        )
-    for x in range(m):
-        cx, cy = sx(top[x])
-        lines.append(f'<circle cx="{cx:g}" cy="{cy:g}" r="9" fill="#fff" stroke="#000"/>')
-        lines.append(
-            f'<text x="{cx:g}" y="{cy + 3:g}" font-size="8" text-anchor="middle">A{x}</text>'
-        )
-    for v in range(m):
-        cx, cy = sx(bot[v])
-        lines.append(f'<circle cx="{cx:g}" cy="{cy:g}" r="9" fill="#fff" stroke="#000"/>')
-        lines.append(
-            f"<text x=\"{cx:g}\" y=\"{cy + 3:g}\" font-size=\"8\" text-anchor=\"middle\">A'{v}</text>"
-        )
+    for row, y in (("A", y_top), ("Ap", y_bot)):
+        lines += [
+            f'<line class="cycle-{row}" x1="{margin + scale * t}" y1="{y}" x2="{margin + scale * (t + 1)}" '
+            f'y2="{y}" stroke="#999" stroke-width="1"/>'
+            for t in range(m - 1)
+        ]
+    lines += [
+        f'<line class="matching" x1="{margin + scale * top[x]}" y1="{y_top}" '
+        f'x2="{margin + scale * bot[sigma[x]]}" y2="{y_bot}" stroke="#000" stroke-width="1.5"/>'
+        for x in range(m)
+    ]
+    for name, cols, y in (("A", top, y_top), ("A'", bot, y_bot)):
+        for v in range(m):
+            cx = margin + scale * cols[v]
+            lines.append(f'<circle cx="{cx}" cy="{y}" r="9" fill="#fff" stroke="#000"/>')
+            lines.append(f'<text x="{cx}" y="{y + 3}" font-size="8" text-anchor="middle">{name}{v}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

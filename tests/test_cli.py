@@ -361,6 +361,22 @@ class TestDraw:
         code, _, _ = capture(["draw", PETERSEN_TXT, "--format", "png"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "producer,draw_args,golden",
+        [
+            (None, [PETERSEN_TXT, "--anchor", "0", "--format", "svg"], "draw_petersen_a0.svg"),
+            (None, [PETERSEN_TXT, "--anchor", "2", "--format", "dot"], "draw_petersen_a2.dot"),
+            (None, [PRISM_TXT, "--format", "dot"], "draw_prism_a0.dot"),
+            (["gk", "1"], ["-", "--anchor", "3", "--format", "svg"], "draw_gk1_a3.svg"),
+            (["random", "30", "--seed", "1"], ["-", "--anchor", "7", "--format", "dot"], "draw_random30_seed1_a7.dot"),
+        ],
+    )
+    def test_golden(self, producer, draw_args, golden):
+        instance = capture(producer)[1] if producer else ""
+        code, out, _ = capture(["draw"] + draw_args, stdin_text=instance)
+        assert code == 0
+        assert out == (GOLDEN_DIR / golden).read_text()
+
 
 class TestCyclic:
     def test_petersen_true_exit_0(self):

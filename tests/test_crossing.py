@@ -12,6 +12,7 @@ from mpgraphs import (
     standard_drawing,
     validate,
 )
+from mpgraphs.census import random_instance
 from mpgraphs.errors import UnsupportedFormat
 
 from .conftest import all_instances, crossing_adj_by_pairs, instances, seeded_instances
@@ -93,8 +94,6 @@ class TestBuildCrossingGraph:
                     edges = [(x, y) for x in H.vertices for y in H.vertices if x < y and H.has_edge(x, y)]
                     assert H.edges() == edges
                     assert H.edge_count() == len(edges)
-                    for x in range(m):
-                        assert H.neighbors(x) == tuple(y for y in range(m) if H.has_edge(x, y))
 
 
 def svg_matching_segments(doc: str):
@@ -156,3 +155,28 @@ class TestStandardDrawing:
         expected = build_crossing_graph(G, a).edge_count()
         assert count_segment_crossings(segs) == expected
         assert embedded_crossings(doc) == expected
+
+    def test_embedded_count_is_crossing_graph_edge_count(self, monkeypatch):
+        # the drawing takes its count from the crossing graph; the O(m^2)
+        # geometric recount is a test oracle only and must not run
+        def refuse(segments):
+            raise AssertionError("standard_drawing ran count_segment_crossings")
+
+        monkeypatch.setattr("mpgraphs.crossing.count_segment_crossings", refuse)
+        for G, anchors in ((PETERSEN, (0, 2)), (random_instance(40, seed=1), (0, 23))):
+            for a in anchors:
+                expected = build_crossing_graph(G, a).edge_count()
+                for fmt in ("svg", "dot"):
+                    assert embedded_crossings(standard_drawing(G, a, fmt)) == expected, (a, fmt)
+
+    def test_svg_coordinates_are_plain_integers_at_m_25000(self):
+        # width = 40m + 20 has 7 digits from here on, where a 6-significant-
+        # digit float format prints exponent form and merges columns later
+        m = 25_000
+        doc = standard_drawing(random_instance(m, seed=1), 0, "svg")
+        values = re.findall(r' (?:x1|y1|x2|y2|cx|cy|x|y|width|height)="([^"]*)"', doc)
+        assert len(values) == 4 * (2 * (m - 1) + m) + 2 * 4 * m + 2  # lines, circles+labels, svg
+        assert all(re.fullmatch(r"\d+", v) for v in values)
+        assert re.search(r'<svg [^>]* width="(\d+)"', doc).group(1) == str(40 * m + 20)
+        columns = {int(cx) for cx in re.findall(r'<circle cx="(\d+)" cy="30"', doc)}
+        assert columns == {30 + 40 * t for t in range(m)}
