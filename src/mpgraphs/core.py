@@ -8,7 +8,6 @@ witness extraction, censuses) works on this encoding.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, deque
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -20,12 +19,13 @@ from .errors import (
     NoCycle,
     NotAPermutation,
     TooFewEdges,
+    TooLarge,
     TooSmall,
 )
 
 
-# Largest m that random_instance and generate_gk build: far above what a
-# census finishes on, and built in seconds, not hours or all of memory.
+# Largest m that random_instance and generate_gk build and parse_instances
+# reads: far above what a census finishes on, and built in seconds.
 MAX_M = 10**6
 
 
@@ -126,6 +126,8 @@ def parse_instances(text: str) -> list[MarkedPermutationGraph]:
     pos = 0
     while pos < len(tokens):
         m = tokens[pos]
+        if m > MAX_M:
+            raise TooLarge(f"m={m} above the limit {MAX_M}", m=m, limit=MAX_M)
         if m < 0 or pos + 1 + m > len(tokens):
             raise InstanceTextError(
                 f"truncated instance: declared m={m} with {len(tokens) - pos - 1} entries left",
@@ -378,54 +380,49 @@ def relabel_witness(G: MarkedPermutationGraph, X: Iterable[int], op: str, k: int
 GraphEdge = tuple[str, int]  # ("A", i) | ("A'", i) cycle edges, ("M", i) matching
 
 
-def graph_edges(G: MarkedPermutationGraph) -> list[GraphEdge]:
-    m = G.m
-    return (
-        [("A", i) for i in range(m)]
-        + [("A'", i) for i in range(m)]
-        + [("M", i) for i in range(m)]
-    )
-
-
-def _edge_endpoints(G: MarkedPermutationGraph, e: GraphEdge) -> tuple[int, int]:
-    # vertices 0..m-1 are the A-cycle, m..2m-1 the A'-cycle
-    kind, i = e
-    m = G.m
-    if kind == "A":
-        return i, (i + 1) % m
-    if kind == "A'":
-        return m + i, m + (i + 1) % m
-    return i, m + G.sigma[i]
-
-
 def find_cyclic_cut(G: MarkedPermutationGraph) -> tuple[GraphEdge, ...] | None:
     """Smallest set of at most 4 edges whose removal leaves at least two
-    components that each contain a cycle, or None.  Exhaustive over all
-    C(3m, <=4) subsets, by size and then in combinations order, so the
-    first hit is minimum; each costs one O(m) union-find pass, in which an
-    edge inside a component marks its root cyclic and a union carries the
-    mark to the surviving root."""
-    all_edges = graph_edges(G)
-    endpoints = [_edge_endpoints(G, e) for e in all_edges]
-    for size in range(1, 5):
-        for cut in itertools.combinations(range(len(all_edges)), size):
-            parent = list(range(2 * G.m))
-            cyclic: set[int] = set()  # roots of components holding a cycle
-            for eidx, (u, v) in enumerate(endpoints):
-                if eidx in cut:
-                    continue
-                while parent[u] != u:
-                    parent[u] = parent[parent[u]]
-                    u = parent[u]
-                while parent[v] != v:
-                    parent[v] = parent[parent[v]]
-                    v = parent[v]
-                parent[u] = v
-                if u == v or u in cyclic:
-                    cyclic.discard(u)
-                    cyclic.add(v)
-            if len(cyclic) >= 2:
-                return tuple(all_edges[i] for i in cut)
+    components that each contain a cycle, or None; of several, the least as
+    a sorted tuple of positions in the list A-edges, A'-edges, matching.
+
+    For m >= 5 such a cut cuts off an A-arc P, 2 <= |P| <= m - 2, whose
+    sigma-image is an A'-arc, and every such P gives one.  Let S be one
+    side.  If S holds all or none of one cycle and part of the other, S or
+    its complement lies inside one cycle and misses a vertex of it, so is a
+    union of paths; if S is a whole cycle, the cut is all m >= 5 matching
+    edges.  So S meets each cycle in part, the cut takes at least two, so
+    exactly two, edges of each and no matching edge, and S meets A in an
+    arc P and A' in sigma(P).  These span 3|P| - 2 edges on 2|P| vertices,
+    so hold a cycle iff |P| >= 2; likewise the complement.  For m <= 4 the
+    matching is a cut too: the only one at m = 3, after every arc cut at 4.
+
+    The scan grows each arc s..s+L-1 (mod m) for L = 2..m-2 with the
+    running min and max of sigma, a hit when max - min + 1 = L.  An image
+    that wraps past m-1 to 0 is caught through the complement arc, which
+    has the same four cut edges.  O(m^2) steps in all.
+    """
+    m, sigma = G.m, G.sigma
+    best = None  # least ((A-edge pair), (A'-edge pair)) over all hits
+    for s in range(m):
+        first = (s - 1) % m  # the A-edge that enters the arc
+        lo = hi = sigma[s]
+        for L in range(2, m - 1):
+            last = (s + L - 1) % m  # the arc's last vertex; A-edge `last` leaves it
+            v = sigma[last]
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+            if hi - lo + 1 == L:
+                a_pair = (first, last) if first < last else (last, first)
+                key = (a_pair, (lo - 1, hi) if lo else (hi, m - 1))
+                if best is None or key < best:
+                    best = key
+    if best is not None:
+        (a1, a2), (b1, b2) = best
+        return (("A", a1), ("A", a2), ("A'", b1), ("A'", b2))
+    if m <= 4:
+        return tuple(("M", i) for i in range(m))
     return None
 
 

@@ -93,7 +93,7 @@ class InvalidK(MpgError):
 
 
 class TooLarge(MpgError):
-    """Requested random half-order above MAX_M."""
+    """Half-order above MAX_M, asked of random_instance or declared in text."""
 
 
 class InvalidJobs(MpgError):

@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's own algorithms: girth is
 re-derived by exhaustive simple-cycle enumeration, Petersen recognition by
 a networkx isomorphism test against the reference graph, P4-freeness
 by twin elimination, crossing rows by a pair loop, the first induced P4 by
-a scan over 4-subsets, the cyclic cut by counting vertices and edges per
-component, the replace lemma by a scan over 4-sets, and the census by the
-triple walk that takes three bisects and a slice for every triple.
+a scan over 4-subsets, the cyclic cut by a search over every set of at
+most 4 edges (with a union-find pass, or a count of vertices and edges per
+component, for each), the replace lemma by a scan over 4-sets, and the
+census by the triple walk that takes three bisects and a slice for every
+triple.
 """
 
 from __future__ import annotations
@@ -169,13 +171,64 @@ def first_p4_by_quads(H):
     return None
 
 
+def graph_edges(G) -> list:
+    """Every edge of G as a ("A", i), ("A'", i) or ("M", i) label: the
+    A-edges 0..m-1, then the A'-edges, then the matching edges."""
+    m = G.m
+    return (
+        [("A", i) for i in range(m)]
+        + [("A'", i) for i in range(m)]
+        + [("M", i) for i in range(m)]
+    )
+
+
+def _edge_endpoints(G, e) -> tuple[int, int]:
+    # vertices 0..m-1 are the A-cycle, m..2m-1 the A'-cycle
+    kind, i = e
+    m = G.m
+    if kind == "A":
+        return i, (i + 1) % m
+    if kind == "A'":
+        return m + i, m + (i + 1) % m
+    return i, m + G.sigma[i]
+
+
+def cyclic_cut_by_subsets(G):
+    """find_cyclic_cut by exhaustive search: the first of all C(3m, <=4)
+    subsets of graph_edges, by size and then in combinations order, whose
+    removal leaves two components that each contain a cycle.  Each subset
+    costs one O(m) union-find pass, in which an edge inside a component
+    marks its root cyclic and a union carries the mark to the surviving
+    root."""
+    all_edges = graph_edges(G)
+    endpoints = [_edge_endpoints(G, e) for e in all_edges]
+    for size in range(1, 5):
+        for cut in itertools.combinations(range(len(all_edges)), size):
+            parent = list(range(2 * G.m))
+            cyclic: set[int] = set()  # roots of components holding a cycle
+            for eidx, (u, v) in enumerate(endpoints):
+                if eidx in cut:
+                    continue
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
+                parent[u] = v
+                if u == v or u in cyclic:
+                    cyclic.discard(u)
+                    cyclic.add(v)
+            if len(cyclic) >= 2:
+                return tuple(all_edges[i] for i in cut)
+    return None
+
+
 def cyclic_cut_by_counting(G):
-    """find_cyclic_cut by its first algorithm: for each subset, in the same
-    order, join the other edges' ends, then count vertices and edges per
+    """find_cyclic_cut by its first algorithm: for each subset, in the order
+    of cyclic_cut_by_subsets, join the other edges' ends, then count vertices and edges per
     component; a component holds a cycle when it has as many edges as
     vertices."""
-    from mpgraphs.core import _edge_endpoints, graph_edges
-
     all_edges = graph_edges(G)
     endpoints = [_edge_endpoints(G, e) for e in all_edges]
     nv = 2 * G.m
@@ -308,6 +361,19 @@ def instance_to_networkx(G) -> nx.MultiGraph:
         g.add_edge(m + i, m + (i + 1) % m)
         g.add_edge(i, m + G.sigma[i])
     return g
+
+
+def cyclic_components_after(G, cut) -> list[set[int]]:
+    """The vertex sets of the components of instance_to_networkx(G) that
+    still hold a cycle once the edges in ``cut`` are removed."""
+    g = instance_to_networkx(G)
+    for e in cut:
+        g.remove_edge(*_edge_endpoints(G, e))
+    return [
+        comp
+        for comp in nx.connected_components(g)
+        if g.subgraph(comp).number_of_edges() >= len(comp)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,28 @@ class TestValidate:
         assert code == 2
 
 
+class TestDeclaredSizeLimit:
+    # the declared m is refused before any entry is read, so a lone
+    # header line is enough
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "-"],
+            ["census", "-", "--json"],
+            ["witness", "-", "--edge", "0"],
+            ["draw", "-"],
+            ["cyclic", "-"],
+            ["check", "-", "--lemma", "zhang"],
+        ],
+    )
+    def test_m_above_limit_exit_2(self, argv):
+        code, out, _ = capture(argv, stdin_text=f"{MAX_M + 1}\n")
+        assert code == 2
+        obj = assert_valid_json(out)
+        assert obj["error"] == "TooLarge"
+        assert obj["certificate"] == {"m": MAX_M + 1, "limit": MAX_M}
+
+
 class TestCensus:
     @pytest.mark.parametrize(
         "fixture,golden",
@@ -392,6 +414,10 @@ class TestCyclic:
         obj = assert_valid_json(out)
         assert obj["cyclically_5_edge_connected"] is False
         assert len(obj["violating_cut"]) == 3
+
+    def test_help_states_cost(self, capsys):
+        assert run(["cyclic", "--help"]) == 0
+        assert "O(m^2)" in capsys.readouterr().out
 
 
 class TestCheck:

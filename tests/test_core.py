@@ -41,23 +41,28 @@ from mpgraphs import (
     verify_gk,
 )
 from mpgraphs.census import ScanReport, ScanRow
+from mpgraphs.core import MAX_M
 from mpgraphs.errors import (
     InstanceTextError,
     LengthMismatch,
     NoCycle,
     NotAPermutation,
     TooFewEdges,
+    TooLarge,
     TooSmall,
 )
 
 from .conftest import (
     FIXTURE_DIR,
     all_instances,
+    cyclic_components_after,
     cyclic_cut_by_counting,
+    cyclic_cut_by_subsets,
     girth_by_cycle_enumeration,
     instance_to_networkx,
     instances,
     is_petersen_by_isomorphism,
+    seeded_instances,
 )
 
 
@@ -119,6 +124,24 @@ class TestTextFormat:
     def test_truncated(self):
         with pytest.raises(InstanceTextError):
             parse_instance("5 0 1 2")
+
+    @pytest.mark.parametrize(
+        "text, m",
+        [
+            (f"{MAX_M + 1}", MAX_M + 1),
+            (f"{10**11} 0 1 2", 10**11),
+            (f"3 0 1 2\n{MAX_M + 1} 0 1 2", MAX_M + 1),
+        ],
+    )
+    def test_declared_m_above_limit(self, text, m):
+        with pytest.raises(TooLarge) as exc:
+            parse_instances(text)
+        assert exc.value.certificate == {"m": m, "limit": MAX_M}
+
+    def test_declared_m_at_limit_is_read(self):
+        # MAX_M itself passes the size check and fails as truncated
+        with pytest.raises(InstanceTextError):
+            parse_instances(f"{MAX_M} 0 1 2")
 
 
 class TestFriend:
@@ -289,21 +312,7 @@ class TestCyclicConnectivity:
         cut = find_cyclic_cut(PRISM)
         assert cut is not None and len(cut) == 3
         # independent check: removing the cut leaves >= 2 cyclic components
-        g = instance_to_networkx(PRISM)
-        removed = {("A", i): (i, (i + 1) % 3) for i in range(3)}
-        removed.update({("A'", i): (3 + i, 3 + (i + 1) % 3) for i in range(3)})
-        removed.update({("M", i): (i, 3 + PRISM.sigma[i]) for i in range(3)})
-        for e in cut:
-            u, v = removed[e]
-            g.remove_edge(u, v)
-        import networkx as nx
-
-        cyclic = sum(
-            1
-            for comp in nx.connected_components(g)
-            if g.subgraph(comp).number_of_edges() >= len(comp)
-        )
-        assert cyclic >= 2
+        assert len(cyclic_components_after(PRISM, cut)) >= 2
 
     def test_gk2_not_cyclically_5_connected(self, gk2):
         assert not is_cyclically_5_edge_connected(gk2.graph)
@@ -336,6 +345,57 @@ class TestCyclicConnectivity:
         cut = find_cyclic_cut(G)
         assert (cut is not None) == has_cut
         assert cut == cyclic_cut_by_counting(G)
+
+    def test_same_cut_as_subsets_exhaustively(self):
+        for m in (3, 4, 5, 6):
+            for G in all_instances(m):
+                assert find_cyclic_cut(G) == cyclic_cut_by_subsets(G), G
+
+    @pytest.mark.parametrize("m", [7, 8, 9, 10, 11, 12])
+    def test_same_cut_as_subsets_on_seeded_instances(self, m):
+        # seeds 1 and 3 drawn freely, seeds 2 and 4 4-cycle-free
+        for G in seeded_instances(m):
+            assert find_cyclic_cut(G) == cyclic_cut_by_subsets(G), G
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_same_cut_as_subsets_on_gk(self, k):
+        G = generate_gk(k).graph
+        assert find_cyclic_cut(G) == cyclic_cut_by_subsets(G)
+
+    def test_identity_at_m_1000(self):
+        # every arc is its own image, so the least cut cuts off {1, 2} and
+        # {1', 2'}; the subset search would first try all ~4.5 * 10^9 sets
+        # of at most 3 edges
+        G = validate(1000, range(1000))
+        cut = find_cyclic_cut(G)
+        assert cut == (("A", 0), ("A", 2), ("A'", 0), ("A'", 2))
+        assert sorted(len(c) for c in cyclic_components_after(G, cut)) == [4, 1996]
+
+    def test_doubling_at_m_1001_has_no_cut(self):
+        # sigma(i) = 2i mod 1001.  An arc of L <= m/2 indices maps to L
+        # values 2 apart, which leave a gap after each, so it is never an
+        # A'-arc; a longer arc has such a short one as its complement, with
+        # the same four cut edges.  So no cut, and m >= 5 rules out the
+        # matching.
+        G = validate(1001, [2 * i % 1001 for i in range(1001)])
+        assert find_cyclic_cut(G) is None
+
+    @given(instances(5, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_matched_4_cycles_are_arc_cuts(self, G):
+        # m >= 5: a matched 4-cycle (i, i+1) is an A-arc P = {i, i+1}
+        # whose image is an A'-arc, so its four boundary edges leave two
+        # cyclic components, one of them P + sigma(P).  A cyclically
+        # 5-edge-connected instance is therefore 4-cycle-free, and every
+        # edge meets the corollary's hypothesis that each matched 4-cycle
+        # contains it.
+        m = G.m
+        for c in enumerate_m_c4(G):
+            w = G.sigma[c.i] if (G.sigma[c.j] - G.sigma[c.i]) % m == 1 else G.sigma[c.j]
+            cut = (("A", (c.i - 1) % m), ("A", c.j), ("A'", (w - 1) % m), ("A'", (w + 1) % m))
+            assert sorted(len(p) for p in cyclic_components_after(G, cut)) == [4, 2 * m - 4]
+        if is_cyclically_5_edge_connected(G):
+            assert enumerate_m_c4(G) == []
 
 
 # One sample of each immutable value type, with its repr as the library has
