@@ -9,7 +9,13 @@ witness engine is checked against.)  What makes it fast is that a
 only 10 of the 120 patterns certify; the search walks the index triples
 x0 < x1 < x2 and, from a per-position rank table ``below``, rules out each
 triple that no x3 < x4 after it can complete to one of those 10 before
-slicing anything, then lists the completions of the rest.
+slicing anything, and yields each of the rest as a block: the triple and
+the sorted slices of later indices open to x3 and to x4.
+
+Three consumers read the blocks.  enumerate_m_p10 lists the witnesses,
+in O(witnesses) memory.  check_zhang and check_lower_bound count them
+and count_per_edge tallies them per edge, in O(m^2) memory, without
+listing any.  census_report lists and tallies in the same pass.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from bisect import bisect
-from typing import NamedTuple, Sequence
+from bisect import bisect, bisect_left
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     MAX_M,
@@ -43,8 +49,13 @@ from .witness import PetersenWitness, _find_p10_through
 MAX_ATTEMPTS = 100000  # default cap on rejection draws, here and in `mpg random`
 
 
-def _petersen_search(sigma: tuple[int, ...]) -> list[PetersenWitness]:
-    """Every Petersen 5-subset, in lexicographic order.
+def _petersen_blocks(
+    sigma: tuple[int, ...],
+) -> Iterator[tuple[int, int, int, list[int], list[int]]]:
+    """Every triple that some Petersen 5-subset extends, in lexicographic
+    order, as a block ``(x0, x1, x2, x3s, x4s)``: the witnesses extending
+    x0 < x1 < x2 are (x0, x1, x2, x3, x4) for x3 in x3s and x4 in x4s with
+    x3 < x4, and both slices are sorted.
 
     x0 < x1 < x2 run over all triples.  In cyclic value order a Petersen
     pattern reads x0, x3, x1, x4, x2 or its reverse, so sigma[x3] must sit
@@ -52,13 +63,14 @@ def _petersen_search(sigma: tuple[int, ...]) -> list[PetersenWitness]:
     from s1 to s2 that avoids s0, and every x3 < x4 after x2 with values on
     those arcs completes a witness.  The indices after x2 with values on an
     arc are one slice of ring[x2], and below[x2] gives the slice's bounds.
+    The two arcs are disjoint, so no index is in both slices.
 
     A triple is dropped at the first of three tests it fails: its x4 arc
     is empty (two lookups in below[x2]), its x3 arc is empty (two more, and
     equal bounds), or no x3 precedes an x4 (min of the x3 slice above max
     of the x4 slice).  Only triples that pass the first two are sliced, and
-    only those that pass all three are sorted and listed, at O(1) per
-    witness.
+    only those that pass all three are sorted and yielded.  The tables take
+    O(m^2) time and memory, and the walk holds one block at a time.
     """
     m = len(sigma)
     inv = [0] * m
@@ -73,7 +85,6 @@ def _petersen_search(sigma: tuple[int, ...]) -> list[PetersenWitness]:
         below.append(prev[: s + 1] + [c + 1 for c in prev[s + 1 :]])
     below.reverse()
     ring = [[q for q in inv if q > p] * 2 for p in range(m)]
-    out: list[PetersenWitness] = []
     for x0 in range(m):
         s0 = sigma[x0]
         for x1 in range(x0 + 1, m - 3):
@@ -102,8 +113,39 @@ def _petersen_search(sigma: tuple[int, ...]) -> list[PetersenWitness]:
                     continue
                 x4s.sort()
                 x3s.sort()
-                out += [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s[bisect(x4s, x3):]]
-    return out
+                yield x0, x1, x2, x3s, x4s
+
+
+def _count(sigma: tuple[int, ...]) -> int:
+    """The number of Petersen 5-subsets, read off the blocks without
+    listing them: each x3 completes one witness per later x4."""
+    return sum(
+        len(x4s) - bisect(x4s, x3) for _, _, _, x3s, x4s in _petersen_blocks(sigma) for x3 in x3s
+    )
+
+
+def _tally(sigma: tuple[int, ...], out: list[PetersenWitness] | None = None) -> list[int]:
+    """Per-edge witness counts from one pass over the blocks, in O(1) per
+    slice entry: x0, x1 and x2 lie in all n witnesses of their block, an
+    x3 in one per later x4 and an x4 in one per earlier x3.  The slices are
+    disjoint, so bisect_left counts the x3s strictly before an x4.  When
+    ``out`` is a list, the block's witnesses are appended to it too."""
+    counts = [0] * len(sigma)
+    for x0, x1, x2, x3s, x4s in _petersen_blocks(sigma):
+        k = len(x4s)
+        n = 0
+        for x3 in x3s:
+            c = k - bisect(x4s, x3)
+            counts[x3] += c
+            n += c
+        for x4 in x4s:
+            counts[x4] += bisect_left(x3s, x4)
+        counts[x0] += n
+        counts[x1] += n
+        counts[x2] += n
+        if out is not None:
+            out += [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s[bisect(x4s, x3):]]
+    return counts
 
 
 def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWitness]:
@@ -118,7 +160,8 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
     when none lies where it needs x3.  Only a triple with some x3 before
     some x4 has its two slices of later indices sorted, and each witness
     then costs O(1); brute force costs C(m,5) subset checks whatever the
-    answer.
+    answer.  The list takes O(witnesses) memory, up to C(m,5); to count,
+    use check_zhang or count_per_edge, which take O(m^2).
 
     The search always runs in this process.  ``jobs`` changes nothing; it
     is kept, with jobs < 1 raising InvalidJobs, only because the census
@@ -127,13 +170,22 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
     """
     if jobs < 1:
         raise InvalidJobs(f"jobs must be at least 1, got {jobs}", jobs=jobs)
-    return _petersen_search(G.sigma)
+    return [
+        (x0, x1, x2, x3, x4)
+        for x0, x1, x2, x3s, x4s in _petersen_blocks(G.sigma)
+        for x3 in x3s
+        for x4 in x4s[bisect(x4s, x3):]
+    ]
 
 
 def count_per_edge(G: MarkedPermutationGraph, witnesses: Sequence[PetersenWitness] | None = None) -> list[int]:
-    """witnesses-containing count per A-index; sums to 5x the census size."""
+    """witnesses-containing count per A-index; sums to 5x the census size.
+
+    Without ``witnesses`` the counts are tallied from the census blocks in
+    O(m^2) memory, and no witness is listed; with them, each witness adds
+    one to each of its five edges."""
     if witnesses is None:
-        witnesses = enumerate_m_p10(G)
+        return _tally(G.sigma)
     counts = [0] * G.m
     for X in witnesses:
         for x in X:
@@ -158,9 +210,14 @@ def check_zhang(
     G: MarkedPermutationGraph,
     witnesses: Sequence[PetersenWitness] | None = None,
 ) -> ZhangVerdict:
-    """Every instance has two matched 4-cycles or a Petersen subdivision."""
+    """Every instance has two matched 4-cycles or a Petersen subdivision.
+
+    Without ``witnesses`` the census is counted from its blocks and never
+    listed, in O(m^2) memory and no more time than the listing: m = 150
+    (50,664,590 witnesses) takes seconds, where the list would take
+    gigabytes."""
     c4 = len(enumerate_m_c4(G))
-    p10 = len(enumerate_m_p10(G) if witnesses is None else witnesses)
+    p10 = _count(G.sigma) if witnesses is None else len(witnesses)
     return ZhangVerdict(ok=(c4 >= 2 or p10 >= 1), c4_count=c4, p10_count=p10)
 
 
@@ -179,9 +236,12 @@ def check_lower_bound(
     witnesses: Sequence[PetersenWitness] | None = None,
 ) -> LowerBoundVerdict:
     """On 4-cycle-free instances with at least 40 vertices, the census must
-    reach n/2 - 4 = m - 4."""
+    reach n/2 - 4 = m - 4.
+
+    Without ``witnesses`` the census is counted in O(m^2) memory and never
+    listed, as in check_zhang."""
     applicable = G.n >= 40 and not enumerate_m_c4(G)
-    p10 = len(enumerate_m_p10(G) if witnesses is None else witnesses)
+    p10 = _count(G.sigma) if witnesses is None else len(witnesses)
     required = G.m - 4
     return LowerBoundVerdict(
         applicable=applicable,
@@ -299,10 +359,12 @@ class CensusReport(NamedTuple):
 
 def census_report(G: MarkedPermutationGraph) -> CensusReport:
     """Full ground-truth report: all matched 4-cycles, all witnesses,
-    per-edge counts, and the standing theorem flags."""
+    per-edge counts, and the standing theorem flags.  The witnesses and
+    the per-edge counts come from one pass over the census blocks."""
     c4s = tuple(enumerate_m_c4(G))
-    wits = tuple(enumerate_m_p10(G))
-    per_edge = tuple(count_per_edge(G, wits))
+    listed: list[PetersenWitness] = []
+    per_edge = tuple(_tally(G.sigma, listed))
+    wits = tuple(listed)
     zh = check_zhang(G, wits)
     lb = check_lower_bound(G, wits)
     return CensusReport(

@@ -13,6 +13,7 @@ fails, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import chain
@@ -111,7 +112,9 @@ def _load_instance(path: str, stdin: IO[str]) -> MarkedPermutationGraph:
         return parse_instance(fh.read())
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The mpg parser, built on the first call and shared after that."""
     parser = argparse.ArgumentParser(
         prog="mpg",
         description="Marked permutation graphs: censuses, Petersen witnesses, drawings.",
@@ -178,6 +181,14 @@ def run(
     stdout: IO[str] | None = None,
     stderr: IO[str] | None = None,
 ) -> int:
+    """Run one mpg command and return its exit code.
+
+    The parser is built on the first call in a process, not at import,
+    and reused by every later call.  Sharing it is safe: parse_args reads
+    the parser and writes only to the namespace it returns, and it looks up
+    sys.stdout and sys.stderr for help and usage messages when it prints
+    them, not when the parser is built.
+    """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr

@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's own algorithms: girth is
 re-derived by exhaustive simple-cycle enumeration, Petersen recognition by
 a networkx isomorphism test against the reference graph, P4-freeness
 by twin elimination, crossing rows by a pair loop, the first induced P4 by
-a scan over 4-subsets, the cyclic cut by a search over every set of at
-most 4 edges (with a union-find pass, or a count of vertices and edges per
-component, for each), the replace lemma by a scan over 4-sets, and the
+a scan over 4-subsets, the number of induced P4s by counting the ends of
+each middle edge on bitmasks, the cyclic cut by a search over every set
+of at most 4 edges (with a union-find pass, or a count of vertices and
+edges per component, for each), the replace lemma by a scan over 4-sets,
+and the
 census by the triple walk that takes three bisects and a slice for every
 triple.
 """
@@ -169,6 +171,28 @@ def first_p4_by_quads(H):
         if p is not None:
             return p
     return None
+
+
+def induced_p4_count_by_bitmask(H) -> int:
+    """The number of 4-subsets of H.vertices that induce a path, read off
+    the adjacency bitmasks alone.  An induced path x-y-z-w has exactly one
+    middle edge yz, and x-y-z-w is induced iff x is a neighbour of y off
+    z's closed neighbourhood, w a neighbour of z off y's, and x misses w.
+    So each edge y < z adds, over every such x, the number of such w that
+    x misses.  O(n^3) big-int steps."""
+    adj = H.adj
+    within = sum(1 << v for v in H.vertices)
+    total = 0
+    for y, z in itertools.combinations(H.vertices, 2):
+        if not adj[y] >> z & 1:
+            continue
+        ends_y = adj[y] & ~adj[z] & ~(1 << z) & within
+        ends_z = adj[z] & ~adj[y] & ~(1 << y) & within
+        while ends_y:
+            low = ends_y & -ends_y
+            ends_y ^= low
+            total += (ends_z & ~adj[low.bit_length() - 1]).bit_count()
+    return total
 
 
 def graph_edges(G) -> list:

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from mpgraphs import (
     PETERSEN,
     PRISM,
     apply_symmetry,
+    build_crossing_graph,
     census_report,
     check_lower_bound,
     check_redrawing,
@@ -32,7 +34,15 @@ from mpgraphs.census import MAX_ATTEMPTS
 from mpgraphs.core import PETERSEN_PATTERNS, _subset_is_petersen
 from mpgraphs.errors import ExhaustedAttempts, InvalidAttempts, InvalidJobs, OutOfScanRange
 
-from .conftest import all_instances, instances, petersen_by_sorted_slices, replace_by_four_sets
+from .conftest import (
+    all_instances,
+    induced_p4_count_by_bitmask,
+    induced_path_order,
+    instances,
+    petersen_by_sorted_slices,
+    replace_by_four_sets,
+    seeded_instances,
+)
 
 
 class TestEnumerateMP10:
@@ -140,6 +150,101 @@ class TestCountPerEdge:
     def test_sums_to_five_per_witness(self, G):
         wits = enumerate_m_p10(G)
         assert sum(count_per_edge(G, wits)) == 5 * len(wits)
+
+
+def per_edge_by_listing(m, witnesses):
+    """The per-edge counts by one pass over a witness list."""
+    counts = [0] * m
+    for X in witnesses:
+        for x in X:
+            counts[x] += 1
+    return counts
+
+
+def assert_per_edge_counts_induced_p4s(G):
+    # the P4 lemma: X containing a is a witness iff X - a induces a P4 in H_a
+    report = census_report(G)
+    expected = [induced_p4_count_by_bitmask(build_crossing_graph(G, a)) for a in range(G.m)]
+    assert list(report.per_edge) == expected, G
+    assert sum(report.per_edge) == 5 * report.p10_count
+
+
+class TestCensusBlocks:
+    """The three consumers of the census blocks, the listing, the count
+    and the per-edge tally, against each other and against an induced-P4
+    count in the crossing graphs."""
+
+    def test_p4_counter_counts_the_inducing_quads_exhaustively(self):
+        for m in range(3, 7):
+            for G in all_instances(m):
+                for a in range(m):
+                    H = build_crossing_graph(G, a)
+                    quads = itertools.combinations(H.vertices, 4)
+                    expected = sum(induced_path_order(H, q) is not None for q in quads)
+                    assert induced_p4_count_by_bitmask(H) == expected, (G, a)
+
+    def test_per_edge_counts_induced_p4s_exhaustively(self):
+        for m in range(3, 8):
+            for G in all_instances(m):
+                assert_per_edge_counts_induced_p4s(G)
+
+    @pytest.mark.parametrize("m", [20, 30])
+    def test_per_edge_counts_induced_p4s_on_seeded(self, m):
+        for G in seeded_instances(m):
+            assert_per_edge_counts_induced_p4s(G)
+
+    def test_tally_count_and_listing_agree_exhaustively(self):
+        for m in range(3, 9):
+            for G in all_instances(m):
+                wits = enumerate_m_p10(G)
+                expected = per_edge_by_listing(m, wits)
+                assert count_per_edge(G) == expected, G
+                assert check_zhang(G).p10_count == len(wits), G
+                report = census_report(G)
+                assert report.witnesses == tuple(wits) and list(report.per_edge) == expected, G
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_tally_count_and_listing_agree_on_gk(self, k):
+        G = generate_gk(k).graph
+        wits = enumerate_m_p10(G)
+        expected = per_edge_by_listing(G.m, wits)
+        assert count_per_edge(G) == expected
+        assert check_zhang(G).p10_count == check_lower_bound(G).p10_count == len(wits)
+        report = census_report(G)
+        assert report.witnesses == tuple(wits) and list(report.per_edge) == expected
+
+    @pytest.mark.parametrize("m", [50, 60, 80])
+    def test_tally_count_and_listing_agree_on_random(self, m):
+        G = random_instance(m, seed=2)
+        # up to ~2M witnesses at m = 80: hold one list at a time
+        wits = enumerate_m_p10(G)
+        listed = census_digest(wits)
+        expected = per_edge_by_listing(m, wits)
+        del wits
+        report = census_report(G)
+        assert census_digest(report.witnesses) == listed
+        assert list(report.per_edge) == expected
+        del report
+        assert count_per_edge(G) == expected
+        assert check_zhang(G).p10_count == check_lower_bound(G).p10_count == listed[0]
+
+    def test_checkers_count_without_listing(self):
+        G = random_instance(60, seed=1, require_c4_free=True)
+        for count in (
+            lambda: check_lower_bound(G).p10_count,
+            lambda: check_zhang(G).p10_count,
+            lambda: sum(count_per_edge(G)) // 5,
+        ):
+            tracemalloc.start()
+            try:
+                n = count()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert n == 497028
+            # the list of 497,028 witnesses alone takes ~60 MB
+            assert peak < 5_000_000
+        assert len(enumerate_m_p10(G)) == 497028
 
 
 class TestCheckZhang:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from mpgraphs import __version__
 from mpgraphs.census import MAX_ATTEMPTS, census_report, random_instance
 from mpgraphs.core import MAX_M
-from mpgraphs.cli import ROW_BLOCK, SCHEMA_VERSION, _emit_json, _is_int_rows, run
+from mpgraphs.cli import ROW_BLOCK, SCHEMA_VERSION, _build_parser, _emit_json, _is_int_rows, run
 
 from .conftest import FIXTURE_DIR, GOLDEN_DIR, REPO_ROOT
 
@@ -512,6 +513,56 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.integers(), children, max_size=4),
     max_leaves=20,
 )
+
+
+class TestParserReuse:
+    def test_one_parser_tree_per_process(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        _build_parser.cache_clear()
+        calls = [
+            ["validate", PETERSEN_TXT],
+            ["census", PETERSEN_TXT, "--json"],
+            ["check", PRISM_TXT, "--lemma", "zhang"],
+            ["no-such-command"],
+            ["census", PRISM_TXT],
+        ]
+        for argv in calls:
+            capture(argv)
+        # the top-level parser and one per subcommand, each built once
+        subcommands = next(
+            a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert len(built) == 1 + len(subcommands) == 10
+        assert built[0] == "mpg"
+
+    def test_errors_leave_no_state_behind(self, tmp_path, capsys):
+        _, instance, _ = capture(["gk", "4"])
+        path = tmp_path / "g4.txt"
+        path.write_text(instance)
+        first = capture(["census", str(path), "--json"])
+        assert capture(["census", str(path), "--no-such-flag"])[0] == 2
+        assert capture(["--version"])[0] == 0
+        assert capsys.readouterr().out == f"mpg {__version__}\n"
+        code, out, _ = capture(["check", str(path), "--lemma", "zhang", "--args", "1"])
+        assert code == 2 and json.loads(out)["error"] == "InvalidLemmaArgs"
+        again = capture(["census", str(path), "--json"])
+        assert first == again and first[0] == 0
+        fresh = subprocess.run(
+            [sys.executable, "-m", "mpgraphs", "census", str(path), "--json"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=120,
+        )
+        assert fresh.returncode == 0
+        assert again[1] == fresh.stdout
 
 
 class RecordingIO(io.StringIO):
