@@ -12,10 +12,11 @@ triple that no x3 < x4 after it can complete to one of those 10 before
 slicing anything, and yields each of the rest as a block: the triple and
 the sorted slices of later indices open to x3 and to x4.
 
-Three consumers read the blocks.  enumerate_m_p10 lists the witnesses,
-in O(witnesses) memory.  check_zhang and check_lower_bound count them
-and count_per_edge tallies them per edge, in O(m^2) memory, without
-listing any.  census_report lists and tallies in the same pass.
+_listing yields the witnesses block by block: enumerate_m_p10 lists all
+of them, in O(witnesses) memory, and check_replace keeps those through
+its two edges.  check_zhang and check_lower_bound count the blocks and
+count_per_edge tallies them per edge, in O(m^2) memory, without listing.
+census_report lists and tallies in one pass.
 """
 
 from __future__ import annotations
@@ -148,6 +149,13 @@ def _tally(sigma: tuple[int, ...], out: list[PetersenWitness] | None = None) -> 
     return counts
 
 
+def _listing(sigma: tuple[int, ...]) -> Iterator[PetersenWitness]:
+    """The Petersen 5-subsets in lexicographic order, listed one block at a
+    time, so that a caller that keeps some of them holds only those."""
+    for x0, x1, x2, x3s, x4s in _petersen_blocks(sigma):
+        yield from [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s[bisect(x4s, x3):]]
+
+
 def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWitness]:
     """All 5-subsets whose match-subgraph suppresses to the Petersen graph,
     in lexicographic order.  Empty when m < 5.
@@ -170,27 +178,14 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
     """
     if jobs < 1:
         raise InvalidJobs(f"jobs must be at least 1, got {jobs}", jobs=jobs)
-    return [
-        (x0, x1, x2, x3, x4)
-        for x0, x1, x2, x3s, x4s in _petersen_blocks(G.sigma)
-        for x3 in x3s
-        for x4 in x4s[bisect(x4s, x3):]
-    ]
+    return list(_listing(G.sigma))
 
 
-def count_per_edge(G: MarkedPermutationGraph, witnesses: Sequence[PetersenWitness] | None = None) -> list[int]:
-    """witnesses-containing count per A-index; sums to 5x the census size.
-
-    Without ``witnesses`` the counts are tallied from the census blocks in
-    O(m^2) memory, and no witness is listed; with them, each witness adds
-    one to each of its five edges."""
-    if witnesses is None:
-        return _tally(G.sigma)
-    counts = [0] * G.m
-    for X in witnesses:
-        for x in X:
-            counts[x] += 1
-    return counts
+def count_per_edge(G: MarkedPermutationGraph) -> list[int]:
+    """The number of witnesses containing each A-index; sums to 5x the
+    census size.  Tallied from the census blocks in O(m^2) memory, without
+    listing any witness."""
+    return _tally(G.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +201,17 @@ class ZhangVerdict(NamedTuple):
         return {"lemma": "zhang", **self._asdict()}
 
 
-def check_zhang(
-    G: MarkedPermutationGraph,
-    witnesses: Sequence[PetersenWitness] | None = None,
-) -> ZhangVerdict:
+def _zhang(c4_count: int, p10_count: int) -> ZhangVerdict:
+    return ZhangVerdict(ok=(c4_count >= 2 or p10_count >= 1), c4_count=c4_count, p10_count=p10_count)
+
+
+def check_zhang(G: MarkedPermutationGraph) -> ZhangVerdict:
     """Every instance has two matched 4-cycles or a Petersen subdivision.
 
-    Without ``witnesses`` the census is counted from its blocks and never
-    listed, in O(m^2) memory and no more time than the listing: m = 150
-    (50,664,590 witnesses) takes seconds, where the list would take
-    gigabytes."""
-    c4 = len(enumerate_m_c4(G))
-    p10 = _count(G.sigma) if witnesses is None else len(witnesses)
-    return ZhangVerdict(ok=(c4 >= 2 or p10 >= 1), c4_count=c4, p10_count=p10)
+    The census is counted from its blocks and never listed, in O(m^2)
+    memory and no more time than the listing: m = 150 (50,664,590
+    witnesses) takes seconds, where the list would take gigabytes."""
+    return _zhang(len(enumerate_m_c4(G)), _count(G.sigma))
 
 
 class LowerBoundVerdict(NamedTuple):
@@ -231,24 +224,24 @@ class LowerBoundVerdict(NamedTuple):
         return {"lemma": "lower", **self._asdict()}
 
 
-def check_lower_bound(
-    G: MarkedPermutationGraph,
-    witnesses: Sequence[PetersenWitness] | None = None,
-) -> LowerBoundVerdict:
-    """On 4-cycle-free instances with at least 40 vertices, the census must
-    reach n/2 - 4 = m - 4.
-
-    Without ``witnesses`` the census is counted in O(m^2) memory and never
-    listed, as in check_zhang."""
-    applicable = G.n >= 40 and not enumerate_m_c4(G)
-    p10 = _count(G.sigma) if witnesses is None else len(witnesses)
+def _lower_bound(G: MarkedPermutationGraph, c4_count: int, p10_count: int) -> LowerBoundVerdict:
+    applicable = G.n >= 40 and c4_count == 0
     required = G.m - 4
     return LowerBoundVerdict(
         applicable=applicable,
-        ok=(not applicable) or p10 >= required,
-        p10_count=p10,
+        ok=(not applicable) or p10_count >= required,
+        p10_count=p10_count,
         required=required,
     )
+
+
+def check_lower_bound(G: MarkedPermutationGraph) -> LowerBoundVerdict:
+    """On 4-cycle-free instances with at least 40 vertices, the census must
+    reach n/2 - 4 = m - 4.
+
+    The census is counted in O(m^2) memory and never listed, as in
+    check_zhang."""
+    return _lower_bound(G, len(enumerate_m_c4(G)), _count(G.sigma))
 
 
 class ReplaceVerdict(NamedTuple):
@@ -271,14 +264,17 @@ def check_replace(
     interchangeable inside witnesses: for every 4-set F avoiding both,
     F+{a} certifies iff F+{b} does; else the lexicographically first F
     that fails is the counterexample.  With no witness through both, F+{a}
-    certifies iff F = X-{a} for a witness X, so this costs one census plus
-    one pass over it; ``witnesses``, when given, must be G's census."""
+    certifies iff F = X-{a} for a witness X, so one walk of the census
+    keeps only the witnesses through a or b, in O(m^2 + those) memory.
+    ``witnesses``, when given, is read in place of G's census: it lets one
+    census serve many pairs, and the tests reach the counterexample branch,
+    which no true census reaches, through a doctored list."""
     _check_index(G, a)
     _check_index(G, b)
     if a == b:
         raise IndicesNotDistinct("edges must be distinct", a=a, b=b)
     if witnesses is None:
-        witnesses = enumerate_m_p10(G)
+        witnesses = [X for X in _listing(G.sigma) if a in X or b in X]
     if any(a in X and b in X for X in witnesses):
         return ReplaceVerdict(ok=True, branch="shared_witness", counterexample=None)
     with_a = {tuple(x for x in X if x != a) for X in witnesses if a in X}
@@ -365,8 +361,8 @@ def census_report(G: MarkedPermutationGraph) -> CensusReport:
     listed: list[PetersenWitness] = []
     per_edge = tuple(_tally(G.sigma, listed))
     wits = tuple(listed)
-    zh = check_zhang(G, wits)
-    lb = check_lower_bound(G, wits)
+    zh = _zhang(len(c4s), len(wits))
+    lb = _lower_bound(G, len(c4s), len(wits))
     return CensusReport(
         instance_id=G.to_text(),
         m=G.m,

@@ -7,7 +7,7 @@ possible.  It is streamed to stdout in pieces, never built as one string,
 and its bytes equal ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
 newline; lists of int rows, such as the census witness list, are formatted
 a block of rows at a time.  Exit codes: 0 ok / verdict holds, 1 verdict
-fails, 2 usage or input error.
+fails, 2 usage or input error, or out of memory.
 """
 
 from __future__ import annotations
@@ -207,8 +207,9 @@ def run(
     except MpgError as exc:
         _emit_json(exc.to_json_dict(), stdout)
         return 2
-    except OSError as exc:
-        stderr.write(f"error: {exc}\n")
+    except (OSError, MemoryError) as exc:
+        # a MemoryError usually carries no message; exit 1 would read as a refuted lemma
+        stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
 
 
@@ -220,15 +221,16 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
 
     if args.command == "census":
         G = _load_instance(args.file, stdin)
-        report = census_report(G)
         if args.json:
-            _emit_json(report.to_json_dict(), stdout)
+            _emit_json(census_report(G).to_json_dict(), stdout)
         else:
+            # the four lines need counts only, so the census is not listed
+            zh = check_zhang(G)
             stdout.write(
-                f"instance: {report.instance_id}\n"
-                f"c4_count: {report.c4_count}\n"
-                f"p10_count: {report.p10_count}\n"
-                f"zhang_ok: {report.zhang_ok}\n"
+                f"instance: {G.to_text()}\n"
+                f"c4_count: {zh.c4_count}\n"
+                f"p10_count: {zh.p10_count}\n"
+                f"zhang_ok: {zh.ok}\n"
             )
         return 0
 

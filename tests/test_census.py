@@ -148,8 +148,7 @@ class TestCountPerEdge:
     @given(instances(3, 8))
     @settings(max_examples=60, deadline=None)
     def test_sums_to_five_per_witness(self, G):
-        wits = enumerate_m_p10(G)
-        assert sum(count_per_edge(G, wits)) == 5 * len(wits)
+        assert sum(count_per_edge(G)) == 5 * len(enumerate_m_p10(G))
 
 
 def per_edge_by_listing(m, witnesses):
@@ -320,6 +319,40 @@ class TestCheckReplace:
                     reached += 1
         assert reached > 0
 
+    def test_own_walk_agrees_with_the_given_census(self):
+        # without a list, only the witnesses through a or b are kept; the
+        # G_k vertical pairs take the swap branch, the seeded pairs the
+        # shared-witness branch
+        branches = set()
+        cases = []
+        for k in range(1, 11):
+            inst = generate_gk(k)
+            verticals = inst.classification_json()["vertical"]
+            cases.append((inst.graph, list(itertools.permutations(verticals, 2))))
+        for m in range(20, 61, 10):
+            for G in seeded_instances(m)[:2]:
+                cases.append((G, [(0, 1), (m - 1, 0), (2, m // 2)]))
+        for G, pairs in cases:
+            census = enumerate_m_p10(G)
+            for a, b in pairs:
+                verdict = check_replace(G, a, b)
+                assert verdict == check_replace(G, a, b, witnesses=census), (G, a, b)
+                branches.add(verdict.branch)
+        assert branches == {"shared_witness", "swap_equivalent"}
+
+    def test_holds_only_the_witnesses_through_its_edges(self):
+        G = random_instance(60, seed=1, require_c4_free=True)
+        tracemalloc.start()
+        try:
+            verdict = check_replace(G, 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.ok and verdict.branch == "shared_witness"
+        # the list of all 497,028 witnesses takes ~44 MB here; those
+        # through edge 0 or 1 take ~7 MB
+        assert peak < 15_000_000
+
 
 class TestCheckRedrawing:
     def test_petersen(self):
@@ -442,6 +475,21 @@ class TestCensusReport:
     def test_prism_report(self):
         r = census_report(PRISM)
         assert r.c4_count == 3 and r.p10_count == 0 and r.zhang_ok
+
+    def test_flags_are_the_checkers_verdicts(self):
+        # every instance with m <= 8, where the lower bound never applies,
+        # and G_k and seeded instances with m >= 20, where it can
+        cases = [G for m in range(3, 9) for G in all_instances(m)]
+        cases += [generate_gk(k).graph for k in range(1, 13)]
+        cases += seeded_instances(20) + seeded_instances(30)
+        applicable = 0
+        for G in cases:
+            r = census_report(G)
+            lb = check_lower_bound(G)
+            assert r.zhang_ok == check_zhang(G).ok, G
+            assert (r.lower_bound_applicable, r.lower_bound_ok) == (lb.applicable, lb.ok), G
+            applicable += lb.applicable
+        assert applicable > 0
 
     def test_package_attribute_is_the_module(self):
         import mpgraphs

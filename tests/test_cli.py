@@ -1,10 +1,12 @@
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -128,6 +130,49 @@ class TestCensus:
         code, out, _ = capture(["census", PRISM_TXT])
         assert code == 0
         assert "c4_count: 3" in out and "p10_count: 0" in out
+
+    def test_plain_output_matches_json(self):
+        texts = [
+            f"{m} " + " ".join(map(str, sigma)) + "\n"
+            for m in range(3, 8)
+            for sigma in itertools.permutations(range(m))
+        ]
+        texts += [capture(["gk", str(k)])[1] for k in range(1, 13)]
+        for text in texts:
+            code, out, _ = capture(["census", "-"], stdin_text=text)
+            assert code == 0, text
+            code, body, _ = capture(["census", "-", "--json"], stdin_text=text)
+            assert code == 0, text
+            obj = json.loads(body)
+            assert out == (
+                f"instance: {obj['instance']}\n"
+                f"c4_count: {obj['c4_count']}\n"
+                f"p10_count: {obj['p10_count']}\n"
+                f"zhang_ok: {obj['zhang_ok']}\n"
+            ), text
+
+    def test_plain_output_counts_without_listing(self):
+        _, instance, _ = capture(["random", "60", "--seed", "1", "--c4-free"])
+        tracemalloc.start()
+        try:
+            code, out, _ = capture(["census", "-"], stdin_text=instance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "p10_count: 497028\n" in out
+        # the list of 497,028 witnesses alone takes ~44 MB here
+        assert peak < 5_000_000
+
+    def test_out_of_memory_exit_2(self, monkeypatch):
+        # exit 1 means a verdict fails, so a census too large to hold must
+        # not end with it
+        def exhausted(G):
+            raise MemoryError
+
+        monkeypatch.setattr("mpgraphs.cli.census_report", exhausted)
+        code, out, err = capture(["census", PETERSEN_TXT, "--json"])
+        assert code == 2 and out == ""
+        assert err == "error: out of memory\n"
 
     def test_large_census_pinned(self):
         # 497,028 witnesses, ~30 MB of JSON; the digest was recorded from
