@@ -12,11 +12,11 @@ triple that no x3 < x4 after it can complete to one of those 10 before
 slicing anything, and yields each of the rest as a block: the triple and
 the sorted slices of later indices open to x3 and to x4.
 
-_listing yields the witnesses block by block: enumerate_m_p10 lists all
-of them, in O(witnesses) memory, and check_replace keeps those through
-its two edges.  check_zhang and check_lower_bound count the blocks and
-count_per_edge tallies them per edge, in O(m^2) memory, without listing.
-census_report lists and tallies in one pass.
+enumerate_m_p10 lists every block's witnesses, in O(witnesses) memory,
+and check_replace lists only those of the blocks through its two edges.
+check_zhang and check_lower_bound count the blocks and count_per_edge
+tallies them per edge, in O(m^2) memory, without listing.  census_report
+lists and tallies in one pass.
 """
 
 from __future__ import annotations
@@ -149,13 +149,6 @@ def _tally(sigma: tuple[int, ...], out: list[PetersenWitness] | None = None) -> 
     return counts
 
 
-def _listing(sigma: tuple[int, ...]) -> Iterator[PetersenWitness]:
-    """The Petersen 5-subsets in lexicographic order, listed one block at a
-    time, so that a caller that keeps some of them holds only those."""
-    for x0, x1, x2, x3s, x4s in _petersen_blocks(sigma):
-        yield from [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s[bisect(x4s, x3):]]
-
-
 def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWitness]:
     """All 5-subsets whose match-subgraph suppresses to the Petersen graph,
     in lexicographic order.  Empty when m < 5.
@@ -178,7 +171,12 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
     """
     if jobs < 1:
         raise InvalidJobs(f"jobs must be at least 1, got {jobs}", jobs=jobs)
-    return list(_listing(G.sigma))
+    return [
+        (x0, x1, x2, x3, x4)
+        for x0, x1, x2, x3s, x4s in _petersen_blocks(G.sigma)
+        for x3 in x3s
+        for x4 in x4s[bisect(x4s, x3):]
+    ]
 
 
 def count_per_edge(G: MarkedPermutationGraph) -> list[int]:
@@ -266,6 +264,8 @@ def check_replace(
     that fails is the counterexample.  With no witness through both, F+{a}
     certifies iff F = X-{a} for a witness X, so one walk of the census
     keeps only the witnesses through a or b, in O(m^2 + those) memory.
+    It expands only the blocks that hold a or b, and stops at the first
+    block whose x0, its witnesses' least index, is above both.
     ``witnesses``, when given, is read in place of G's census: it lets one
     census serve many pairs, and the tests reach the counterexample branch,
     which no true census reaches, through a doctored list."""
@@ -274,7 +274,13 @@ def check_replace(
     if a == b:
         raise IndicesNotDistinct("edges must be distinct", a=a, b=b)
     if witnesses is None:
-        witnesses = [X for X in _listing(G.sigma) if a in X or b in X]
+        witnesses = []
+        for x0, x1, x2, x3s, x4s in _petersen_blocks(G.sigma):
+            if x0 > max(a, b):
+                break
+            if not {a, b}.isdisjoint((x0, x1, x2, *x3s, *x4s)):
+                block = [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s[bisect(x4s, x3):]]
+                witnesses += [X for X in block if a in X or b in X]
     if any(a in X and b in X for X in witnesses):
         return ReplaceVerdict(ok=True, branch="shared_witness", counterexample=None)
     with_a = {tuple(x for x in X if x != a) for X in witnesses if a in X}

@@ -35,7 +35,7 @@ class NotAPermutation(MpgError):
 
 
 class TooSmall(MpgError):
-    """Half-order below the minimum (m >= 3; reductions need m >= 4)."""
+    """Half-order below the minimum m >= 3."""
 
 
 class LengthMismatch(MpgError):
@@ -63,7 +63,8 @@ class NotAnInducedP4(MpgError):
 
 
 class NotAC4ThroughE(MpgError):
-    """The designated pair is not a matched 4-cycle through the given edge."""
+    """A replayed C4Reduce step names no matched-4-cycle partner of the
+    current anchor."""
 
 
 class PreconditionViolated(MpgError):

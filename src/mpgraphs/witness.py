@@ -1,28 +1,39 @@
 """Constructive extraction of a Petersen subdivision through a matching edge.
 
-Given an edge contained in every matched 4-cycle, the engine repeats one
-of two moves until a certificate appears:
+Given an edge e in every matched 4-cycle, the paper deletes a matched
+4-cycle through e and suppresses its ends until none is left; then the
+crossing graph at e has an induced P4, and e plus the path is the witness.
 
-* a matched 4-cycle through the edge is removed and its degree-2 ends
-  suppressed (``c4_reduce``);
-* otherwise the crossing graph at the edge has an induced P4, and the
-  anchor plus the path vertices are the witness (``p10_from_p4``).
+The engine builds no reduced instance.  Each deletion removes a partner
+of e, an A-neighbour of e whose value is next to sigma[e], so four counts
+are the whole state (_Peel): the partners peeled left and right of e on
+the A-row, and below and above sigma[e].  Each is recorded as C4Reduce(z),
+z its current index, i.e. its rank among the survivors.  Then one crossing
+graph, H_e of G, is searched for its first induced P4 among the survivors
+only, which is the P4 the reduced instance gives, by four steps:
 
-The second move cannot fail, by this lemma: a 5-subset X containing a is a
-Petersen witness iff X - a induces a P4 in the crossing graph H_a.  Both
-sides depend only on the rank pattern of sigma on X and on a's place in
-it, so the 600 cases at m = 5, checked in the tests, prove it for every m.
-The paper's theorem gives every 4-cycle-free state a witness through its
-anchor, hence an induced P4 in H_a; a P4-free one would refute the theorem
-and raises InternalInvariantViolated.
+1. X containing a is a witness iff X - a induces a P4 in H_a.  Both sides
+   depend only on the rank pattern of sigma on X and a's place in it, so
+   the 600 cases at m = 5, checked in the tests, prove it for every m.
+2. A partner z of a is next to a on both rows of the drawing anchored at
+   a, so it crosses every other segment or none: it is isolated or
+   universal in H_a and lies in no induced P4, so in no witness through a.
+3. Deleting z keeps the survivors' order on both rows, read from a, so
+   the reduced crossing graph is H_a - z relabelled monotonically; after
+   the peel, it is H_e on the survivors.
+4. find_induced_p4 returns the lexicographically least induced P4,
+   oriented from its smaller end, and a monotone relabelling keeps both.
 
-Each reduction records an index map, so the witness found downstream lifts
-to the original instance, where it is re-verified before being returned.
+The witness is certified in G.  The paper's theorem gives every
+4-cycle-free state a witness through its anchor, hence an induced P4; a
+P4-free one would refute it and raises InternalInvariantViolated.
+replay_trace re-runs the same peel on the same survivors' graph.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from bisect import bisect_left
+from typing import NamedTuple, Sequence, Union
 
 from .cograph import InducedPath4, find_induced_p4
 from .core import (
@@ -31,7 +42,6 @@ from .core import (
     _check_index,
     _subset_is_petersen,
     enumerate_m_c4,
-    validate,
 )
 from .crossing import CrossingGraph, build_crossing_graph
 from .errors import (
@@ -39,7 +49,6 @@ from .errors import (
     NotAC4ThroughE,
     NotAnInducedP4,
     PreconditionViolated,
-    TooSmall,
 )
 
 PetersenWitness = tuple[int, int, int, int, int]
@@ -65,7 +74,8 @@ TraceStep = Union[C4ReduceStep, P4FoundStep]
 
 class ReductionTrace(NamedTuple):
     """The proof steps behind a witness.  Each step's indices refer to the
-    instance current at that point of a replay; the last step is P4Found."""
+    instance reduced by the C4Reduce steps before it, the survivors ranked
+    in ascending order; the last step is P4Found."""
 
     steps: tuple[TraceStep, ...]
 
@@ -108,56 +118,53 @@ def p10_from_p4(H: CrossingGraph, p: InducedPath4) -> PetersenWitness:
     return X  # type: ignore[return-value]
 
 
-class C4Reduction(NamedTuple):
-    graph: MarkedPermutationGraph
-    index_map: tuple[int, ...]  # new A-index -> old A-index
+class _Peel(NamedTuple):
+    """The partners of e deleted so far: l and r of them left and right of
+    e on the A-row, d and u of them below and above sigma[e] in value."""
+
+    l: int = 0
+    r: int = 0
+    d: int = 0
+    u: int = 0
 
 
-def c4_reduce(G: MarkedPermutationGraph, a: int, z: int) -> C4Reduction:
-    """Remove matching edge z of the 4-cycle a,z,z',a' and suppress the two
-    degree-2 ends.  Surviving A-indices keep their cyclic order, so
-    witnesses lift through the returned index map unchanged."""
-    _check_index(G, a, "edge")
-    _check_index(G, z, "edge")
-    if G.m == 3:
-        raise TooSmall("cannot reduce below the 6-vertex instance", m=3)
+def _partners(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[int, dict[int, _Peel]]:
+    """e's current index and, by current index, each partner left after p,
+    with the peel after deleting it.  e's current A-neighbours lie just
+    outside the peeled A-interval, and a partner's value just outside the
+    peeled value interval.  At 3 edges every pair is a matched 4-cycle, so
+    no peel meeting the precondition gets there: InternalInvariantViolated."""
     m, sigma = G.m, G.sigma
-    if z not in ((a + 1) % m, (a - 1) % m) or (sigma[z] - sigma[a]) % m not in (1, m - 1):
-        raise NotAC4ThroughE(f"edges {a} and {z} do not span a matched 4-cycle", a=a, z=z)
-    survivors = [i for i in range(m) if i != z]
-    sz = sigma[z]
-    new_sigma = [sigma[i] - (1 if sigma[i] > sz else 0) for i in survivors]
-    return C4Reduction(validate(m - 1, new_sigma), tuple(survivors))
+    l, r, d, u = p
+    n = m - l - r
+    if n <= 3:
+        raise InternalInvariantViolated("the peel reached the 6-vertex base case", instance=G.to_text(), edge=e)
+    # e less the peeled indices below it: left of e down to 0, right past m - 1
+    a = e - min(l, e) - max(0, e + r + 1 - m)
+    below, above = (sigma[e] - d - 1) % m, (sigma[e] + u + 1) % m
+    partners = {}
+    s = sigma[(e - l - 1) % m]
+    if s == below or s == above:
+        partners[(a - 1) % n] = _Peel(l + 1, r, d + (s == below), u + (s == above))
+    s = sigma[(e + r + 1) % m]
+    if s == below or s == above:
+        partners[(a + 1) % n] = _Peel(l, r + 1, d + (s == below), u + (s == above))
+    return a, partners
 
 
-class _Run(NamedTuple):
-    """An engine run or replay: the current instance, the anchor's index in
-    it, its A-index -> original A-index map, the steps applied so far and,
-    after P4Found, the witness in the original instance."""
-
-    graph: MarkedPermutationGraph
-    a: int
-    to_orig: tuple[int, ...]
-    steps: tuple[TraceStep, ...] = ()
-    witness: PetersenWitness | None = None
-
-
-def _apply_step(run: _Run, step: TraceStep, H: CrossingGraph | None) -> _Run:
-    """The run after ``step``, with the step appended; H is the current
-    instance's crossing graph at the anchor, None for C4Reduce.  P4Found
-    sets the witness, lifted to the original instance.  A step of any
-    other type raises InternalInvariantViolated."""
-    cur, a, to_orig, steps, _ = run
-    if isinstance(step, C4ReduceStep):
-        graph, index_map = c4_reduce(cur, a, step.z)
-        return _Run(graph, index_map.index(a), tuple(to_orig[old] for old in index_map), steps + (step,))
-    if not isinstance(step, P4FoundStep):
-        raise InternalInvariantViolated("unknown trace step", step=repr(step))
-    if step.a != a:
-        raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
-    local = p10_from_p4(H, step.path)
-    witness = tuple(sorted(to_orig[v] for v in local))
-    return run._replace(steps=steps + (step,), witness=witness)
+def _survivor_graph(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[CrossingGraph, Sequence[int]]:
+    """H_e without the vertices p peeled, in ``vertices`` or any row, and
+    the survivors, e included, ascending: survivors[i] has current index i."""
+    m = G.m
+    H = build_crossing_graph(G, e)
+    if p.l + p.r == 0:
+        return H, range(m)
+    peeled = {(e + k) % m for k in range(-p.l, p.r + 1) if k}
+    survivors = [x for x in range(m) if x not in peeled]
+    verts = tuple(x for x in survivors if x != e)
+    keep = sum(1 << x for x in verts)
+    adj = tuple(0 if x in peeled else row & keep for x, row in enumerate(H.adj))
+    return H._replace(vertices=verts, adj=adj), survivors
 
 
 def find_p10_through(
@@ -166,13 +173,10 @@ def find_p10_through(
     """Certified Petersen subdivision through matching edge ``e``.
 
     Requires e to lie in every matched 4-cycle; otherwise
-    PreconditionViolated carries a counterexample cycle.  Each iteration
-    chooses a step and applies it, with the crossing graph it chose from,
-    by the code replay_trace uses, so the trace replays to the same
-    witness.  The returned witness is re-verified in the original
-    instance.  A 4-cycle-free state whose crossing graph at the anchor is
-    P4-free would refute the paper's theorem and raises
-    InternalInvariantViolated.
+    PreconditionViolated carries a counterexample cycle.  The peel deletes
+    the partner with the least current index first, as the chain does;
+    the trace ends with the survivors' first P4 in current indices, and
+    replays to the same witness (see the module docstring).
     """
     return _find_p10_through(G, e, enumerate_m_c4(G))
 
@@ -190,67 +194,53 @@ def _find_p10_through(
                 c4=[c4.i, c4.j],
                 edge=e,
             )
-    run = _Run(G, e, tuple(range(G.m)))
-    while run.witness is None:
-        cur, a = run.graph, run.a
-        for c4 in c4s:
-            if not c4.contains_edge(a):
-                raise InternalInvariantViolated(
-                    "a reduction step broke the every-C4-through-e invariant",
-                    instance=cur.to_text(),
-                    edge=a,
-                    c4=[c4.i, c4.j],
-                    trace=[s.to_json_dict() for s in run.steps],
-                )
-        if cur.m == 3:
-            raise InternalInvariantViolated(
-                "reached the 6-vertex base case with the precondition intact",
-                instance=cur.to_text(),
-                edge=a,
-            )
-        H = None
-        if c4s:
-            # deterministic choice: reduce the partner with smallest index
-            step = C4ReduceStep(min(c4.i if c4.j == a else c4.j for c4 in c4s))
-        else:
-            H = build_crossing_graph(cur, a)
-            p4 = find_induced_p4(H)
-            if p4 is None:
-                raise InternalInvariantViolated(
-                    "4-cycle-free state with a P4-free crossing graph at the "
-                    "anchor: a counterexample to the extraction theorem",
-                    instance=cur.to_text(),
-                    anchor=a,
-                )
-            step = P4FoundStep(a, p4)
-        run = _apply_step(run, step, H)
-        c4s = enumerate_m_c4(run.graph) if run.witness is None else []
-    witness = run.witness
-    if e not in witness or not _subset_is_petersen(G, witness):
+    p, steps = _Peel(), []
+    while partners := _partners(G, e, p)[1]:
+        z = min(partners)
+        steps.append(C4ReduceStep(z))
+        p = partners[z]
+    H, survivors = _survivor_graph(G, e, p)
+    path = find_induced_p4(H)
+    if path is None:
         raise InternalInvariantViolated(
-            "lifted witness failed re-verification in the original instance",
+            "4-cycle-free state with a P4-free crossing graph at the "
+            "anchor: a counterexample to the extraction theorem",
             instance=G.to_text(),
-            edge=e,
-            witness=list(witness),
-            trace=[s.to_json_dict() for s in run.steps],
+            anchor=e,
         )
-    return witness, ReductionTrace(run.steps)
+    witness = p10_from_p4(H, path)
+    current = [bisect_left(survivors, v) for v in (e,) + path.vertices()]
+    steps.append(P4FoundStep(current[0], InducedPath4(*current[1:])))
+    return witness, ReductionTrace(tuple(steps))
 
 
 def replay_trace(
     G: MarkedPermutationGraph, e: int, trace: ReductionTrace
 ) -> PetersenWitness:
-    """Re-apply the recorded steps from the original instance, with the
-    engine's own step code, and return the witness of the first P4Found
-    lifted to G; for a trace the engine wrote, that is the witness it
-    returned.  A recorded anchor that differs from the current one, a step
-    that is neither C4Reduce nor P4Found, or a trace without P4Found,
-    raises InternalInvariantViolated.  Only P4Found needs a crossing
-    graph."""
-    run = _Run(G, e, tuple(range(G.m)))
+    """Re-run the engine's peel by the recorded steps and return the
+    witness of the first P4Found, certified in G; for a trace the engine
+    wrote, that is the witness it returned.  A C4Reduce z that is no
+    current partner raises NotAC4ThroughE.  P4Found is checked on the
+    survivors' crossing graph: a path index naming no survivor raises
+    NotAnInducedP4, and p10_from_p4 the rest, in G's indices.  A wrong
+    anchor, a step of another type, or no P4Found raises
+    InternalInvariantViolated."""
+    p = _Peel()
     for step in trace.steps:
-        H = build_crossing_graph(run.graph, run.a) if isinstance(step, P4FoundStep) else None
-        run = _apply_step(run, step, H)
-        if run.witness is not None:
-            return run.witness
+        if isinstance(step, C4ReduceStep):
+            a, partners = _partners(G, e, p)
+            if step.z not in partners:
+                raise NotAC4ThroughE(f"edges {a} and {step.z} do not span a matched 4-cycle", a=a, z=step.z)
+            p = partners[step.z]
+        elif isinstance(step, P4FoundStep):
+            H, survivors = _survivor_graph(G, e, p)
+            a, n = bisect_left(survivors, e), len(survivors)
+            if step.a != a:
+                raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
+            path = step.path.vertices()
+            if not all(0 <= v < n for v in path):
+                raise NotAnInducedP4(f"path index outside 0..{n - 1}", path=list(path), anchor=a)
+            return p10_from_p4(H, InducedPath4(*(survivors[v] for v in path)))
+        else:
+            raise InternalInvariantViolated("unknown trace step", step=repr(step))
     raise InternalInvariantViolated("trace ended without P4Found", steps=len(trace.steps))

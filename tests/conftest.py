@@ -5,7 +5,8 @@ re-derived by exhaustive simple-cycle enumeration, Petersen recognition by
 a networkx isomorphism test against the reference graph, P4-freeness
 by twin elimination, crossing rows by a pair loop, the first induced P4 by
 a scan over 4-subsets, the number of induced P4s by counting the ends of
-each middle edge on bitmasks, the cyclic cut by a search over every set
+each middle edge on bitmasks, the witness engine by the paper's chain of
+reduced instances (c4_reduce), the cyclic cut by a search over every set
 of at most 4 edges (with a union-find pass, or a count of vertices and
 edges per component, for each), the replace lemma by a scan over 4-sets,
 and the
@@ -16,17 +17,32 @@ triple.
 from __future__ import annotations
 
 import itertools
+import random
 from bisect import bisect
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from mpgraphs import PETERSEN, PRISM, InducedPath4, SuppressedGraph, generate_gk, validate
-from mpgraphs.core import PETERSEN_PATTERNS
-from mpgraphs.witness import PetersenWitness
+from mpgraphs import (
+    PETERSEN,
+    PRISM,
+    InducedPath4,
+    MarkedPermutationGraph,
+    SuppressedGraph,
+    build_crossing_graph,
+    enumerate_m_c4,
+    find_induced_p4,
+    generate_gk,
+    p10_from_p4,
+    validate,
+)
+from mpgraphs.core import PETERSEN_PATTERNS, _check_index
+from mpgraphs.errors import NotAC4ThroughE, PreconditionViolated, TooSmall
+from mpgraphs.witness import C4ReduceStep, P4FoundStep, PetersenWitness, ReductionTrace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"
@@ -193,6 +209,76 @@ def induced_p4_count_by_bitmask(H) -> int:
             ends_y ^= low
             total += (ends_z & ~adj[low.bit_length() - 1]).bit_count()
     return total
+
+
+class C4Reduction(NamedTuple):
+    graph: MarkedPermutationGraph
+    index_map: tuple[int, ...]  # new A-index -> old A-index
+
+
+def c4_reduce(G: MarkedPermutationGraph, a: int, z: int) -> C4Reduction:
+    """Remove matching edge z of the 4-cycle a,z,z',a' and suppress the two
+    degree-2 ends.  Surviving A-indices keep their cyclic order, so
+    witnesses lift through the returned index map unchanged."""
+    _check_index(G, a, "edge")
+    _check_index(G, z, "edge")
+    if G.m == 3:
+        raise TooSmall("cannot reduce below the 6-vertex instance", m=3)
+    m, sigma = G.m, G.sigma
+    if z not in ((a + 1) % m, (a - 1) % m) or (sigma[z] - sigma[a]) % m not in (1, m - 1):
+        raise NotAC4ThroughE(f"edges {a} and {z} do not span a matched 4-cycle", a=a, z=z)
+    survivors = [i for i in range(m) if i != z]
+    sz = sigma[z]
+    new_sigma = [sigma[i] - (1 if sigma[i] > sz else 0) for i in survivors]
+    return C4Reduction(validate(m - 1, new_sigma), tuple(survivors))
+
+
+def find_p10_through_by_chain(G, e: int):
+    """find_p10_through by the paper's chain: while the current instance
+    has a matched 4-cycle, each through the anchor, c4_reduce the partner
+    with the least index and re-list the 4-cycles; then lift the first
+    induced P4 of the reduced instance's crossing graph through the index
+    maps.  Returns (witness, trace) as the engine does.  O(m) per step."""
+    c4s = enumerate_m_c4(G)
+    for c4 in c4s:
+        if not c4.contains_edge(e):
+            raise PreconditionViolated(f"matched 4-cycle ({c4.i},{c4.j}) avoids edge {e}", c4=[c4.i, c4.j], edge=e)
+    cur, a, to_orig, steps = G, e, tuple(range(G.m)), []
+    while c4s:
+        assert all(c4.contains_edge(a) for c4 in c4s), (cur, a)
+        z = min(c4.i if c4.j == a else c4.j for c4 in c4s)
+        steps.append(C4ReduceStep(z))
+        cur, index_map = c4_reduce(cur, a, z)
+        a = index_map.index(a)
+        to_orig = tuple(to_orig[old] for old in index_map)
+        c4s = enumerate_m_c4(cur)
+    H = build_crossing_graph(cur, a)
+    path = find_induced_p4(H)
+    witness = tuple(sorted(to_orig[v] for v in p10_from_p4(H, path)))
+    return witness, ReductionTrace(tuple(steps) + (P4FoundStep(a, path),))
+
+
+def long_chain_instance(m: int) -> MarkedPermutationGraph:
+    """An instance whose chain from edge a = m - 1 - k, k = m // 4, takes
+    2k C4Reduce steps: sigma(a) = 0 and, for i = 1..k, sigma(a + i) =
+    2i - 1 and sigma(a - i) = 2i, so the partners alternate right and
+    left.  The other values are shuffled by random.Random(1) and redrawn
+    until every matched 4-cycle holds a."""
+    k = m // 4
+    a = m - 1 - k
+    sigma = [0] * m
+    for i in range(1, k + 1):
+        sigma[a + i], sigma[a - i] = 2 * i - 1, 2 * i
+    rest = list(range(a - k))
+    rng = random.Random(1)
+    while True:
+        values = list(range(2 * k + 1, m))
+        rng.shuffle(values)
+        for x, v in zip(rest, values):
+            sigma[x] = v
+        G = validate(m, sigma)
+        if all(c4.contains_edge(a) for c4 in enumerate_m_c4(G)):
+            return G
 
 
 def graph_edges(G) -> list:

@@ -401,8 +401,8 @@ class TestExhaustiveScan:
 
     def test_engine_reuses_the_scan_c4_list(self, monkeypatch):
         # the scan lists each instance's 4-cycles once and hands the list to
-        # the engine, which then lists them only after each C4Reduce step:
-        # one call per engine run fewer than the public find_p10_through
+        # the engine, which lists none of its own: one call per engine run
+        # fewer than the public find_p10_through
         census_module = importlib.import_module("mpgraphs.census")
         witness_module = importlib.import_module("mpgraphs.witness")
         calls = []

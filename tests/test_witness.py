@@ -12,11 +12,11 @@ from mpgraphs import (
     InducedPath4,
     ReductionTrace,
     build_crossing_graph,
-    c4_reduce,
     enumerate_m_c4,
     enumerate_m_p10,
     find_induced_p4,
     find_p10_through,
+    generate_gk,
     is_petersen,
     p10_from_p4,
     replay_trace,
@@ -32,12 +32,21 @@ from mpgraphs.errors import (
     PreconditionViolated,
     TooSmall,
 )
-from mpgraphs.witness import C4ReduceStep, P4FoundStep
+from mpgraphs.witness import C4ReduceStep, P4FoundStep, _partners, _Peel, _survivor_graph
 
-from .conftest import all_instances, induced_path_order, instances, seeded_instances
+from .conftest import (
+    all_instances,
+    c4_reduce,
+    find_p10_through_by_chain,
+    induced_path_order,
+    instances,
+    long_chain_instance,
+    seeded_instances,
+)
 
 # The module, whose _subset_is_petersen the certification tests patch.
 witness_module = importlib.import_module("mpgraphs.witness")
+core_module = importlib.import_module("mpgraphs.core")
 
 # one matched 4-cycle (0,1); both its edges satisfy the extraction
 # precondition, so the engine must take the C4-reduction path
@@ -74,6 +83,8 @@ class TestP10FromP4:
 
 
 class TestC4Reduce:
+    """The chain oracle's reduction step, which the engine's peel replaces."""
+
     def test_identity_m4(self):
         red = c4_reduce(validate(4, [0, 1, 2, 3]), 0, 1)
         assert red.graph == validate(3, [0, 1, 2])
@@ -153,7 +164,7 @@ class TestP4Lemma:
     def test_c4_partner_is_isolated_or_universal_exhaustively(self):
         # z is next to a on both rows, so it crosses all of H_a or none of
         # it and lies in no induced P4: by the lemma no witness through a
-        # contains z, and c4_reduce, which deletes z, keeps them all
+        # contains z, and the peel, which deletes z, keeps them all
         pairs = 0
         for m in range(3, 9):
             for G in all_instances(m):
@@ -164,6 +175,83 @@ class TestP4Lemma:
                         assert H.adj[z] & others in (0, others), (G.to_text(), a, z)
                         pairs += 1
         assert pairs == 212_024 + 6 * 6  # m = 3: all 6 instances, 3 cycles each, both ends
+
+
+class TestPeelArgument:
+    """Steps 3 and 4 of the argument in the mpgraphs.witness docstring, one
+    C4 reduction at a time; step 2 is
+    TestP4Lemma::test_c4_partner_is_isolated_or_universal_exhaustively, and
+    by induction over the steps the engine equals the chain."""
+
+    def test_reduced_crossing_graph_is_the_survivors_exhaustively(self):
+        # for every C4 partner z of a qualifying edge a: the engine's
+        # partners are the 4-cycles' partners, its survivors are the
+        # chain's index map, the chain's crossing graph at a is H_a on the
+        # survivors relabelled monotonically, and so is its first induced
+        # P4, path orientation included
+        pairs = found = 0
+        for m in range(4, 8):
+            for G in all_instances(m):
+                c4s = enumerate_m_c4(G)
+                for a in _qualifying_edges(G, c4s) if c4s else ():
+                    _, partners = _partners(G, a, _Peel())
+                    assert set(partners) == {c4.i if c4.j == a else c4.j for c4 in c4s}
+                    for z, peel in partners.items():
+                        red = c4_reduce(G, a, z)
+                        H, survivors = _survivor_graph(G, a, peel)
+                        assert tuple(survivors) == red.index_map
+                        new = {v: i for i, v in enumerate(survivors)}
+                        reduced = build_crossing_graph(red.graph, new[a])
+                        assert reduced.vertices == tuple(new[v] for v in H.vertices)
+                        for v in H.vertices:
+                            row = sum(1 << new[w] for w in H.vertices if H.has_edge(v, w))
+                            assert reduced.adj[new[v]] == row, (G.to_text(), a, z, v)
+                        path = find_induced_p4(H)
+                        relabelled = None if path is None else InducedPath4(*(new[v] for v in path))
+                        assert relabelled == find_induced_p4(reduced), (G.to_text(), a, z)
+                        pairs += 1
+                        found += path is not None
+        assert (pairs, found) == (2640, 2640)
+
+    def test_engine_equals_chain_exhaustively(self):
+        # every qualifying run with m <= 8; the chain is the oracle
+        runs = chained = 0
+        for m in range(3, 9):
+            for G in all_instances(m):
+                c4s = enumerate_m_c4(G)
+                for e in _qualifying_edges(G, c4s):
+                    X, trace = find_p10_through(G, e)
+                    assert (X, trace) == find_p10_through_by_chain(G, e), (G.to_text(), e)
+                    assert replay_trace(G, e, trace) == X
+                    runs += 1
+                    chained += len(trace.steps) > 1
+        assert (runs, chained) == (46_308, 21_132)
+
+    def test_engine_equals_chain_on_gk(self):
+        # G_k has no matched 4-cycle, so this checks the run without a peel
+        for k in range(1, 11):
+            G = generate_gk(k).graph
+            for e in _qualifying_edges(G, enumerate_m_c4(G)):
+                X, trace = find_p10_through(G, e)
+                assert (X, trace) == find_p10_through_by_chain(G, e), (k, e)
+                assert replay_trace(G, e, trace) == X
+
+    @pytest.mark.parametrize("m", range(20, 101, 10))
+    def test_engine_equals_chain_on_seeded_instances_with_c4s(self, m):
+        # the first three seeds whose instance has 4-cycles and a qualifying
+        # edge, and the long chain at m, which takes at least 2(m // 4) steps
+        cases = [(long_chain_instance(m), m - 1 - m // 4)]
+        seed = 0
+        while len(cases) < 4:
+            seed += 1
+            G = random_instance(m, seed=seed)
+            c4s = enumerate_m_c4(G)
+            cases += [(G, e) for e in (_qualifying_edges(G, c4s) if c4s else ())][:1]
+        for G, e in cases:
+            X, trace = find_p10_through(G, e)
+            assert (X, trace) == find_p10_through_by_chain(G, e), (G.to_text(), e)
+            assert replay_trace(G, e, trace) == X
+        assert len(find_p10_through(*cases[0])[1].steps) > 2 * (m // 4)
 
 
 class TestFindP10Through:
@@ -238,33 +326,38 @@ class TestFindP10Through:
             find_p10_through(PETERSEN, 0)
 
     def test_final_reverification_runs_on_the_original_instance(self, monkeypatch):
-        # accept at P4Found, in the reduced instance, then reject the lifted
-        # witness in the original one
+        # after a C4Reduce step the witness is certified once, in the
+        # original instance, and a rejection there aborts the run
         calls = []
 
         def table(G, X):
             calls.append((G, X))
-            return len(calls) == 1
+            return False
 
         monkeypatch.setattr(witness_module, "_subset_is_petersen", table)
-        with pytest.raises(InternalInvariantViolated, match="failed re-verification"):
+        with pytest.raises(InternalInvariantViolated, match="did not yield a Petersen") as exc:
             find_p10_through(ONE_C4, 0)
-        assert len(calls) == 2
-        assert calls[0][0].m == 5
-        assert calls[1] == (ONE_C4, (0, 2, 3, 4, 5))
+        assert calls == [(ONE_C4, (0, 2, 3, 4, 5))]
+        assert exc.value.certificate["instance"] == ONE_C4.to_text()
 
-    @pytest.mark.parametrize(
-        "G, state",
-        [(PETERSEN, PETERSEN), (ONE_C4, c4_reduce(ONE_C4, 0, 1).graph)],
-        ids=["c4_free", "after_c4"],
-    )
-    def test_p4_free_state_is_an_invariant_violation(self, monkeypatch, G, state):
+    @pytest.mark.parametrize("G", [PETERSEN, ONE_C4], ids=["c4_free", "after_c4"])
+    def test_p4_free_state_is_an_invariant_violation(self, monkeypatch, G):
         # the lemma and the paper's theorem rule this out; the error names
-        # the 4-cycle-free state and its anchor, after any reductions
+        # the original instance and edge, from which the peel is determined
         monkeypatch.setattr(witness_module, "find_induced_p4", lambda H: None)
         with pytest.raises(InternalInvariantViolated, match="counterexample to the extraction theorem") as exc:
             find_p10_through(G, 0)
-        assert exc.value.certificate == {"instance": state.to_text(), "anchor": 0}
+        assert exc.value.certificate == {"instance": G.to_text(), "anchor": 0}
+
+    def test_peel_to_the_base_case_is_an_invariant_violation(self):
+        # no instance meeting the precondition peels down to 3 edges, where
+        # every pair is a matched 4-cycle; a replay on one that does not
+        # meet it can, and is refused with the original instance and edge
+        G = validate(4, [0, 1, 2, 3])
+        trace = ReductionTrace((C4ReduceStep(1), C4ReduceStep(1)))
+        with pytest.raises(InternalInvariantViolated, match="6-vertex base case") as exc:
+            replay_trace(G, 0, trace)
+        assert exc.value.certificate == {"instance": G.to_text(), "edge": 0}
 
     @given(instances(3, 7), st.data())
     @settings(max_examples=150, deadline=None)
@@ -314,6 +407,42 @@ class TestTraceReplay:
                 replay_trace(ONE_C4, 0, ReductionTrace(steps))
             assert exc.value.certificate == {"step": repr(foreign)}
 
+    def test_c4_reduce_of_a_non_partner_raises(self):
+        # z is checked by the engine's partner test in current indices,
+        # before and after earlier steps moved the anchor
+        G, e = long_chain_instance(20), 14
+        _, trace = find_p10_through(G, e)
+        assert trace.steps[:3] == (C4ReduceStep(15), C4ReduceStep(13), C4ReduceStep(14))
+        # the third step's anchor is 13: one peeled index, 13, lies below e
+        for prefix, z, a in ((0, 13, 14), (0, 99, 14), (2, 12, 13), (2, 15, 13)):
+            steps = trace.steps[:prefix] + (C4ReduceStep(z),) + trace.steps[prefix + 1 :]
+            with pytest.raises(NotAC4ThroughE) as exc:
+                replay_trace(G, e, ReductionTrace(steps))
+            assert exc.value.certificate == {"a": a, "z": z}
+        with pytest.raises(NotAC4ThroughE):
+            replay_trace(PETERSEN, 0, ReductionTrace((C4ReduceStep(1),) + find_p10_through(PETERSEN, 0)[1].steps))
+
+    @pytest.mark.parametrize("bad", [5, -1, 0], ids=["past_the_end", "negative", "anchor"])
+    def test_p4_found_path_outside_the_survivors_raises(self, bad):
+        # after C4Reduce(1), ONE_C4 has 5 current indices and the anchor is 0
+        _, trace = find_p10_through(ONE_C4, 0)
+        reduce, found = trace.steps
+        assert found.a == 0 and 0 not in found.path
+        path = InducedPath4(bad, *found.path[1:])
+        with pytest.raises(NotAnInducedP4):
+            replay_trace(ONE_C4, 0, ReductionTrace((reduce, P4FoundStep(0, path))))
+
+    def test_survivor_graph_drops_the_peeled_vertices(self):
+        # the peeled partner 1 of ONE_C4's edge 0 is no vertex of the
+        # graph that P4Found is checked on, so no path through it passes
+        _, partners = _partners(ONE_C4, 0, _Peel())
+        H, survivors = _survivor_graph(ONE_C4, 0, partners[1])
+        assert list(survivors) == [0, 2, 3, 4, 5] and H.vertices == (2, 3, 4, 5)
+        assert H.adj[1] == 0 and not any(row >> 1 & 1 for row in H.adj)
+        for path in itertools.permutations((1, 2, 3, 4)):
+            with pytest.raises(NotAnInducedP4, match="distinct non-anchor"):
+                p10_from_p4(H, InducedPath4(*path))
+
     def test_trace_without_p4_found_raises(self):
         _, trace = find_p10_through(ONE_C4, 1)
         for steps in ((), trace.steps[:-1]):
@@ -322,8 +451,8 @@ class TestTraceReplay:
 
 
 class TestOneCrossingGraphPerState:
-    """The engine and replay build one crossing graph per state that needs
-    one, and hand it to the step code, which builds none of its own."""
+    """The engine and replay each build one crossing graph, at the original
+    anchor, whatever the number of C4Reduce steps."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -347,18 +476,49 @@ class TestOneCrossingGraphPerState:
     def test_no_build_for_a_c4_state(self, builds):
         X, trace = find_p10_through(ONE_C4, 0)
         assert isinstance(trace.steps[0], C4ReduceStep)
-        assert [m for m, _ in builds] == [5]
+        assert builds == [(6, 0)]
         builds.clear()
         assert replay_trace(ONE_C4, 0, trace) == X
-        assert [m for m, _ in builds] == [5]
+        assert builds == [(6, 0)]
 
     def test_replay_builds_only_for_p4_found(self, builds):
         # two matched 4-cycles through edge 21: three C4Reduce steps, then
-        # one graph for the 4-cycle-free state
+        # one graph, of the original instance at edge 21
         G = random_instance(30, seed=1)
         X, trace = find_p10_through(G, 21)
         assert [type(s) for s in trace.steps] == [C4ReduceStep] * 3 + [P4FoundStep]
-        assert builds == [(27, trace.steps[-1].a)]
+        assert builds == [(30, 21)]
         builds.clear()
         assert replay_trace(G, 21, trace) == X
-        assert builds == [(27, trace.steps[-1].a)]
+        assert builds == [(30, 21)]
+
+    def test_p4_search_visits_only_the_survivors(self, monkeypatch):
+        # the long chain at m = 40 peels 20 partners; the P4 search gets
+        # the other 19 vertices, and no instance is rebuilt or re-listed
+        searched = []
+        real = witness_module.find_induced_p4
+
+        def recording(H):
+            searched.append(H)
+            return real(H)
+
+        listed = []
+
+        def listing(G):
+            listed.append(G)
+            return enumerate_m_c4(G)
+
+        def no_validate(m, sigma):
+            raise AssertionError("validate called")
+
+        monkeypatch.setattr(witness_module, "find_induced_p4", recording)
+        monkeypatch.setattr(witness_module, "enumerate_m_c4", listing)
+        monkeypatch.setattr(witness_module, "validate", no_validate, raising=False)
+        monkeypatch.setattr(core_module, "validate", no_validate)
+        G, e = long_chain_instance(40), 29
+        X, trace = find_p10_through(G, e)
+        assert len(trace.steps) == 21 and listed == [G]
+        (H,) = searched
+        peeled = set(range(19, 40)) - {e}
+        assert H.anchor == e and len(H.vertices) == 19 and peeled.isdisjoint(H.vertices)
+        assert not any(row >> v & 1 for row in H.adj for v in peeled)
