@@ -45,7 +45,7 @@ from .errors import (
     OutOfScanRange,
     TooLarge,
 )
-from .witness import PetersenWitness, _find_p10_through
+from .witness import PetersenWitness, find_p10_through
 
 MAX_ATTEMPTS = 100000  # default cap on rejection draws, here and in `mpg random`
 
@@ -429,47 +429,6 @@ def _qualifying_edges(G: MarkedPermutationGraph, c4s: Sequence[FourCycle]) -> li
     return sorted(edges)
 
 
-def _scan_instance(
-    index: int, G: MarkedPermutationGraph
-) -> tuple[ScanRow, list[dict], int]:
-    c4s = enumerate_m_c4(G)
-    wits = enumerate_m_p10(G)
-    wit_set = set(wits)
-    violations: list[dict] = []
-    if not (len(c4s) >= 2 or len(wits) >= 1):
-        violations.append(
-            {"instance_index": index, "sigma": list(G.sigma), "kind": "zhang_fail"}
-        )
-    runs = 0
-    for e in _qualifying_edges(G, c4s):
-        runs += 1
-        try:
-            X, _trace = _find_p10_through(G, e, c4s)
-        except Exception as exc:  # noqa: BLE001 - scans must record, not crash
-            violations.append(
-                {
-                    "instance_index": index,
-                    "sigma": list(G.sigma),
-                    "kind": "witness_error",
-                    "edge": e,
-                    "detail": repr(exc),
-                }
-            )
-            continue
-        if e not in X or X not in wit_set:
-            violations.append(
-                {
-                    "instance_index": index,
-                    "sigma": list(G.sigma),
-                    "kind": "witness_unsound",
-                    "edge": e,
-                    "witness": list(X),
-                }
-            )
-    row = ScanRow(index, G.sigma, len(c4s), len(wits), len(violations))
-    return row, violations, runs
-
-
 def exhaustive_scan(m: int) -> ScanReport:
     """Run every m! instance through the zhang check and, for every edge
     satisfying the extraction precondition, the witness engine, in one
@@ -481,10 +440,39 @@ def exhaustive_scan(m: int) -> ScanReport:
     violations: list[dict] = []
     runs = 0
     for index, sigma in enumerate(itertools.permutations(range(m))):
-        row, viol, r = _scan_instance(index, MarkedPermutationGraph(m, sigma))
-        rows.append(row)
-        violations.extend(viol)
-        runs += r
+        G = MarkedPermutationGraph(m, sigma)
+        c4s = enumerate_m_c4(G)
+        wits = enumerate_m_p10(G)
+        wit_set = set(wits)
+        before = len(violations)
+        if not _zhang(len(c4s), len(wits)).ok:
+            violations.append({"instance_index": index, "sigma": list(sigma), "kind": "zhang_fail"})
+        for e in _qualifying_edges(G, c4s):
+            runs += 1
+            try:
+                X, _trace = find_p10_through(G, e)
+            except Exception as exc:  # noqa: BLE001 - scans must record, not crash
+                violations.append(
+                    {
+                        "instance_index": index,
+                        "sigma": list(sigma),
+                        "kind": "witness_error",
+                        "edge": e,
+                        "detail": repr(exc),
+                    }
+                )
+                continue
+            if e not in X or X not in wit_set:
+                violations.append(
+                    {
+                        "instance_index": index,
+                        "sigma": list(sigma),
+                        "kind": "witness_unsound",
+                        "edge": e,
+                        "witness": list(X),
+                    }
+                )
+        rows.append(ScanRow(index, sigma, len(c4s), len(wits), len(violations) - before))
     return ScanReport(
         m=m,
         instance_count=len(rows),

@@ -8,9 +8,11 @@ witness extraction, censuses) works on this encoding.
 
 from __future__ import annotations
 
+import itertools
+import re
 from collections import Counter, deque
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -32,9 +34,6 @@ MAX_M = 10**6
 class Side(Enum):
     A = "A"
     A_PRIME = "A'"
-
-    def other(self) -> "Side":
-        return Side.A_PRIME if self is Side.A else Side.A
 
 
 class VertexRef(NamedTuple):
@@ -111,44 +110,53 @@ def validate(m: int, sigma: Sequence[int]) -> MarkedPermutationGraph:
 # Lines starting with '#' are comments; a file may hold several instances.
 # ---------------------------------------------------------------------------
 
-def parse_instances(text: str) -> list[MarkedPermutationGraph]:
-    tokens: list[int] = []
-    for line in text.splitlines():
-        stripped = line.strip()
+# str.splitlines' line boundaries: each match is one non-empty line, found
+# only when the reader gets to it
+_LINE = re.compile(r"[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
+def _tokens(text: str) -> Iterator[int]:
+    for line in _LINE.finditer(text):
+        stripped = line.group().strip()
         if not stripped or stripped.startswith("#"):
             continue
         for tok in stripped.split():
             try:
-                tokens.append(int(tok))
+                yield int(tok)
             except ValueError:
                 raise InstanceTextError(f"non-integer token {tok!r}", token=tok) from None
-    instances = []
-    pos = 0
-    while pos < len(tokens):
-        m = tokens[pos]
+
+
+def _read_instances(tokens: Iterator[int]) -> Iterator[MarkedPermutationGraph]:
+    """Each instance in turn, validated, taking from tokens only its header
+    and its m entries."""
+    for m in tokens:
         if m > MAX_M:
             raise TooLarge(f"m={m} above the limit {MAX_M}", m=m, limit=MAX_M)
-        if m < 0 or pos + 1 + m > len(tokens):
-            raise InstanceTextError(
-                f"truncated instance: declared m={m} with {len(tokens) - pos - 1} entries left",
-                m=m,
-            )
-        instances.append(validate(m, tokens[pos + 1 : pos + 1 + m]))
-        pos += 1 + m
+        sigma = list(itertools.islice(tokens, max(m, 0)))
+        if len(sigma) != m:  # m < 0, or the text ends first
+            left = len(sigma) + sum(1 for _ in tokens)
+            raise InstanceTextError(f"truncated instance: declared m={m} with {left} entries left", m=m)
+        yield validate(m, sigma)
+
+
+def parse_instances(text: str) -> list[MarkedPermutationGraph]:
+    instances = list(_read_instances(_tokens(text)))
     if not instances:
         raise InstanceTextError("no instance found in input", token=None)
     return instances
 
 
 def parse_instance(text: str) -> MarkedPermutationGraph:
-    """The one instance in ``text``; more than one raises InstanceTextError
-    with their count, where parse_instances returns them all."""
-    instances = parse_instances(text)
-    if len(instances) > 1:
-        raise InstanceTextError(
-            f"expected one instance, found {len(instances)}", instances=len(instances)
-        )
-    return instances[0]
+    """The one instance in ``text``.  Reading stops at a second instance's
+    header, which raises InstanceTextError with ``instances`` 2 however
+    many follow; parse_instances reads them all."""
+    tokens = _tokens(text)
+    for G in _read_instances(tokens):
+        if next(tokens, None) is not None:
+            raise InstanceTextError("expected one instance, found 2", instances=2)
+        return G
+    raise InstanceTextError("no instance found in input", token=None)
 
 
 PRISM = validate(3, [0, 1, 2])
@@ -360,8 +368,12 @@ def apply_symmetry(G: MarkedPermutationGraph, op: str, k: int = 0) -> MarkedPerm
 
 def relabel_witness(G: MarkedPermutationGraph, X: Iterable[int], op: str, k: int = 0) -> tuple[int, ...]:
     """Map a set of matching-edge indices through a symmetry op, so that
-    witnesses of G correspond to witnesses of apply_symmetry(G, op, k)."""
+    witnesses of G correspond to witnesses of apply_symmetry(G, op, k).
+    An index outside 0..m-1 raises IndexOutOfRange."""
     m = G.m
+    X = list(X)
+    for x in X:
+        _check_index(G, x, "edge")
     if op == "rotate_a":
         return tuple(sorted((x - k) % m for x in X))
     if op == "rotate_a_prime":

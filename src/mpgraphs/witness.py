@@ -37,7 +37,6 @@ from typing import NamedTuple, Sequence, Union
 
 from .cograph import InducedPath4, find_induced_p4
 from .core import (
-    FourCycle,
     MarkedPermutationGraph,
     _check_index,
     _subset_is_petersen,
@@ -178,16 +177,8 @@ def find_p10_through(
     the trace ends with the survivors' first P4 in current indices, and
     replays to the same witness (see the module docstring).
     """
-    return _find_p10_through(G, e, enumerate_m_c4(G))
-
-
-def _find_p10_through(
-    G: MarkedPermutationGraph, e: int, c4s: list[FourCycle]
-) -> tuple[PetersenWitness, ReductionTrace]:
-    """find_p10_through(G, e), given c4s = enumerate_m_c4(G) by a caller
-    that has listed them already."""
     _check_index(G, e, "edge")
-    for c4 in c4s:
+    for c4 in enumerate_m_c4(G):
         if not c4.contains_edge(e):
             raise PreconditionViolated(
                 f"matched 4-cycle ({c4.i},{c4.j}) avoids edge {e}",

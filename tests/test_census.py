@@ -399,31 +399,21 @@ class TestExhaustiveScan:
         assert r.rows == tuple(expected)
         assert r.instance_count == len(expected) == math.factorial(m)
 
-    def test_engine_reuses_the_scan_c4_list(self, monkeypatch):
-        # the scan lists each instance's 4-cycles once and hands the list to
-        # the engine, which lists none of its own: one call per engine run
-        # fewer than the public find_p10_through
+    def test_scan_runs_the_public_engine(self, monkeypatch):
+        # every engine run goes through the public find_p10_through, so a
+        # wrapper on the module global sees each one
         census_module = importlib.import_module("mpgraphs.census")
-        witness_module = importlib.import_module("mpgraphs.witness")
         calls = []
 
-        def counting(G):
-            calls.append(G)
-            return enumerate_m_c4(G)
+        def counting(G, e):
+            calls.append((G.sigma, e))
+            return find_p10_through(G, e)
 
-        monkeypatch.setattr(census_module, "enumerate_m_c4", counting)
-        monkeypatch.setattr(witness_module, "enumerate_m_c4", counting)
+        monkeypatch.setattr(census_module, "find_p10_through", counting)
         report = exhaustive_scan(6)
-        scan_calls = len(calls)
-        calls.clear()
-        runs = 0
-        for sigma in itertools.permutations(range(6)):
-            G = validate(6, sigma)
-            for e in census_module._qualifying_edges(G, enumerate_m_c4(G)):
-                find_p10_through(G, e)
-                runs += 1
-        assert runs == report.witness_runs > 0
-        assert scan_calls == report.instance_count + len(calls) - report.witness_runs
+        assert report.violation_count == 0
+        assert len(calls) == report.witness_runs > 0
+        assert len(set(calls)) == len(calls)
 
     def test_csv_shape(self):
         r = exhaustive_scan(3)

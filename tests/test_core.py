@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ from mpgraphs import (
     parse_instances,
     random_instance,
     reflect,
+    relabel_witness,
     rotate_a,
     suppress_match,
     swap_sides,
@@ -43,6 +46,7 @@ from mpgraphs import (
 from mpgraphs.census import ScanReport, ScanRow
 from mpgraphs.core import MAX_M
 from mpgraphs.errors import (
+    IndexOutOfRange,
     InstanceTextError,
     LengthMismatch,
     NoCycle,
@@ -116,6 +120,55 @@ class TestTextFormat:
         with pytest.raises(InstanceTextError) as exc:
             parse_instance("# header\n3 0 1 2\n5 0 2 4 1 3\n")
         assert exc.value.certificate == {"instances": 2}
+
+    def test_parse_instance_stops_at_the_second_header(self, monkeypatch):
+        core_module = importlib.import_module("mpgraphs.core")
+        calls = []
+
+        def counting(m, sigma):
+            calls.append(m)
+            return validate(m, sigma)
+
+        monkeypatch.setattr(core_module, "validate", counting)
+        text = "3 0 1 2\n5 0 2 4 1 3\n4 0 1 2 3\n"
+        with pytest.raises(InstanceTextError) as exc:
+            parse_instance(text)
+        assert exc.value.certificate == {"instances": 2}
+        assert calls == [3]
+        calls.clear()
+        assert parse_instances(text) == [PRISM, PETERSEN, validate(4, [0, 1, 2, 3])]
+        assert calls == [3, 5, 4]
+
+    @pytest.mark.parametrize("second", ["3 0 x 2", f"{MAX_M + 1} 0 1 2", "3 0 1 5", "7 0 1"])
+    def test_parse_instance_reads_no_further_than_the_second_header(self, second):
+        # the second instance's entries are never read, so their faults
+        # do not show; parse_instances reports them
+        with pytest.raises(InstanceTextError) as exc:
+            parse_instance(f"3 0 1 2\n{second}\n")
+        assert exc.value.certificate == {"instances": 2}
+        with pytest.raises((InstanceTextError, TooLarge, NotAPermutation)) as exc:
+            parse_instances(f"3 0 1 2\n{second}\n")
+        assert "instances" not in exc.value.certificate
+
+    def test_faults_are_reported_in_reading_order(self):
+        # the first instance is validated before the second is tokenised
+        with pytest.raises(NotAPermutation):
+            parse_instances("3 0 1 5\n3 0 x 2\n")
+        with pytest.raises(InstanceTextError) as exc:
+            parse_instances("3 0 1 2\n3 0 x 2\n")
+        assert exc.value.certificate == {"token": "x"}
+
+    def test_line_boundaries_are_those_of_splitlines(self):
+        # a comment starts after any str.splitlines boundary
+        for sep in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+            assert parse_instances(f"3 0 1 2{sep}# 5 0 2 4 1 3{sep}5 0 2 4 1 3") == [PRISM, PETERSEN]
+
+    @pytest.mark.parametrize("text, m, left", [("5 0 1 2", 5, 3), ("-1 0 1 2", -1, 3), ("3 0 1 2\n4 0", 4, 1)])
+    def test_truncated_names_the_entries_left(self, text, m, left):
+        with pytest.raises(InstanceTextError) as exc:
+            parse_instances(text)
+        assert exc.value.certificate == {"m": m}
+        assert str(exc.value) == f"truncated instance: declared m={m} with {left} entries left"
 
     def test_bad_token(self):
         with pytest.raises(InstanceTextError):
@@ -295,6 +348,13 @@ class TestSymmetry:
         assert rotate_a(rotate_a(G, k), (-k) % G.m) == G
         assert reflect(reflect(G)) == G
         assert swap_sides(swap_sides(G)) == G
+
+    @pytest.mark.parametrize("op", ["rotate_a", "rotate_a_prime", "reflect", "swap_sides"])
+    @pytest.mark.parametrize("bad", [-1, 5, 9])
+    def test_relabel_witness_checks_its_indices(self, op, bad):
+        with pytest.raises(IndexOutOfRange) as exc:
+            relabel_witness(PETERSEN, [0, 1, bad, 2, 3], op, 1)
+        assert exc.value.certificate == {"index": bad, "m": 5}
 
     @given(instances(3, 7), st.data())
     @settings(max_examples=60, deadline=None)
