@@ -16,7 +16,7 @@ enumerate_m_p10 lists every block's witnesses, in O(witnesses) memory,
 and check_replace lists only those of the blocks through its two edges.
 check_zhang and check_lower_bound count the blocks and count_per_edge
 tallies them per edge, in O(m^2) memory, without listing.  census_report
-lists and tallies in one pass.
+tallies and keeps the blocks, from which `mpg census --json` is written.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import csv
 import io
 import itertools
 from bisect import bisect, bisect_left
-from typing import Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     MAX_M,
@@ -48,15 +48,14 @@ from .errors import (
 from .witness import PetersenWitness, find_p10_through
 
 MAX_ATTEMPTS = 100000  # default cap on rejection draws, here and in `mpg random`
+Block = tuple[int, int, int, tuple[int, ...], tuple[int, ...]]  # see _petersen_blocks
 
 
-def _petersen_blocks(
-    sigma: tuple[int, ...],
-) -> Iterator[tuple[int, int, int, list[int], list[int]]]:
+def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
     """Every triple that some Petersen 5-subset extends, in lexicographic
     order, as a block ``(x0, x1, x2, x3s, x4s)``: the witnesses extending
     x0 < x1 < x2 are (x0, x1, x2, x3, x4) for x3 in x3s and x4 in x4s with
-    x3 < x4, and both slices are sorted.
+    x3 < x4, and both slices are sorted tuples.
 
     x0 < x1 < x2 run over all triples.  In cyclic value order a Petersen
     pattern reads x0, x3, x1, x4, x2 or its reverse, so sigma[x3] must sit
@@ -114,7 +113,7 @@ def _petersen_blocks(
                     continue
                 x4s.sort()
                 x3s.sort()
-                yield x0, x1, x2, x3s, x4s
+                yield x0, x1, x2, tuple(x3s), tuple(x4s)
 
 
 def _count(sigma: tuple[int, ...]) -> int:
@@ -125,14 +124,22 @@ def _count(sigma: tuple[int, ...]) -> int:
     )
 
 
-def _tally(sigma: tuple[int, ...], out: list[PetersenWitness] | None = None) -> list[int]:
+def _expand(blocks: Iterable[Block]) -> list[PetersenWitness]:
+    """The witnesses of ``blocks``, in order: each x3 with each later x4."""
+    return [
+        (x0, x1, x2, x3, x4)
+        for x0, x1, x2, x3s, x4s in blocks
+        for x3 in x3s for x4 in x4s[bisect(x4s, x3):]
+    ]
+
+
+def _tally(m: int, blocks: Iterable[Block]) -> list[int]:
     """Per-edge witness counts from one pass over the blocks, in O(1) per
     slice entry: x0, x1 and x2 lie in all n witnesses of their block, an
     x3 in one per later x4 and an x4 in one per earlier x3.  The slices are
-    disjoint, so bisect_left counts the x3s strictly before an x4.  When
-    ``out`` is a list, the block's witnesses are appended to it too."""
-    counts = [0] * len(sigma)
-    for x0, x1, x2, x3s, x4s in _petersen_blocks(sigma):
+    disjoint, so bisect_left counts the x3s strictly before an x4."""
+    counts = [0] * m
+    for x0, x1, x2, x3s, x4s in blocks:
         k = len(x4s)
         n = 0
         for x3 in x3s:
@@ -144,8 +151,6 @@ def _tally(sigma: tuple[int, ...], out: list[PetersenWitness] | None = None) -> 
         counts[x0] += n
         counts[x1] += n
         counts[x2] += n
-        if out is not None:
-            out += [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s[bisect(x4s, x3):]]
     return counts
 
 
@@ -161,8 +166,8 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
     when none lies where it needs x3.  Only a triple with some x3 before
     some x4 has its two slices of later indices sorted, and each witness
     then costs O(1); brute force costs C(m,5) subset checks whatever the
-    answer.  The list takes O(witnesses) memory, up to C(m,5); to count,
-    use check_zhang or count_per_edge, which take O(m^2).
+    answer.  The list takes O(witnesses) memory, up to C(m,5); check_zhang
+    and count_per_edge count in O(m^2), and census_report keeps blocks.
 
     The search always runs in this process.  ``jobs`` changes nothing; it
     is kept, with jobs < 1 raising InvalidJobs, only because the census
@@ -171,19 +176,14 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
     """
     if jobs < 1:
         raise InvalidJobs(f"jobs must be at least 1, got {jobs}", jobs=jobs)
-    return [
-        (x0, x1, x2, x3, x4)
-        for x0, x1, x2, x3s, x4s in _petersen_blocks(G.sigma)
-        for x3 in x3s
-        for x4 in x4s[bisect(x4s, x3):]
-    ]
+    return _expand(_petersen_blocks(G.sigma))
 
 
 def count_per_edge(G: MarkedPermutationGraph) -> list[int]:
     """The number of witnesses containing each A-index; sums to 5x the
     census size.  Tallied from the census blocks in O(m^2) memory, without
     listing any witness."""
-    return _tally(G.sigma)
+    return _tally(G.m, _petersen_blocks(G.sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +279,7 @@ def check_replace(
             if x0 > max(a, b):
                 break
             if not {a, b}.isdisjoint((x0, x1, x2, *x3s, *x4s)):
-                block = [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s[bisect(x4s, x3):]]
-                witnesses += [X for X in block if a in X or b in X]
+                witnesses += [X for X in _expand([(x0, x1, x2, x3s, x4s)]) if a in X or b in X]
     if any(a in X and b in X for X in witnesses):
         return ReplaceVerdict(ok=True, branch="shared_witness", counterexample=None)
     with_a = {tuple(x for x in X if x != a) for X in witnesses if a in X}
@@ -330,7 +329,8 @@ class CensusReport(NamedTuple):
     instance_id: str
     m: int
     four_cycles: tuple[FourCycle, ...]
-    witnesses: tuple[PetersenWitness, ...]
+    blocks: tuple[Block, ...]
+    p10_count: int
     per_edge: tuple[int, ...]
     zhang_ok: bool
     lower_bound_applicable: bool
@@ -341,17 +341,22 @@ class CensusReport(NamedTuple):
         return len(self.four_cycles)
 
     @property
-    def p10_count(self) -> int:
-        return len(self.witnesses)
+    def witnesses(self) -> tuple[PetersenWitness, ...]:
+        """Every witness in lexicographic order, expanded from the blocks."""
+        return tuple(_expand(self.blocks))
 
     def to_json_dict(self) -> dict:
+        return self._json_dict(_expand(self.blocks))
+
+    def _json_dict(self, p10_list: Any) -> dict:
+        """The document, with the list or the CLI's writer as p10_list."""
         return {
             "instance": self.instance_id,
             "m": self.m,
             "c4_count": self.c4_count,
             "p10_count": self.p10_count,
             "c4_list": [[c.i, c.j] for c in self.four_cycles],
-            "p10_list": list(self.witnesses),
+            "p10_list": p10_list,
             "per_edge_counts": list(self.per_edge),
             "zhang_ok": self.zhang_ok,
             "lower_bound_applicable": self.lower_bound_applicable,
@@ -360,20 +365,21 @@ class CensusReport(NamedTuple):
 
 
 def census_report(G: MarkedPermutationGraph) -> CensusReport:
-    """Full ground-truth report: all matched 4-cycles, all witnesses,
-    per-edge counts, and the standing theorem flags.  The witnesses and
-    the per-edge counts come from one pass over the census blocks."""
+    """Full ground-truth report: all matched 4-cycles, the census blocks,
+    per-edge counts, and the standing theorem flags, from one pass over the
+    blocks.  Only ``witnesses`` and ``to_json_dict`` list the witnesses."""
     c4s = tuple(enumerate_m_c4(G))
-    listed: list[PetersenWitness] = []
-    per_edge = tuple(_tally(G.sigma, listed))
-    wits = tuple(listed)
-    zh = _zhang(len(c4s), len(wits))
-    lb = _lower_bound(G, len(c4s), len(wits))
+    blocks = tuple(_petersen_blocks(G.sigma))
+    per_edge = tuple(_tally(G.m, blocks))
+    p10_count = sum(per_edge) // 5
+    zh = _zhang(len(c4s), p10_count)
+    lb = _lower_bound(G, len(c4s), p10_count)
     return CensusReport(
         instance_id=G.to_text(),
         m=G.m,
         four_cycles=c4s,
-        witnesses=wits,
+        blocks=blocks,
+        p10_count=p10_count,
         per_edge=per_edge,
         zhang_ok=zh.ok,
         lower_bound_applicable=lb.applicable,

@@ -3,11 +3,10 @@
 Subcommands: validate, census, witness, gk, scan, random, draw, cyclic,
 check.  ``-`` means stdin wherever a FILE is expected.  JSON output has
 sorted keys and embeds the tool version, so byte-stable golden files are
-possible.  It is streamed to stdout in pieces, never built as one string,
-and its bytes equal ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
-newline; lists of int rows, such as the census witness list, are formatted
-a block of rows at a time.  Exit codes: 0 ok / verdict holds, 1 verdict
-fails, 2 usage or input error, or out of memory.
+possible.  It is streamed to stdout in pieces, the census witness list a
+census block at a time, and its bytes equal ``json.dumps(obj,
+sort_keys=True, indent=2)`` plus a newline.  Exit codes: 0 ok / verdict
+holds, 1 verdict fails, 2 usage or input error, or out of memory.
 """
 
 from __future__ import annotations
@@ -16,12 +15,13 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain
+from bisect import bisect
 from typing import IO, Any, Iterator
 
 from . import __version__
 from .census import (
     MAX_ATTEMPTS,
+    CensusReport,
     census_report,
     check_redrawing,
     check_replace,
@@ -42,24 +42,19 @@ from .family import generate_gk
 from .witness import find_p10_through, witness_report_dict
 
 SCHEMA_VERSION = 1
-ROW_BLOCK = 4096  # rows of ints formatted per piece of streamed JSON
 
 
 def _emit_json(obj: dict, stdout: IO[str]) -> None:
-    obj = dict(obj)
-    obj.setdefault("schema_version", SCHEMA_VERSION)
-    obj.setdefault("tool_version", __version__)
+    obj = {"schema_version": SCHEMA_VERSION, "tool_version": __version__, **obj}
     stdout.writelines(_json_pieces(obj, "\n"))
     stdout.write("\n")
 
 
 def _json_pieces(obj: Any, nl: str) -> Iterator[str]:
     """Yield ``json.dumps(obj, sort_keys=True, indent=2)`` in pieces; ``nl``
-    is a newline followed by the indent of ``obj``'s own line."""
+    is a newline followed by the indent of ``obj``'s own line.  A callable
+    value stands for the pieces it yields when called with ``nl``."""
     if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
@@ -67,40 +62,38 @@ def _json_pieces(obj: Any, nl: str) -> Iterator[str]:
             yield sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
             yield from _json_pieces(value, inner)
             sep = "," + inner
-        yield nl + "}"
+        yield nl + "}" if obj else "{}"
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
         inner = nl + "  "
-        yield "["
-        if _is_int_rows(obj):
-            # one %d template per block of rows instead of one piece per int
-            row = inner + "[" + ",".join([inner + "  %d"] * len(obj[0])) + inner + "]"
-            for start in range(0, len(obj), ROW_BLOCK):
-                block = obj[start : start + ROW_BLOCK]
-                text = ",".join([row] * len(block)) % tuple(chain.from_iterable(block))
-                yield "," + text if start else text
-        else:
-            sep = inner
-            for item in obj:
-                yield sep
-                yield from _json_pieces(item, inner)
-                sep = "," + inner
-        yield nl + "]"
+        sep = "[" + inner
+        for item in obj:
+            yield sep
+            yield from _json_pieces(item, inner)
+            sep = "," + inner
+        yield nl + "]" if obj else "[]"
+    elif callable(obj):
+        yield from obj(nl)
     else:
         yield json.dumps(obj)
 
 
-def _is_int_rows(items: list | tuple) -> bool:
-    """Whether ``items`` are lists or tuples of one nonzero length holding
-    only plain ints (bools and int subclasses excluded)."""
-    return (
-        set(map(type, items)) <= {list, tuple}
-        and len(items[0]) > 0
-        and set(map(len, items)) == {len(items[0])}
-        and set(map(type, chain.from_iterable(items))) == {int}
-    )
+def _witness_rows(report: CensusReport, nl: str) -> Iterator[str]:
+    """``report``'s witness list as ``_json_pieces`` writes a list of rows,
+    one piece per block, from cells and row tails formatted once per index."""
+    row, cell = nl + "  ", nl + "    "
+    cells = [f"{cell}{i}," for i in range(report.m)]
+    tails = [f"{cell}{i}{row}]" for i in range(report.m)]
+    sep = "["
+    for x0, x1, x2, x3s, x4s in report.blocks:
+        head = row + "[" + cells[x0] + cells[x1] + cells[x2]
+        ends = [tails[x4] for x4 in x4s]
+        groups = []
+        for x3 in x3s[: bisect(x3s, x4s[-1])]:  # one row per later x4
+            prefix = head + cells[x3]
+            groups.append(prefix + ("," + prefix).join(ends[bisect(x4s, x3) :]))
+        yield sep + ",".join(groups)
+        sep = ","
+    yield nl + "]" if report.blocks else "[]"
 
 
 def _load_instance(path: str, stdin: IO[str]) -> MarkedPermutationGraph:
@@ -222,7 +215,8 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
     if args.command == "census":
         G = _load_instance(args.file, stdin)
         if args.json:
-            _emit_json(census_report(G).to_json_dict(), stdout)
+            report = census_report(G)
+            _emit_json(report._json_dict(functools.partial(_witness_rows, report)), stdout)
         else:
             # the four lines need counts only, so the census is not listed
             zh = check_zhang(G)

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from mpgraphs import __version__
 from mpgraphs.census import MAX_ATTEMPTS, census_report, random_instance
-from mpgraphs.core import MAX_M
-from mpgraphs.cli import ROW_BLOCK, SCHEMA_VERSION, _build_parser, _emit_json, _is_int_rows, run
+from mpgraphs.core import MAX_M, MarkedPermutationGraph
+from mpgraphs.cli import SCHEMA_VERSION, _build_parser, _emit_json, run
+from mpgraphs.family import generate_gk
 
 from .conftest import FIXTURE_DIR, GOLDEN_DIR, REPO_ROOT
 
@@ -183,6 +184,35 @@ class TestCensus:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "d6aa595aa8a0a90f045e34bf62e6ab506e964dff9f44fb23242e49a60556f371"
         )
+
+    def test_large_census_json_in_bounded_memory(self):
+        # the document is written from the census blocks as it is
+        # formatted; a list of the 497,028 witnesses alone takes ~44 MB
+        _, instance, _ = capture(["random", "60", "--seed", "1", "--c4-free"])
+        sink = HashingSink()
+        tracemalloc.start()
+        try:
+            code = run(["census", "-", "--json"], stdin=io.StringIO(instance), stdout=sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.digest.hexdigest() == (
+            "d6aa595aa8a0a90f045e34bf62e6ab506e964dff9f44fb23242e49a60556f371"
+        )
+        assert peak < 15_000_000
+
+
+class HashingSink(io.TextIOBase):
+    """A stdout that hashes what it is given and keeps none of it."""
+
+    def __init__(self):
+        super().__init__()
+        self.digest = hashlib.sha256()
+
+    def write(self, s: str) -> int:
+        self.digest.update(s.encode("utf-8"))
+        return len(s)
 
 
 NON_UTF8_INSTANCE = b"\xff3 0 1 2\n"
@@ -536,9 +566,8 @@ ROW_ITEMS = st.integers() | st.booleans() | st.floats(allow_nan=False)
 
 @st.composite
 def int_rows(draw, items=st.integers()):
-    """Non-empty lists of list or tuple rows of one length.  With plain int
-    ``items`` and a nonzero length they take the row-template path; with
-    bools or floats among the ``items`` they must fall back."""
+    """Non-empty lists of list or tuple rows of one length, shaped like the
+    census witness list, with bools or floats among the ``items`` too."""
     width = draw(st.integers(0, 6))
     row = st.lists(items, min_size=width, max_size=width)
     return draw(st.lists(row | row.map(tuple), min_size=1, max_size=8))
@@ -629,20 +658,19 @@ class TestJsonWriter:
         assert emitted(obj) == dumped(obj)
 
     @pytest.mark.parametrize(
-        "rows, fast",
+        "rows",
         [
-            ([[1, 2], (3, 4)], True),
-            ([[1, True]], False),
-            ([[1, 2.0]], False),
-            ([[1], [2, 3]], False),
-            ([[]], False),
-            ([[1], 2], False),
-            ([[[1]]], False),
-            ([["1"]], False),
+            [[1, 2], (3, 4)],
+            [[1, True]],
+            [[1, 2.0]],
+            [[1], [2, 3]],
+            [[]],
+            [[1], 2],
+            [[[1]]],
+            [["1"]],
         ],
     )
-    def test_row_shape_check(self, rows, fast):
-        assert _is_int_rows(rows) is fast
+    def test_rows_match_json_dumps(self, rows):
         assert emitted({"rows": rows}) == dumped({"rows": rows})
 
     @pytest.mark.parametrize("m", [30, 40])
@@ -651,18 +679,46 @@ class TestJsonWriter:
         obj = report.to_json_dict()
         assert emitted(obj) == dumped(obj)
 
-    def test_census_is_streamed_in_blocks(self):
-        report = census_report(random_instance(30, seed=1, require_c4_free=True))
-        obj = report.to_json_dict()
-        blocks = -(-report.p10_count // ROW_BLOCK)
-        assert blocks > 2
+    def test_census_rows_written_per_block(self):
+        G = random_instance(30, seed=1, require_c4_free=True)
+        report = census_report(G)
         out = RecordingIO()
-        _emit_json(obj, out)
-        assert "".join(out.writes) == dumped(obj)
-        # a witness row is 7 lines: its brackets and its 5 edges
-        lines = [w.count("\n") for w in out.writes]
-        assert max(lines) <= 7 * ROW_BLOCK
-        assert sum(n > 7 for n in lines) == blocks
+        assert run(["census", "-", "--json"], stdin=io.StringIO(G.to_text()), stdout=out) == 0
+        assert "".join(out.writes) == dumped(report.to_json_dict())
+        # a witness row opens with a line holding only its bracket; the
+        # rows reach stdout one block at a time, in census order, so no
+        # write holds the whole list
+        rows = [w.count("\n    [\n") for w in out.writes]
+        per_block = [len(block_witnesses(block)) for block in report.blocks]
+        assert [n for n in rows if n] == per_block
+        assert len(per_block) > 1000 and max(per_block) < report.p10_count / 100
+
+    def test_census_cli_matches_json_dumps_exhaustively(self):
+        for m in range(3, 8):
+            for sigma in itertools.permutations(range(m)):
+                assert_census_cli_matches_json_dumps(MarkedPermutationGraph(m, sigma))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_census_cli_matches_json_dumps_on_gk(self, k):
+        assert_census_cli_matches_json_dumps(generate_gk(k).graph)
+
+    @pytest.mark.parametrize("m", [30, 40])
+    @pytest.mark.parametrize("c4_free", [True, False])
+    def test_census_cli_matches_json_dumps_on_random(self, m, c4_free):
+        assert_census_cli_matches_json_dumps(random_instance(m, seed=1, require_c4_free=c4_free))
+
+
+def block_witnesses(block) -> list:
+    """The witnesses of one census block, spelled out from its definition."""
+    x0, x1, x2, x3s, x4s = block
+    return [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s if x3 < x4]
+
+
+def assert_census_cli_matches_json_dumps(G):
+    """`census --json`, written from the census blocks, against the report's
+    to_json_dict through one json.dumps call."""
+    code, out, _ = capture(["census", "-", "--json"], stdin_text=G.to_text())
+    assert code == 0 and out == dumped(census_report(G).to_json_dict()), G.to_text()
 
 
 def src_env() -> dict:

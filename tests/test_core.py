@@ -506,8 +506,8 @@ VALUE_TYPE_SAMPLES = {
     "CensusReport": (
         lambda: census_report(PETERSEN),
         "CensusReport(instance_id='5 0 2 4 1 3', m=5, four_cycles=(), "
-        "witnesses=((0, 1, 2, 3, 4),), per_edge=(1, 1, 1, 1, 1), zhang_ok=True, "
-        "lower_bound_applicable=False, lower_bound_ok=True)",
+        "blocks=((0, 1, 2, (3,), (4,)),), p10_count=1, per_edge=(1, 1, 1, 1, 1), "
+        "zhang_ok=True, lower_bound_applicable=False, lower_bound_ok=True)",
     ),
     "ScanRow": (
         lambda: ScanRow(0, (0, 1, 2), 3, 0, 0),
