@@ -25,7 +25,7 @@ import csv
 import io
 import itertools
 from bisect import bisect, bisect_left
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     MAX_M,
@@ -252,12 +252,7 @@ class ReplaceVerdict(NamedTuple):
         return {"lemma": "replace", **self._asdict(), "counterexample": list(cx) if cx else None}
 
 
-def check_replace(
-    G: MarkedPermutationGraph,
-    a: int,
-    b: int,
-    witnesses: Sequence[PetersenWitness] | None = None,
-) -> ReplaceVerdict:
+def check_replace(G: MarkedPermutationGraph, a: int, b: int) -> ReplaceVerdict:
     """Either some witness holds both edges, or the two edges are freely
     interchangeable inside witnesses: for every 4-set F avoiding both,
     F+{a} certifies iff F+{b} does; else the lexicographically first F
@@ -265,21 +260,17 @@ def check_replace(
     certifies iff F = X-{a} for a witness X, so one walk of the census
     keeps only the witnesses through a or b, in O(m^2 + those) memory.
     It expands only the blocks that hold a or b, and stops at the first
-    block whose x0, its witnesses' least index, is above both.
-    ``witnesses``, when given, is read in place of G's census: it lets one
-    census serve many pairs, and the tests reach the counterexample branch,
-    which no true census reaches, through a doctored list."""
+    block whose x0, its witnesses' least index, is above both."""
     _check_index(G, a)
     _check_index(G, b)
     if a == b:
         raise IndicesNotDistinct("edges must be distinct", a=a, b=b)
-    if witnesses is None:
-        witnesses = []
-        for x0, x1, x2, x3s, x4s in _petersen_blocks(G.sigma):
-            if x0 > max(a, b):
-                break
-            if not {a, b}.isdisjoint((x0, x1, x2, *x3s, *x4s)):
-                witnesses += [X for X in _expand([(x0, x1, x2, x3s, x4s)]) if a in X or b in X]
+    witnesses = []
+    for x0, x1, x2, x3s, x4s in _petersen_blocks(G.sigma):
+        if x0 > max(a, b):
+            break
+        if not {a, b}.isdisjoint((x0, x1, x2, *x3s, *x4s)):
+            witnesses += [X for X in _expand([(x0, x1, x2, x3s, x4s)]) if a in X or b in X]
     if any(a in X and b in X for X in witnesses):
         return ReplaceVerdict(ok=True, branch="shared_witness", counterexample=None)
     with_a = {tuple(x for x in X if x != a) for X in witnesses if a in X}
@@ -346,17 +337,13 @@ class CensusReport(NamedTuple):
         return tuple(_expand(self.blocks))
 
     def to_json_dict(self) -> dict:
-        return self._json_dict(_expand(self.blocks))
-
-    def _json_dict(self, p10_list: Any) -> dict:
-        """The document, with the list or the CLI's writer as p10_list."""
         return {
             "instance": self.instance_id,
             "m": self.m,
             "c4_count": self.c4_count,
             "p10_count": self.p10_count,
             "c4_list": [[c.i, c.j] for c in self.four_cycles],
-            "p10_list": p10_list,
+            "p10_list": _expand(self.blocks),
             "per_edge_counts": list(self.per_edge),
             "zhang_ok": self.zhang_ok,
             "lower_bound_applicable": self.lower_bound_applicable,

@@ -3,10 +3,11 @@
 Subcommands: validate, census, witness, gk, scan, random, draw, cyclic,
 check.  ``-`` means stdin wherever a FILE is expected.  JSON output has
 sorted keys and embeds the tool version, so byte-stable golden files are
-possible.  It is streamed to stdout in pieces, the census witness list a
-census block at a time, and its bytes equal ``json.dumps(obj,
-sort_keys=True, indent=2)`` plus a newline.  Exit codes: 0 ok / verdict
-holds, 1 verdict fails, 2 usage or input error, or out of memory.
+possible.  Every document is ``json.dumps(obj, sort_keys=True, indent=2)``
+plus a newline; the census witness list alone is written to stdout one
+census block at a time, between the head and tail of its document.  Exit
+codes: 0 ok / verdict holds, 1 verdict fails, 2 usage or input error, or
+out of memory.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import functools
 import json
 import sys
 from bisect import bisect
-from typing import IO, Any, Iterator
+from typing import IO, Iterator
 
 from . import __version__
 from .census import (
@@ -45,42 +46,18 @@ SCHEMA_VERSION = 1
 
 
 def _emit_json(obj: dict, stdout: IO[str]) -> None:
+    stdout.write(_dumps(obj) + "\n")
+
+
+def _dumps(obj: dict) -> str:
     obj = {"schema_version": SCHEMA_VERSION, "tool_version": __version__, **obj}
-    stdout.writelines(_json_pieces(obj, "\n"))
-    stdout.write("\n")
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _json_pieces(obj: Any, nl: str) -> Iterator[str]:
-    """Yield ``json.dumps(obj, sort_keys=True, indent=2)`` in pieces; ``nl``
-    is a newline followed by the indent of ``obj``'s own line.  A callable
-    value stands for the pieces it yields when called with ``nl``."""
-    if isinstance(obj, dict):
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            # json writes a non-string key as the string of its JSON form
-            yield sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
-            yield from _json_pieces(value, inner)
-            sep = "," + inner
-        yield nl + "}" if obj else "{}"
-    elif isinstance(obj, (list, tuple)):
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in obj:
-            yield sep
-            yield from _json_pieces(item, inner)
-            sep = "," + inner
-        yield nl + "]" if obj else "[]"
-    elif callable(obj):
-        yield from obj(nl)
-    else:
-        yield json.dumps(obj)
-
-
-def _witness_rows(report: CensusReport, nl: str) -> Iterator[str]:
-    """``report``'s witness list as ``_json_pieces`` writes a list of rows,
+def _witness_rows(report: CensusReport) -> Iterator[str]:
+    """``report``'s witness list as json.dumps writes it at a top-level key,
     one piece per block, from cells and row tails formatted once per index."""
-    row, cell = nl + "  ", nl + "    "
+    row, cell = "\n    ", "\n      "
     cells = [f"{cell}{i}," for i in range(report.m)]
     tails = [f"{cell}{i}{row}]" for i in range(report.m)]
     sep = "["
@@ -93,7 +70,7 @@ def _witness_rows(report: CensusReport, nl: str) -> Iterator[str]:
             groups.append(prefix + ("," + prefix).join(ends[bisect(x4s, x3) :]))
         yield sep + ",".join(groups)
         sep = ","
-    yield nl + "]" if report.blocks else "[]"
+    yield "\n  ]" if report.blocks else "[]"
 
 
 def _load_instance(path: str, stdin: IO[str]) -> MarkedPermutationGraph:
@@ -216,7 +193,11 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
         G = _load_instance(args.file, stdin)
         if args.json:
             report = census_report(G)
-            _emit_json(report._json_dict(functools.partial(_witness_rows, report)), stdout)
+            # the document with an empty list, which the rows replace
+            head, tail = _dumps(report._replace(blocks=()).to_json_dict()).split('"p10_list": []')
+            stdout.write(head + '"p10_list": ')
+            stdout.writelines(_witness_rows(report))
+            stdout.write(tail + "\n")
         else:
             # the four lines need counts only, so the census is not listed
             zh = check_zhang(G)

@@ -387,6 +387,20 @@ def replace_by_four_sets(G, a: int, b: int, is_witness):
     return ReplaceVerdict(ok=True, branch="swap_equivalent", counterexample=None)
 
 
+def replace_by_census(census, a: int, b: int):
+    """check_replace read off a whole census in one pass: a witness through
+    both edges, else the witnesses through a with a removed against those
+    through b with b removed."""
+    from mpgraphs.census import ReplaceVerdict
+
+    if any(a in X and b in X for X in census):
+        return ReplaceVerdict(ok=True, branch="shared_witness", counterexample=None)
+    with_a = {tuple(x for x in X if x != a) for X in census if a in X}
+    with_b = {tuple(x for x in X if x != b) for X in census if b in X}
+    if with_a != with_b:
+        return ReplaceVerdict(ok=False, branch=None, counterexample=min(with_a ^ with_b))
+    return ReplaceVerdict(ok=True, branch="swap_equivalent", counterexample=None)
+
 def _arc_table() -> dict[tuple[bool, bool, bool], tuple[int, int, int, int]]:
     """The arcs of petersen_by_sorted_slices, read off PETERSEN_PATTERNS.
 

@@ -30,7 +30,7 @@ from mpgraphs import (
     suppress_match,
     validate,
 )
-from mpgraphs.census import MAX_ATTEMPTS
+from mpgraphs.census import MAX_ATTEMPTS, _expand
 from mpgraphs.core import PETERSEN_PATTERNS, _subset_is_petersen
 from mpgraphs.errors import ExhaustedAttempts, InvalidAttempts, InvalidJobs, OutOfScanRange
 
@@ -40,6 +40,7 @@ from .conftest import (
     induced_path_order,
     instances,
     petersen_by_sorted_slices,
+    replace_by_census,
     replace_by_four_sets,
     seeded_instances,
 )
@@ -285,58 +286,65 @@ class TestCheckReplace:
 
     def test_exhaustive_m5(self):
         for G in all_instances(5):
-            wits = enumerate_m_p10(G)
             for a, b in itertools.permutations(range(5), 2):
-                assert check_replace(G, a, b, witnesses=wits).ok
+                assert check_replace(G, a, b).ok
 
     def test_same_verdict_as_four_sets_exhaustively(self):
         for m in (3, 4, 5, 6):
             for G in all_instances(m):
-                wits = enumerate_m_p10(G)
                 for a, b in itertools.permutations(range(m), 2):
                     expected = replace_by_four_sets(G, a, b, lambda X: _subset_is_petersen(G, X))
-                    assert check_replace(G, a, b, witnesses=wits) == expected, (G, a, b)
                     assert check_replace(G, a, b) == expected, (G, a, b)
 
-    def test_counterexample_branch_on_doctored_witnesses(self, gk1, gk2):
+    def test_counterexample_branch_on_doctored_witnesses(self, gk1, gk2, monkeypatch):
         # The lemma holds on every instance, so the counterexample branch is
-        # reached only through witness lists that are not the census: here
-        # the census with one, or every, witness through a dropped.  The
+        # reached only through a census that is not the true one: here the
+        # blocks expand without one, or every, witness through a.  The
         # four-set scan is given the same list.
+        dropped = []
+        monkeypatch.setattr(
+            "mpgraphs.census._expand", lambda blocks: [X for X in _expand(blocks) if X not in dropped]
+        )
         reached = 0
         for G in (gk1.graph, gk2.graph, generate_gk(3).graph):
             census = enumerate_m_p10(G)
             for a, b in itertools.permutations(range(G.m), 2):
-                if check_replace(G, a, b, witnesses=census).branch != "swap_equivalent":
+                if check_replace(G, a, b).branch != "swap_equivalent":
                     continue
                 through_a = [X for X in census if a in X]
-                for dropped in [[X] for X in through_a] + [through_a]:
+                for drop in [[X] for X in through_a] + [through_a]:
+                    dropped[:] = drop
                     given = [X for X in census if X not in dropped]
                     expected = replace_by_four_sets(G, a, b, set(given).__contains__)
-                    verdict = check_replace(G, a, b, witnesses=given)
+                    verdict = check_replace(G, a, b)
                     assert not verdict.ok and verdict.branch is None
                     assert verdict == expected, (G, a, b, dropped)
                     reached += 1
+                dropped[:] = []
         assert reached > 0
 
     def test_own_walk_agrees_with_the_given_census(self):
-        # without a list, only the witnesses through a or b are kept; the
-        # G_k vertical pairs take the swap branch, the seeded pairs the
-        # shared-witness branch
+        # only the witnesses through a or b are kept, against a walk of the
+        # whole census; the G_k vertical pairs take the swap branch, the
+        # seeded pairs the shared-witness branch.  The four-set scan visits
+        # C(m-2, 4) sets per swap pair, ~35 s for G_10's 380 pairs, so it
+        # checks the G_k only up to k = 6 and the seeded pairs
         branches = set()
         cases = []
         for k in range(1, 11):
             inst = generate_gk(k)
             verticals = inst.classification_json()["vertical"]
-            cases.append((inst.graph, list(itertools.permutations(verticals, 2))))
+            cases.append((inst.graph, list(itertools.permutations(verticals, 2)), k <= 6))
         for m in range(20, 61, 10):
             for G in seeded_instances(m)[:2]:
-                cases.append((G, [(0, 1), (m - 1, 0), (2, m // 2)]))
-        for G, pairs in cases:
-            census = enumerate_m_p10(G)
+                cases.append((G, [(0, 1), (m - 1, 0), (2, m // 2)], True))
+        for G, pairs, scan in cases:
+            census = set(enumerate_m_p10(G))
             for a, b in pairs:
                 verdict = check_replace(G, a, b)
-                assert verdict == check_replace(G, a, b, witnesses=census), (G, a, b)
+                assert verdict == replace_by_census(census, a, b), (G, a, b)
+                if scan:
+                    assert verdict == replace_by_four_sets(G, a, b, census.__contains__), (G, a, b)
                 branches.add(verdict.branch)
         assert branches == {"shared_witness", "swap_equivalent"}
 

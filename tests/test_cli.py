@@ -275,6 +275,50 @@ class TestNonUtf8Input:
         assert runs[0].stdout == runs[1].stdout
 
 
+class TestJsonGoldens:
+    """The JSON documents of scan, cyclic, check and the errors, byte for
+    byte, with their exit codes; census and witness have their own."""
+
+    @pytest.mark.parametrize(
+        "argv,producer,golden,exit_code",
+        [
+            (["scan", "4", "--json"], None, "scan_m4.json", 0),
+            (["cyclic", PRISM_TXT], None, "cyclic_prism.json", 1),
+            (["cyclic", PETERSEN_TXT], None, "cyclic_petersen.json", 0),
+            (["check", PRISM_TXT, "--lemma", "zhang"], None, "check_zhang_prism.json", 0),
+            (["check", PETERSEN_TXT, "--lemma", "lower"], None, "check_lower_petersen.json", 0),
+            (
+                ["check", PETERSEN_TXT, "--lemma", "redrawing", "--args", "0", "1"],
+                None,
+                "check_redrawing_petersen_0_1.json",
+                0,
+            ),
+            # the swap branch: no witness of G_1 holds both verticals
+            (
+                ["check", "-", "--lemma", "replace", "--args", "0", "5"],
+                ["gk", "1"],
+                "check_replace_g1_0_5.json",
+                0,
+            ),
+            (["witness", PETERSEN_TXT, "--edge", "5"], None, "error_index_out_of_range.json", 2),
+        ],
+    )
+    def test_golden(self, argv, producer, golden, exit_code):
+        stdin_text = capture(producer)[1] if producer else ""
+        code, out, _ = capture(argv, stdin_text=stdin_text)
+        assert code == exit_code
+        assert out == (GOLDEN_DIR / golden).read_text()
+        assert_valid_json(out)
+
+    def test_non_utf8_error_golden(self, tmp_path):
+        # the certificate holds a lone surrogate, written as its \u escape
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(NON_UTF8_INSTANCE)
+        code, out, _ = capture(["census", str(bad), "--json"])
+        assert code == 2
+        assert out == (GOLDEN_DIR / "error_non_utf8.json").read_text()
+
+
 class TestWitness:
     def test_petersen_golden(self):
         code, out, _ = capture(["witness", PETERSEN_TXT, "--edge", "0"])
@@ -552,7 +596,8 @@ def emitted(obj: dict) -> str:
 
 
 def dumped(obj: dict) -> str:
-    """The oracle: the whole document from one json.dumps call."""
+    """The document every JSON output must equal: ``obj`` with the version
+    keys, through one json.dumps call, and a newline."""
     full = {"schema_version": SCHEMA_VERSION, "tool_version": __version__, **obj}
     return json.dumps(full, sort_keys=True, indent=2) + "\n"
 
@@ -576,7 +621,7 @@ def int_rows(draw, items=st.integers()):
 ROWS = (
     int_rows()
     | int_rows(ROW_ITEMS)
-    # mostly ragged rows, which fall back too
+    # mostly ragged rows
     | st.lists(st.lists(st.integers(), max_size=4), min_size=1, max_size=6)
 )
 JSON_VALUES = st.recursive(
@@ -652,6 +697,9 @@ class RecordingIO(io.StringIO):
 
 
 class TestJsonWriter:
+    # _emit_json is one json.dumps call, so the first tests pin the version
+    # keys, the key order and the newline it adds; the census tests pin
+    # `census --json`, whose witness list is written block by block
     @settings(max_examples=300, deadline=None)
     @given(st.dictionaries(TEXT, JSON_VALUES, max_size=5))
     def test_matches_json_dumps(self, obj):
