@@ -39,15 +39,15 @@ from .crossing import build_crossing_graph
 from .errors import (
     ExhaustedAttempts,
     IndicesNotDistinct,
-    InvalidAttempts,
     InvalidJobs,
     InvalidSeed,
     OutOfScanRange,
     TooLarge,
+    TooSmall,
 )
 from .witness import PetersenWitness, find_p10_through
 
-MAX_ATTEMPTS = 100000  # default cap on rejection draws, here and in `mpg random`
+MAX_ATTEMPTS = 100000  # cap on random_instance's rejection draws
 Block = tuple[int, int, int, tuple[int, ...], tuple[int, ...]]  # see _petersen_blocks
 
 
@@ -475,36 +475,30 @@ def exhaustive_scan(m: int) -> ScanReport:
     )
 
 
-def random_instance(
-    m: int,
-    seed: int,
-    require_c4_free: bool = False,
-    max_attempts: int = MAX_ATTEMPTS,
-) -> MarkedPermutationGraph:
+def random_instance(m: int, seed: int, require_c4_free: bool = False) -> MarkedPermutationGraph:
     """Uniform random sigma from a counter-based Philox stream, optionally
-    rejection-sampled until no matched 4-cycle remains.  The seed is the
-    Philox key, so 0 <= seed < 2**128; others raise InvalidSeed.
-    max_attempts below 1 raises InvalidAttempts, and m above MAX_M raises
-    TooLarge.  numpy is imported here, after those checks, not at module
-    level, so that importing mpgraphs does not load it."""
+    rejection-sampled, at most MAX_ATTEMPTS draws, until no matched 4-cycle
+    remains; past the cap it raises ExhaustedAttempts.  The seed is the
+    Philox key, so 0 <= seed < 2**128; others raise InvalidSeed.  m above
+    MAX_M raises TooLarge and m below 3 TooSmall.  numpy is imported here,
+    after those checks, not at module level, so that importing mpgraphs
+    does not load it."""
     if m > MAX_M:
         raise TooLarge(f"m={m} above the limit {MAX_M}", m=m, limit=MAX_M)
     if not 0 <= seed < 2**128:
         raise InvalidSeed(f"seed {seed} outside 0..2**128-1", seed=seed)
-    if max_attempts < 1:
-        raise InvalidAttempts(
-            f"max_attempts must be at least 1, got {max_attempts}", max_attempts=max_attempts
-        )
+    if m < 3:
+        raise TooSmall(f"half-order m={m} below minimum 3", m=m)
     import numpy as np
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         G = validate(m, [int(v) for v in rng.permutation(m)])
         if not require_c4_free or not enumerate_m_c4(G):
             return G
     raise ExhaustedAttempts(
-        f"no 4-cycle-free instance with m={m} in {max_attempts} attempts",
+        f"no 4-cycle-free instance with m={m} in {MAX_ATTEMPTS} attempts",
         m=m,
         seed=seed,
-        attempts=max_attempts,
+        attempts=MAX_ATTEMPTS,
     )

@@ -114,12 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="seeded random instance")
     p.add_argument("m", type=int, help=f"half-order, at most {MAX_M}")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--c4-free", action="store_true")
     p.add_argument(
-        "--max-attempts",
-        type=int,
-        default=MAX_ATTEMPTS,
-        help=f"draws tried for --c4-free before giving up: at least 1 (default {MAX_ATTEMPTS})",
+        "--c4-free",
+        action="store_true",
+        help=f"redraw until no matched 4-cycle remains, at most {MAX_ATTEMPTS} draws",
     )
 
     p = sub.add_parser("draw", help="standard two-row drawing (svg or dot)")
@@ -242,12 +240,7 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
         return 0 if report.violation_count == 0 else 1
 
     if args.command == "random":
-        G = random_instance(
-            args.m,
-            seed=args.seed,
-            require_c4_free=args.c4_free,
-            max_attempts=args.max_attempts,
-        )
+        G = random_instance(args.m, seed=args.seed, require_c4_free=args.c4_free)
         stdout.write(G.to_text() + "\n")
         stdout.write(f"# seed: {args.seed}\n")
         return 0

@@ -85,10 +85,6 @@ class ExhaustedAttempts(MpgError):
     """Rejection sampling hit the attempt cap."""
 
 
-class InvalidAttempts(MpgError):
-    """Rejection-sampling attempt cap below 1."""
-
-
 class InvalidK(MpgError):
     """Family parameter below 1, or so large that m = 3k+7 exceeds MAX_M."""
 

@@ -111,7 +111,7 @@ def test_criterion_5_lower_bound():
     seed = 0
     while sampled < 50:
         m = 20 + sampled % 6
-        G = random_instance(m, seed=1000 + seed, require_c4_free=True, max_attempts=2000)
+        G = random_instance(m, seed=1000 + seed, require_c4_free=True)
         seed += 1
         v = check_lower_bound(G)
         assert v.applicable, (m, G.sigma)

@@ -301,7 +301,7 @@ class TestFindP10Through:
     @settings(max_examples=60, deadline=None)
     def test_sound_on_random_c4_free(self, seed):
         m = 8 + seed % 5
-        G = random_instance(m, seed=seed, require_c4_free=True, max_attempts=500)
+        G = random_instance(m, seed=seed, require_c4_free=True)
         e = seed % m
         X, trace = find_p10_through(G, e)
         assert e in X
