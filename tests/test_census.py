@@ -438,6 +438,10 @@ class TestRandomInstance:
         G = random_instance(5, seed=1)
         assert G.m == 5
 
+    def test_m3_never_c4_free(self):
+        # every one of the 3! instances with m = 3 has a matched 4-cycle
+        assert all(enumerate_m_c4(G) for G in all_instances(3))
+
     def test_default_attempt_cap_is_the_cli_default(self):
         # m = 3 has no 4-cycle-free instance, so every draw up to the cap is spent
         with pytest.raises(ExhaustedAttempts) as exc:
