@@ -397,42 +397,37 @@ def find_cyclic_cut(G: MarkedPermutationGraph) -> tuple[GraphEdge, ...] | None:
     components that each contain a cycle, or None; of several, the least as
     a sorted tuple of positions in the list A-edges, A'-edges, matching.
 
-    For m >= 5 such a cut cuts off an A-arc P, 2 <= |P| <= m - 2, whose
-    sigma-image is an A'-arc, and every such P gives one.  Let S be one
-    side.  If S holds all or none of one cycle and part of the other, S or
-    its complement lies inside one cycle and misses a vertex of it, so is a
-    union of paths; if S is a whole cycle, the cut is all m >= 5 matching
-    edges.  So S meets each cycle in part, the cut takes at least two, so
-    exactly two, edges of each and no matching edge, and S meets A in an
-    arc P and A' in sigma(P).  These span 3|P| - 2 edges on 2|P| vertices,
-    so hold a cycle iff |P| >= 2; likewise the complement.  For m <= 4 the
-    matching is a cut too: the only one at m = 3, after every arc cut at 4.
+    Let pi_0[x] = (sigma[x] - sigma[0]) mod m for x = 1..m-1.  For m >= 5
+    the cuts are the proper intervals of pi_0, positions l..r with
+    2 <= r - l + 1 <= m - 2 whose values form an interval; so G is
+    cyclically 5-edge-connected iff pi_0 is simple.  Let S be the side
+    that avoids A-vertex 0.  A side inside one cycle that misses a vertex
+    of it is acyclic, and a side that is a whole cycle is cut off by all
+    m >= 5 matching edges, so S and its complement meet both cycles in
+    part.  The cut then takes two edges of each cycle and no matching
+    edge: A-edges l-1 and r around the arc l..r that S meets in A, and the
+    A'-edges around its image, which must be an arc.  On 2|P| vertices,
+    P = l..r, S spans 3|P| - 2 edges, so it holds a cycle iff |P| >= 2;
+    likewise its complement.  For m <= 4 the matching is a cut too: the
+    only one at m = 3, after every interval cut at 4.
 
-    The scan grows each arc s..s+L-1 (mod m) for L = 2..m-2 with the
-    running min and max of sigma, a hit when max - min + 1 = L.  An image
-    that wraps past m-1 to 0 is caught through the complement arc, which
-    has the same four cut edges.  O(m^2) steps in all.
+    The least cut has the least l, then the least r, so the scan over l,
+    then r, with the running min and max of pi_0[l..r], returns its first
+    hit: O(m^2) steps at most.
     """
-    m, sigma = G.m, G.sigma
-    best = None  # least ((A-edge pair), (A'-edge pair)) over all hits
-    for s in range(m):
-        first = (s - 1) % m  # the A-edge that enters the arc
-        lo = hi = sigma[s]
-        for L in range(2, m - 1):
-            last = (s + L - 1) % m  # the arc's last vertex; A-edge `last` leaves it
-            v = sigma[last]
+    m, s0 = G.m, G.sigma[0]
+    pi = [(v - s0) % m for v in G.sigma]
+    for l in range(1, m - 1):
+        lo = hi = pi[l]
+        for r in range(l + 1, min(l + m - 2, m)):
+            v = pi[r]
             if v < lo:
                 lo = v
             elif v > hi:
                 hi = v
-            if hi - lo + 1 == L:
-                a_pair = (first, last) if first < last else (last, first)
-                key = (a_pair, (lo - 1, hi) if lo else (hi, m - 1))
-                if best is None or key < best:
-                    best = key
-    if best is not None:
-        (a1, a2), (b1, b2) = best
-        return (("A", a1), ("A", a2), ("A'", b1), ("A'", b2))
+            if hi - lo == r - l:
+                b1, b2 = sorted(((lo + s0 - 1) % m, (hi + s0) % m))
+                return (("A", l - 1), ("A", r), ("A'", b1), ("A'", b2))
     if m <= 4:
         return tuple(("M", i) for i in range(m))
     return None

@@ -27,12 +27,6 @@ class EdgeClassification(NamedTuple):
     kind: EdgeClass
     group: int | None = None  # 1 or 2 for special edges
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"class": self.kind.value}
-        if self.group is not None:
-            out["group"] = self.group
-        return out
-
 
 class GkInstance(NamedTuple):
     k: int

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -421,6 +422,28 @@ class TestCyclicConnectivity:
     def test_same_cut_as_subsets_on_gk(self, k):
         G = generate_gk(k).graph
         assert find_cyclic_cut(G) == cyclic_cut_by_subsets(G)
+
+    def test_gk_cut_at_the_first_interval(self):
+        # indices 1..3k+1 of G_k map onto 1'..(3k+1)', so the least cut
+        # cuts them off from the other 12 vertices, which hold special
+        # group 2
+        for k in range(1, 31):
+            G = generate_gk(k).graph
+            cut = find_cyclic_cut(G)
+            assert cut == (("A", 0), ("A", 3 * k + 1), ("A'", 0), ("A'", 3 * k + 1)), k
+            sizes = sorted(len(c) for c in cyclic_components_after(G, cut))
+            assert sizes == sorted([12, 2 * (3 * k + 1)]), k
+
+    def test_accepted_instances_count_simple_permutations(self):
+        # with sigma[0] = 0, pi_0 is sigma[1:], so cyclically 5-edge-connected
+        # instances are the simple permutations of length m - 1, which number
+        # 2, 6, 46, 338, 2926 for m = 5..9 (OEIS A111111)
+        for m, simple in zip(range(5, 10), (2, 6, 46, 338, 2926)):
+            accepted = sum(
+                is_cyclically_5_edge_connected(validate(m, (0, *tail)))
+                for tail in itertools.permutations(range(1, m))
+            )
+            assert accepted == simple, m
 
     def test_identity_at_m_1000(self):
         # every arc is its own image, so the least cut cuts off {1, 2} and
