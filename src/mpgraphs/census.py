@@ -292,24 +292,34 @@ class RedrawingVerdict(NamedTuple):
 
 def check_redrawing(G: MarkedPermutationGraph, a: int, b: int) -> RedrawingVerdict:
     """Re-anchoring rule: (i) a~x in H_b iff b~x in H_a; (ii) x~y in H_b
-    iff an odd number of bx, by, xy are edges of H_a."""
+    iff an odd number of bx, by, xy are edges of H_a.
+
+    In row form, H_b is H_a Seidel-switched at N = N_{H_a}(b), with a in
+    b's place: row a of H_b is N, and row x of H_b is row x of H_a XOR N,
+    complemented when b ~ x.  Each clause compares whole rows, O(m)
+    big-int operations in all.  Rows a and b need no skip in clause (ii):
+    once (i) holds, both leave nothing set.  The counterexample is the
+    least x, or the least pair (x, y) with x < y, that breaks the rule."""
     _check_index(G, a)
     _check_index(G, b)
     if a == b:
         raise IndicesNotDistinct("anchors must be distinct", a=a, b=b)
     Ha = build_crossing_graph(G, a)
     Hb = build_crossing_graph(G, b)
-    others = [v for v in range(G.m) if v not in (a, b)]
-    for x in others:
-        if Hb.has_edge(a, x) != Ha.has_edge(b, x):
-            return RedrawingVerdict(ok=False, failing_clause=1, counterexample=(x,))
-    for x, y in itertools.combinations(others, 2):
-        odd = (
-            int(Ha.has_edge(b, x)) + int(Ha.has_edge(b, y)) + int(Ha.has_edge(x, y))
-        ) % 2 == 1
-        if Hb.has_edge(x, y) != odd:
-            return RedrawingVerdict(ok=False, failing_clause=2, counterexample=(x, y))
+    others = ((1 << G.m) - 1) & ~(1 << a | 1 << b)
+    nb = Ha.adj[b]
+    diff = (Hb.adj[a] ^ nb) & others
+    if diff:
+        return RedrawingVerdict(ok=False, failing_clause=1, counterexample=(_lowest(diff),))
+    for x in range(G.m):
+        diff = (Hb.adj[x] ^ Ha.adj[x] ^ nb ^ -(nb >> x & 1)) & others & -(2 << x)
+        if diff:
+            return RedrawingVerdict(ok=False, failing_clause=2, counterexample=(x, _lowest(diff)))
     return RedrawingVerdict(ok=True, failing_clause=None, counterexample=None)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------

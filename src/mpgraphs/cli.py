@@ -134,7 +134,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file")
 
-    p = sub.add_parser("check", help="run one lemma checker")
+    p = sub.add_parser(
+        "check",
+        help="run one lemma checker",
+        description="--lemma redrawing compares whole rows of the crossing graphs at its "
+        "two anchors, O(m) big-int operations: about 0.25 s at m = 20,000. The other "
+        "lemmas read the Petersen census.",
+    )
     p.add_argument("file")
     p.add_argument(
         "--lemma", required=True, choices=["redrawing", "replace", "zhang", "lower"]

@@ -32,10 +32,6 @@ class CrossingGraph(NamedTuple):
     def __repr__(self) -> str:
         return f"CrossingGraph(anchor={self.anchor!r}, graph={self.graph!r}, vertices={self.vertices!r})"
 
-    @property
-    def m(self) -> int:
-        return self.graph.m
-
     def has_edge(self, x: int, y: int) -> bool:
         return bool(self.adj[x] >> y & 1)
 

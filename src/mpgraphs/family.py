@@ -111,9 +111,6 @@ class GkVerdict(NamedTuple):
     expected_p10: int
     bad_witnesses: tuple[PetersenWitness, ...]
 
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "bad_witnesses": [list(X) for X in self.bad_witnesses]}
-
 
 def verify_gk(inst: GkInstance) -> GkVerdict:
     """Census-verify the family claims: no matched 4-cycle, exactly 6k+6

@@ -387,6 +387,27 @@ def replace_by_four_sets(G, a: int, b: int, is_witness):
     return ReplaceVerdict(ok=True, branch="swap_equivalent", counterexample=None)
 
 
+def redrawing_by_pairs(Ha, Hb):
+    """check_redrawing by its first algorithm, on the crossing graphs Ha
+    and Hb at anchors a and b: clause (i) one x at a time, then clause
+    (ii) one pair at a time in combinations order, with three has_edge
+    calls and a parity sum per pair, Theta(m^2) steps."""
+    from mpgraphs.census import RedrawingVerdict
+
+    a, b = Ha.anchor, Hb.anchor
+    others = [v for v in range(Ha.graph.m) if v not in (a, b)]
+    for x in others:
+        if Hb.has_edge(a, x) != Ha.has_edge(b, x):
+            return RedrawingVerdict(ok=False, failing_clause=1, counterexample=(x,))
+    for x, y in itertools.combinations(others, 2):
+        odd = (
+            int(Ha.has_edge(b, x)) + int(Ha.has_edge(b, y)) + int(Ha.has_edge(x, y))
+        ) % 2 == 1
+        if Hb.has_edge(x, y) != odd:
+            return RedrawingVerdict(ok=False, failing_clause=2, counterexample=(x, y))
+    return RedrawingVerdict(ok=True, failing_clause=None, counterexample=None)
+
+
 def replace_by_census(census, a: int, b: int):
     """check_replace read off a whole census in one pass: a witness through
     both edges, else the witnesses through a with a removed against those

@@ -40,6 +40,7 @@ from .conftest import (
     induced_path_order,
     instances,
     petersen_by_sorted_slices,
+    redrawing_by_pairs,
     replace_by_census,
     replace_by_four_sets,
     seeded_instances,
@@ -375,6 +376,48 @@ class TestCheckRedrawing:
         a = data.draw(st.integers(0, G.m - 1))
         b = data.draw(st.integers(0, G.m - 1).filter(lambda v: v != a))
         assert check_redrawing(G, a, b).ok
+
+    def test_matches_pair_loop_exhaustively(self):
+        checked = 0
+        for m in range(3, 7):
+            for G in all_instances(m):
+                H = [build_crossing_graph(G, v) for v in range(m)]
+                for a, b in itertools.permutations(range(m), 2):
+                    assert check_redrawing(G, a, b) == redrawing_by_pairs(H[a], H[b]), (G.sigma, a, b)
+                    checked += 1
+        assert checked == 24324
+
+    @pytest.mark.parametrize(
+        "G",
+        [PETERSEN, generate_gk(1).graph, random_instance(20, seed=1)],
+        ids=["petersen", "G_1", "random20"],
+    )
+    def test_flipped_crossings_fail_like_pair_loop(self, G, monkeypatch):
+        """Flip the crossings of one vertex x of H_a or of H_b (both bits of
+        each): with one other vertex y, for every pair x < y of that graph's
+        non-anchor vertices, and with every vertex but x, a and b.  The
+        verdict, clause and counterexample must equal the pair loop's on the
+        same graphs; the second kind leaves more than one failing pair, so
+        the least must be chosen."""
+        clauses = {1: 0, 2: 0}
+        for a, b in ((0, 1), (4, 2)):
+            for target in (a, b):
+                rest = [v for v in range(G.m) if v != target]
+                for x in rest:
+                    row = tuple(y for y in rest if y not in (x, a, b))
+                    for ys in [(y,) for y in rest if y > x] + [row]:
+                        H = {a: build_crossing_graph(G, a), b: build_crossing_graph(G, b)}
+                        adj = list(H[target].adj)
+                        for y in ys:
+                            adj[x] ^= 1 << y
+                            adj[y] ^= 1 << x
+                        H[target] = H[target]._replace(adj=tuple(adj))
+                        monkeypatch.setattr("mpgraphs.census.build_crossing_graph", lambda G, v: H[v])
+                        verdict = check_redrawing(G, a, b)
+                        assert verdict == redrawing_by_pairs(H[a], H[b]), (a, b, target, x, ys)
+                        assert not verdict.ok
+                        clauses[verdict.failing_clause] += 1
+        assert clauses[1] > 0 and clauses[2] > 0, clauses
 
 
 class TestExhaustiveScan:

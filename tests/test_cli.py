@@ -531,8 +531,9 @@ class TestCyclic:
         assert len(obj["violating_cut"]) == 3
 
     def test_help_states_cost(self, capsys):
-        assert run(["cyclic", "--help"]) == 0
-        assert "O(m^2)" in capsys.readouterr().out
+        for command, cost in (("cyclic", "O(m^2)"), ("check", "O(m) big-int operations")):
+            assert run([command, "--help"]) == 0
+            assert cost in " ".join(capsys.readouterr().out.split()), command
 
 
 class TestCheck:
