@@ -22,19 +22,16 @@ from .census import (
     exhaustive_scan,
     random_instance,
 )
-from .cograph import InducedPath4, find_induced_p4, is_p4_free
+from .cograph import InducedPath4, find_induced_p4
 from .core import (
     PETERSEN,
     PRISM,
     FourCycle,
     MarkedPermutationGraph,
-    Side,
     SuppressedGraph,
-    VertexRef,
     apply_symmetry,
     enumerate_m_c4,
     find_cyclic_cut,
-    friend,
     girth,
     is_cyclically_5_edge_connected,
     is_petersen,
@@ -89,9 +86,7 @@ __all__ = [
     "PRISM",
     "PetersenWitness",
     "ReductionTrace",
-    "Side",
     "SuppressedGraph",
-    "VertexRef",
     "apply_symmetry",
     "build_crossing_graph",
     "census_report",
@@ -108,11 +103,9 @@ __all__ = [
     "find_cyclic_cut",
     "find_induced_p4",
     "find_p10_through",
-    "friend",
     "generate_gk",
     "girth",
     "is_cyclically_5_edge_connected",
-    "is_p4_free",
     "is_petersen",
     "p10_from_p4",
     "parse_instance",

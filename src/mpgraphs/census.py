@@ -195,9 +195,6 @@ class ZhangVerdict(NamedTuple):
     c4_count: int
     p10_count: int
 
-    def to_json_dict(self) -> dict:
-        return {"lemma": "zhang", **self._asdict()}
-
 
 def _zhang(c4_count: int, p10_count: int) -> ZhangVerdict:
     return ZhangVerdict(ok=(c4_count >= 2 or p10_count >= 1), c4_count=c4_count, p10_count=p10_count)
@@ -217,9 +214,6 @@ class LowerBoundVerdict(NamedTuple):
     ok: bool
     p10_count: int
     required: int
-
-    def to_json_dict(self) -> dict:
-        return {"lemma": "lower", **self._asdict()}
 
 
 def _lower_bound(G: MarkedPermutationGraph, c4_count: int, p10_count: int) -> LowerBoundVerdict:
@@ -246,10 +240,6 @@ class ReplaceVerdict(NamedTuple):
     ok: bool
     branch: str | None  # "shared_witness" | "swap_equivalent"
     counterexample: tuple[int, ...] | None
-
-    def to_json_dict(self) -> dict:
-        cx = self.counterexample
-        return {"lemma": "replace", **self._asdict(), "counterexample": list(cx) if cx else None}
 
 
 def check_replace(G: MarkedPermutationGraph, a: int, b: int) -> ReplaceVerdict:
@@ -284,10 +274,6 @@ class RedrawingVerdict(NamedTuple):
     ok: bool
     failing_clause: int | None
     counterexample: tuple[int, ...] | None
-
-    def to_json_dict(self) -> dict:
-        cx = self.counterexample
-        return {"lemma": "redrawing", **self._asdict(), "counterexample": list(cx) if cx else None}
 
 
 def check_redrawing(G: MarkedPermutationGraph, a: int, b: int) -> RedrawingVerdict:

@@ -284,18 +284,15 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
                 args=args.args,
             )
         G = _load_instance(args.file, stdin)
-        if takes_pair:
-            a, b = args.args
-            verdict = (
-                check_redrawing(G, a, b)
-                if args.lemma == "redrawing"
-                else check_replace(G, a, b)
-            )
-        elif args.lemma == "zhang":
-            verdict = check_zhang(G)
-        else:
-            verdict = check_lower_bound(G)
-        _emit_json(verdict.to_json_dict(), stdout)
+        # built per call, not at import, so a checker rebound in this module runs
+        checker = {
+            "redrawing": check_redrawing,
+            "replace": check_replace,
+            "zhang": check_zhang,
+            "lower": check_lower_bound,
+        }[args.lemma]
+        verdict = checker(G, *args.args)
+        _emit_json({"lemma": args.lemma, **verdict._asdict()}, stdout)
         return 0 if verdict.ok else 1
 
     raise AssertionError(f"unhandled command {args.command}")

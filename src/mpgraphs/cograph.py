@@ -67,10 +67,3 @@ def find_induced_p4(H: CrossingGraph) -> InducedPath4 | None:
                     l = (cand & -cand).bit_length() - 1
                     return _path_order(H, (x, y, z, l))
     return None
-
-
-def is_p4_free(H: CrossingGraph) -> bool:
-    """True iff H has no induced P4, i.e. H is a cograph.  For the crossing
-    graph at edge e this holds iff e lies in no Petersen witness (the
-    lemma in mpgraphs.witness)."""
-    return find_induced_p4(H) is None

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter, deque
-from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -29,18 +28,6 @@ from .errors import (
 # Largest m that random_instance and generate_gk build and parse_instances
 # reads: far above what a census finishes on, and built in seconds.
 MAX_M = 10**6
-
-
-class Side(Enum):
-    A = "A"
-    A_PRIME = "A'"
-
-
-class VertexRef(NamedTuple):
-    """One endpoint of a matching edge: a side plus an index mod m."""
-
-    side: Side
-    index: int
 
 
 class FourCycle(NamedTuple):
@@ -166,14 +153,6 @@ PETERSEN = validate(5, [0, 2, 4, 1, 3])
 def _check_index(G: MarkedPermutationGraph, i: int, what: str = "A-index") -> None:
     if not 0 <= i < G.m:
         raise IndexOutOfRange(f"{what} {i} outside 0..{G.m - 1}", index=i, m=G.m)
-
-
-def friend(G: MarkedPermutationGraph, v: VertexRef) -> VertexRef:
-    """The matching neighbour; an involution that crosses sides."""
-    _check_index(G, v.index, f"{v.side.value}-index")
-    if v.side is Side.A:
-        return VertexRef(Side.A_PRIME, G.sigma[v.index])
-    return VertexRef(Side.A, G.inverse()[v.index])
 
 
 def enumerate_m_c4(G: MarkedPermutationGraph) -> list[FourCycle]:

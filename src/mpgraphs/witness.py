@@ -10,7 +10,8 @@ are the whole state (_Peel): the partners peeled left and right of e on
 the A-row, and below and above sigma[e].  Each is recorded as C4Reduce(z),
 z its current index, i.e. its rank among the survivors.  Then one crossing
 graph, H_e of G, is searched for its first induced P4 among the survivors
-only, which is the P4 the reduced instance gives, by four steps:
+only, which is the P4 the reduced instance gives, by steps 1-4; step 5
+pins the witness to the census:
 
 1. X containing a is a witness iff X - a induces a P4 in H_a.  Both sides
    depend only on the rank pattern of sigma on X and a's place in it, so
@@ -23,6 +24,12 @@ only, which is the P4 the reduced instance gives, by four steps:
    the peel, it is H_e on the survivors.
 4. find_induced_p4 returns the lexicographically least induced P4,
    oriented from its smaller end, and a monotone relabelling keeps both.
+5. The witness is min(X for X in enumerate_m_p10(G) if e in X).  A
+   peeled partner is isolated or universal once the partners peeled
+   before it are gone, so, by induction, no induced P4 of H_e contains
+   one, and the survivors' first P4 is H_e's own first P4.  Inserting e
+   into two sorted 4-sets keeps their lexicographic order, so by step 1
+   e plus that P4 is the least witness through e.
 
 The witness is certified in G.  The paper's theorem gives every
 4-cycle-free state a witness through its anchor, hence an induced P4; a

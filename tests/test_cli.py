@@ -11,6 +11,8 @@ import tracemalloc
 import jsonschema
 import pytest
 
+import mpgraphs
+import mpgraphs.census as census_module
 from mpgraphs import __version__
 from mpgraphs.census import MAX_ATTEMPTS, census_report, random_instance
 from mpgraphs.core import MAX_M, MarkedPermutationGraph
@@ -585,6 +587,87 @@ class TestCheck:
         assert obj["certificate"] == {"a": int(index), "b": int(index)}
 
 
+def flipped_crossing(target: int, x: int, y: int):
+    """build_crossing_graph with the crossing x-y of H_target flipped."""
+    build = census_module.build_crossing_graph
+
+    def flipped(G, a):
+        H = build(G, a)
+        if a != target:
+            return H
+        adj = list(H.adj)
+        adj[x] ^= 1 << y
+        adj[y] ^= 1 << x
+        return H._replace(adj=tuple(adj))
+
+    return flipped
+
+
+class TestCheckFailureDocuments:
+    """The exit-1 documents of check, byte for byte.  Every lemma holds on
+    every instance, so each test breaks the census or a crossing graph
+    in-process to reach a failing verdict."""
+
+    def check(self, argv, stdin_text, expected):
+        code, out, _ = capture(["check", *argv], stdin_text=stdin_text)
+        assert (code, out) == (1, expected)
+        assert_valid_json(out)
+
+    def test_redrawing_clause_1(self, monkeypatch):
+        # a ~ 3 in H_1 no longer matches 1 ~ 3 in H_0
+        monkeypatch.setattr("mpgraphs.census.build_crossing_graph", flipped_crossing(0, 1, 3))
+        self.check(
+            [PETERSEN_TXT, "--lemma", "redrawing", "--args", "0", "1"],
+            "",
+            '{\n  "counterexample": [\n    3\n  ],\n  "failing_clause": 1,\n  "lemma": "redrawing",\n'
+            '  "ok": false,\n  "schema_version": 1,\n  "tool_version": "0.1.0"\n}\n',
+        )
+
+    def test_redrawing_clause_2(self, monkeypatch):
+        monkeypatch.setattr("mpgraphs.census.build_crossing_graph", flipped_crossing(1, 2, 3))
+        self.check(
+            [PETERSEN_TXT, "--lemma", "redrawing", "--args", "0", "1"],
+            "",
+            '{\n  "counterexample": [\n    2,\n    3\n  ],\n  "failing_clause": 2,\n'
+            '  "lemma": "redrawing",\n  "ok": false,\n  "schema_version": 1,\n'
+            '  "tool_version": "0.1.0"\n}\n',
+        )
+
+    def test_replace(self, monkeypatch):
+        # G_1's first block, the witness (0, 1, 2, 3, 4), goes; (1, 2, 3, 4)
+        # then completes a witness with 5 but not with 0
+        blocks = census_module._petersen_blocks
+        monkeypatch.setattr(
+            "mpgraphs.census._petersen_blocks", lambda sigma: itertools.islice(blocks(sigma), 1, None)
+        )
+        self.check(
+            ["-", "--lemma", "replace", "--args", "0", "5"],
+            capture(["gk", "1"])[1],
+            '{\n  "branch": null,\n  "counterexample": [\n    1,\n    2,\n    3,\n    4\n  ],\n'
+            '  "lemma": "replace",\n  "ok": false,\n  "schema_version": 1,\n'
+            '  "tool_version": "0.1.0"\n}\n',
+        )
+
+    def test_zhang(self, monkeypatch):
+        monkeypatch.setattr("mpgraphs.census._count", lambda sigma: 0)
+        self.check(
+            [PETERSEN_TXT, "--lemma", "zhang"],
+            "",
+            '{\n  "c4_count": 0,\n  "lemma": "zhang",\n  "ok": false,\n  "p10_count": 0,\n'
+            '  "schema_version": 1,\n  "tool_version": "0.1.0"\n}\n',
+        )
+
+    def test_lower(self, monkeypatch):
+        # G_5: n = 44 and no matched 4-cycle, so the bound applies
+        monkeypatch.setattr("mpgraphs.census._count", lambda sigma: 0)
+        self.check(
+            ["-", "--lemma", "lower"],
+            capture(["gk", "5"])[1],
+            '{\n  "applicable": true,\n  "lemma": "lower",\n  "ok": false,\n  "p10_count": 0,\n'
+            '  "required": 18,\n  "schema_version": 1,\n  "tool_version": "0.1.0"\n}\n',
+        )
+
+
 def emitted(obj: dict) -> str:
     buf = io.StringIO()
     _emit_json(obj, buf)
@@ -807,3 +890,12 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     # every subcommand runs in one process, so nothing should pull in
     # multiprocessing
     assert not loaded_by_cli_import("multiprocessing")
+
+
+def test_star_import_binds_exactly_all():
+    # a name left in __all__ after its import is deleted breaks star-imports
+    namespace: dict = {}
+    exec("from mpgraphs import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(set(mpgraphs.__all__))
+    assert len(set(mpgraphs.__all__)) == len(mpgraphs.__all__)

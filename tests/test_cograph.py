@@ -8,7 +8,6 @@ from mpgraphs import (
     build_crossing_graph,
     find_induced_p4,
     generate_gk,
-    is_p4_free,
     validate,
 )
 from .conftest import (
@@ -74,10 +73,12 @@ class TestFindInducedP4:
 
 
 class TestIsP4Free:
+    """P4-freeness, read as ``find_induced_p4(H) is None``."""
+
     def test_examples(self):
-        assert not is_p4_free(PETERSEN_H0)
-        assert is_p4_free(K4)
-        assert is_p4_free(EMPTY3)
+        assert find_induced_p4(PETERSEN_H0) is not None
+        assert find_induced_p4(K4) is None
+        assert find_induced_p4(EMPTY3) is None
 
     @given(instances(), st.data())
     @settings(max_examples=150)
@@ -86,7 +87,7 @@ class TestIsP4Free:
         # and 9, beyond the exhaustive test below
         a = data.draw(st.integers(0, G.m - 1))
         H = build_crossing_graph(G, a)
-        assert is_p4_free(H) == p4_free_by_twin_elimination(H)
+        assert (find_induced_p4(H) is None) == p4_free_by_twin_elimination(H)
 
     def test_matches_twin_elimination_exhaustively(self):
         # every anchor of every instance with 3 <= m <= 7: 40,314 graphs
@@ -94,4 +95,4 @@ class TestIsP4Free:
             for G in all_instances(m):
                 for a in range(m):
                     H = build_crossing_graph(G, a)
-                    assert is_p4_free(H) == p4_free_by_twin_elimination(H), (G.to_text(), a)
+                    assert (find_induced_p4(H) is None) == p4_free_by_twin_elimination(H), (G.to_text(), a)

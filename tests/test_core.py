@@ -15,9 +15,7 @@ from mpgraphs import (
     InducedPath4,
     P4FoundStep,
     ReductionTrace,
-    Side,
     SuppressedGraph,
-    VertexRef,
     apply_symmetry,
     build_crossing_graph,
     census_report,
@@ -28,7 +26,6 @@ from mpgraphs import (
     enumerate_m_c4,
     enumerate_m_p10,
     find_cyclic_cut,
-    friend,
     generate_gk,
     girth,
     is_cyclically_5_edge_connected,
@@ -196,21 +193,6 @@ class TestTextFormat:
         # MAX_M itself passes the size check and fails as truncated
         with pytest.raises(InstanceTextError):
             parse_instances(f"{MAX_M} 0 1 2")
-
-
-class TestFriend:
-    def test_examples(self):
-        assert friend(PETERSEN, VertexRef(Side.A, 1)) == VertexRef(Side.A_PRIME, 2)
-        assert friend(PETERSEN, VertexRef(Side.A_PRIME, 2)) == VertexRef(Side.A, 1)
-        assert friend(PRISM, VertexRef(Side.A, 0)) == VertexRef(Side.A_PRIME, 0)
-
-    @given(instances(), st.data())
-    def test_involution_and_side_change(self, G, data):
-        side = data.draw(st.sampled_from([Side.A, Side.A_PRIME]))
-        v = VertexRef(side, data.draw(st.integers(0, G.m - 1)))
-        w = friend(G, v)
-        assert w.side != v.side
-        assert friend(G, w) == v
 
 
 class TestEnumerateMC4:
@@ -488,10 +470,6 @@ GK1 = "MarkedPermutationGraph(10, [0, 2, 4, 1, 3, 5, 7, 9, 6, 8])"
 VERT = "EdgeClassification(kind=<EdgeClass.VERTICAL: 'vertical'>, group=None)"
 SPECIAL = "EdgeClassification(kind=<EdgeClass.SPECIAL: 'special'>, group={})"
 VALUE_TYPE_SAMPLES = {
-    "VertexRef": (
-        lambda: VertexRef(Side.A_PRIME, 2),
-        "VertexRef(side=<Side.A_PRIME: \"A'\">, index=2)",
-    ),
     "MarkedPermutationGraph": (lambda: PETERSEN, "MarkedPermutationGraph(5, [0, 2, 4, 1, 3])"),
     "SuppressedGraph": (
         lambda: suppress_match(PRISM, [0, 1]),
@@ -571,7 +549,6 @@ class TestValueTypes:
             value.extra = 0
 
     def test_values_are_tuples_of_their_fields(self):
-        assert VertexRef(Side.A, 0) == (Side.A, 0)
         m, sigma = PETERSEN
         assert (m, sigma) == (5, (0, 2, 4, 1, 3))
         H = build_crossing_graph(PETERSEN, 0)

@@ -254,6 +254,32 @@ class TestPeelArgument:
         assert len(find_p10_through(*cases[0])[1].steps) > 2 * (m // 4)
 
 
+def assert_least_census_witness(G) -> int:
+    """The engine's witness through every qualifying edge e of G is
+    min(X for X in enumerate_m_p10(G) if e in X); returns the pairs run."""
+    W = enumerate_m_p10(G)  # lexicographic, so the first hit is the least
+    edges = _qualifying_edges(G, enumerate_m_c4(G))
+    for e in edges:
+        assert find_p10_through(G, e)[0] == next(X for X in W if e in X), (G.to_text(), e)
+    return len(edges)
+
+
+class TestLeastCensusWitness:
+    """Step 5 of the mpgraphs.witness docstring: the engine returns the
+    least census witness through its edge."""
+
+    def test_exhaustively(self):
+        assert sum(assert_least_census_witness(G) for m in range(3, 8) for G in all_instances(m)) == 4_964
+
+    def test_on_gk(self):
+        for k in range(1, 13):
+            assert assert_least_census_witness(generate_gk(k).graph) == 3 * k + 7
+
+    @pytest.mark.parametrize("m", [10, 20, 30, 40])
+    def test_on_seeded_instances(self, m):
+        assert sum(assert_least_census_witness(G) for G in seeded_instances(m)) >= 2 * m
+
+
 class TestFindP10Through:
     def test_petersen(self):
         X, trace = find_p10_through(PETERSEN, 0)
