@@ -6,11 +6,11 @@ containing a is a witness iff X - a induces a P4 in the crossing graph at
 a, a lemma proved in the tests; the census is the independent count the
 witness engine is checked against.)  What makes it fast is that a
 5-subset's verdict depends only on the rank pattern of sigma on it, and
-only 10 of the 120 patterns certify; the search walks the index triples
-x0 < x1 < x2 and, from a per-position rank table ``below``, rules out each
-triple that no x3 < x4 after it can complete to one of those 10 before
-slicing anything, and yields each of the rest as a block: the triple and
-the sorted slices of later indices open to x3 and to x4.
+only 10 of the 120 patterns certify.  The search takes the index pairs
+x0 < x1 and, with a few big-int mask operations per pair, finds every x2
+after x1 that some x3 < x4 could still complete to one of those 10; only
+those x2 are visited.  It yields each triple that passes as a block: the
+triple and the sorted slices of later indices open to x3 and to x4.
 
 enumerate_m_p10 lists every block's witnesses, in O(witnesses) memory,
 and check_replace lists only those of the blocks through its two edges.
@@ -57,62 +57,91 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
     x0 < x1 < x2 are (x0, x1, x2, x3, x4) for x3 in x3s and x4 in x4s with
     x3 < x4, and both slices are sorted tuples.
 
-    x0 < x1 < x2 run over all triples.  In cyclic value order a Petersen
-    pattern reads x0, x3, x1, x4, x2 or its reverse, so sigma[x3] must sit
-    on the arc of values from s0 to s1 that avoids s2, sigma[x4] on the arc
-    from s1 to s2 that avoids s0, and every x3 < x4 after x2 with values on
-    those arcs completes a witness.  The indices after x2 with values on an
-    arc are one slice of ring[x2], and below[x2] gives the slice's bounds.
-    The two arcs are disjoint, so no index is in both slices.
+    In cyclic value order a Petersen pattern reads x0, x3, x1, x4, x2 or
+    its reverse, so sigma[x3] must sit on the arc of values from s0 to s1
+    that avoids s2, sigma[x4] on the arc from s1 to s2 that avoids s0, and
+    every x3 < x4 after x2 with values on those arcs completes a witness.
 
-    A triple is dropped at the first of three tests it fails: its x4 arc
-    is empty (two lookups in below[x2]), its x3 arc is empty (two more, and
-    equal bounds), or no x3 precedes an x4 (min of the x3 slice above max
-    of the x4 slice).  Only triples that pass the first two are sliced, and
-    only those that pass all three are sorted and yielded.  The tables take
-    O(m^2) time and memory, and the walk holds one block at a time.
+    The pair x0 < x1 splits the indices after x1 into two sides: ``inner``,
+    whose values lie between s0 and s1, and ``outer``, the rest.  The x3
+    arc is the whole side that x2 is not on.  The x4 arc starts at s1 and
+    ends at s2 without meeting s0, so it never leaves the arc between s0
+    and s1 that holds s2: x4 is on x2's side.  Hence an x2 extends only if
+    an other-side index follows it and a same-side index follows that one.
+    Let ``tail`` be the side that holds the last index, m - 1.  An x2 on it
+    qualifies iff it precedes the other side's last index, and an x2 on
+    the other side iff it precedes the last qualifying tail index.  About
+    eight mask operations per pair give every such x2, and only those are
+    visited.  The x3 arc after a qualifying x2 is not empty, so each takes
+    two more tests, as masks: its x4 arc after x2 is not empty, and the
+    first x3 there precedes the last x4.
+
+    A block's two slices come from ring[x2], the indices after x2 in
+    ascending order of value, twice over, so that an arc across the top of
+    the value range is still one slice.  The bounds are counts of the
+    indices after x2 with values below s0, s1 and s2: two popcounts and
+    one lookup.  The arcs are disjoint, so no index is in both slices.
+    The tables take O(m^2) time and memory, and the walk holds one block
+    at a time.
     """
     m = len(sigma)
     inv = [0] * m
     for i, v in enumerate(sigma):
         inv[v] = i
-    # below[p][v]: how many q > p have sigma[q] < v; ring[p]: those q in
-    # ascending order of sigma[q], twice over, so that an arc across the
-    # top of the value range is still one slice
-    below = [[0] * (m + 1)]
-    for s in reversed(sigma[1:]):
-        prev = below[-1]
-        below.append(prev[: s + 1] + [c + 1 for c in prev[s + 1 :]])
-    below.reverse()
     ring = [[q for q in inv if q > p] * 2 for p in range(m)]
+    # masks of indices: vmask[v] those whose value is below v, after[x]
+    # those above x, and under[x.bit_length()] those below x's highest bit;
+    # rank[x] counts the indices after x whose value is below sigma[x]
+    vmask = [0] * (m + 1)
+    for v in range(m):
+        vmask[v + 1] = vmask[v] | 1 << inv[v]
+    after = [-(2 << x) & vmask[m] for x in range(m)]
+    under = [0] + [(1 << k) - 1 for k in range(m)]
+    rank = [(vmask[s] & after[x]).bit_count() for x, s in enumerate(sigma)]
+    last = sigma[-1]
     for x0 in range(m):
         s0 = sigma[x0]
         for x1 in range(x0 + 1, m - 3):
             s1 = sigma[x1]
-            lo3, hi3 = (s0, s1) if s0 < s1 else (s1, s0)
-            for x2 in range(x1 + 1, m - 2):
+            lo, hi = (s0, s1) if s0 < s1 else (s1, s0)
+            later = after[x1]
+            inner = (vmask[hi] ^ vmask[lo + 1]) & later
+            outer = later ^ inner
+            tail, other = (inner, outer) if lo < last < hi else (outer, inner)
+            ok = tail & under[other.bit_length()]
+            ok |= other & under[ok.bit_length()]
+            while ok:
+                bit = ok & -ok
+                ok ^= bit
+                x2 = bit.bit_length() - 1
                 s2 = sigma[x2]
-                row = below[x2]
-                # the values open to x4 are those between lo4 and hi4, or,
-                # when s0 lies between them, those above hi4 and then below
-                # lo4, which run on into ring's second copy
+                rest = after[x2]
                 lo4, hi4 = (s1, s2) if s1 < s2 else (s2, s1)
-                i4, j4 = row[lo4], row[hi4]
-                if lo4 < s0 < hi4:
+                x4m = (vmask[hi4] ^ vmask[lo4 + 1]) & rest
+                wrap4 = lo4 < s0 < hi4
+                if wrap4:
+                    x4m ^= rest
+                wrap3 = lo < s2 < hi
+                x3m = (outer if wrap3 else inner) & rest
+                if not x3m & under[x4m.bit_length()]:
+                    continue
+                # each arc's slice of ring[x2] runs from the count of later
+                # indices below its lower end to the count below its upper
+                # end, or, when it wraps, from the upper count on to the
+                # lower count in the second copy
+                i3 = (vmask[lo] & rest).bit_count()
+                j3 = (vmask[hi] & rest).bit_count()
+                c1 = j3 if lo == s0 else i3
+                i4, j4 = (c1, rank[x2]) if s1 < s2 else (rank[x2], c1)
+                if wrap4:
                     i4, j4 = j4, m - 1 - x2 + i4
-                if i4 == j4:
-                    continue
-                i3, j3 = row[lo3], row[hi3]
-                if lo3 < s2 < hi3:
+                if wrap3:
                     i3, j3 = j3, m - 1 - x2 + i3
-                if i3 == j3:
-                    continue
-                x3s = ring[x2][i3:j3]
-                x4s = ring[x2][i4:j4]
-                if min(x3s) > max(x4s):
-                    continue
-                x4s.sort()
+                row = ring[x2]
+                x3s = row[i3:j3]
+                x4s = row[i4:j4]
                 x3s.sort()
+                x4s.sort()
                 yield x0, x1, x2, tuple(x3s), tuple(x4s)
 
 
@@ -160,14 +189,15 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
 
     The census is exhaustive and exact: a subset is a witness exactly when
     its rank pattern is in PETERSEN_PATTERNS, and the search drops a prefix
-    only when its exact rank pattern cannot complete to one.  After an
-    O(m^2) table, each of the C(m,3) triples x0 < x1 < x2 costs two lookups
-    when no later value lies where a Petersen pattern needs x4, and two more
-    when none lies where it needs x3.  Only a triple with some x3 before
-    some x4 has its two slices of later indices sorted, and each witness
-    then costs O(1); brute force costs C(m,5) subset checks whatever the
-    answer.  The list takes O(witnesses) memory, up to C(m,5); check_zhang
-    and count_per_edge count in O(m^2), and census_report keeps blocks.
+    only when its exact rank pattern cannot complete to one.  After O(m^2)
+    tables, each of the C(m,2) pairs x0 < x1 costs a few mask operations,
+    which give the x2s that could still extend it; the other triples are
+    never visited.  Each visited x2 costs a few more, and only a triple
+    with some x3 before some x4 has its two slices of later indices
+    sorted; each witness then costs O(1).  Brute force costs C(m,5) subset
+    checks whatever the answer.  The list takes O(witnesses) memory, up to
+    C(m,5); check_zhang and count_per_edge count in O(m^2), and
+    census_report keeps blocks.
 
     The search always runs in this process.  ``jobs`` changes nothing; it
     is kept, with jobs < 1 raising InvalidJobs, only because the census
@@ -204,8 +234,9 @@ def check_zhang(G: MarkedPermutationGraph) -> ZhangVerdict:
     """Every instance has two matched 4-cycles or a Petersen subdivision.
 
     The census is counted from its blocks and never listed, in O(m^2)
-    memory and no more time than the listing: m = 150 (50,664,590
-    witnesses) takes seconds, where the list would take gigabytes."""
+    memory and no more time than the listing: each block adds one count
+    per x3, and m = 150 (50,664,590 witnesses) takes seconds, where the
+    list would take gigabytes."""
     return _zhang(len(enumerate_m_c4(G)), _count(G.sigma))
 
 

@@ -9,6 +9,7 @@ witness extraction, censuses) works on this encoding.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections import Counter, deque
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -71,25 +72,38 @@ def validate(m: int, sigma: Sequence[int]) -> MarkedPermutationGraph:
     """Check the (m, sigma) invariants and return the immutable instance.
 
     Raises TooSmall, LengthMismatch or NotAPermutation with the offending
-    datum in the certificate.
+    datum in the certificate.  m and every entry are read through
+    operator.index, so Python and numpy integers pass and anything else
+    (a float, a string) is refused, not truncated: a non-integral m raises
+    TooSmall, and a non-integral entry NotAPermutation with its index.
     """
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise TooSmall(f"half-order m={m!r} is not an integer", m=m) from None
     if m < 3:
         raise TooSmall(f"half-order m={m} below minimum 3", m=m)
-    sigma = tuple(int(v) for v in sigma)
+    sigma = tuple(sigma)
     if len(sigma) != m:
         raise LengthMismatch(
             f"sigma has {len(sigma)} entries, expected {m}",
             m=m,
             length=len(sigma),
         )
+    entries: list[int] = []
     seen = set()
     for i, v in enumerate(sigma):
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise NotAPermutation(f"sigma[{i}]={v!r} is not an integer", index=i, value=v) from None
         if not 0 <= v < m:
             raise NotAPermutation(f"sigma[{i}]={v} out of range", index=i, value=v)
         if v in seen:
             raise NotAPermutation(f"duplicate value {v} at index {i}", index=i, value=v)
         seen.add(v)
-    return MarkedPermutationGraph(m, sigma)
+        entries.append(v)
+    return MarkedPermutationGraph(m, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ of at most 4 edges (with a union-find pass, or a count of vertices and
 edges per component, for each), the replace lemma by a scan over 4-sets,
 and the
 census by the triple walk that takes three bisects and a slice for every
-triple.
+triple, and the census blocks by the walk that visits every triple and
+reads its slice bounds from a per-position rank table.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 from bisect import bisect
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import networkx as nx
 import pytest
@@ -40,6 +41,7 @@ from mpgraphs import (
     p10_from_p4,
     validate,
 )
+from mpgraphs.census import Block
 from mpgraphs.core import PETERSEN_PATTERNS, _check_index
 from mpgraphs.errors import NotAC4ThroughE, PreconditionViolated, TooSmall
 from mpgraphs.witness import C4ReduceStep, P4FoundStep, PetersenWitness, ReductionTrace
@@ -493,6 +495,71 @@ def petersen_by_sorted_slices(sigma: tuple[int, ...]) -> list[PetersenWitness]:
                 x3s = sorted(ring[x2][cut[a3]:cut[b3]])
                 out += [(x0, x1, x2, x3, x4) for x3 in x3s for x4 in x4s[bisect(x4s, x3):]]
     return out
+
+
+def petersen_blocks_by_rank_table(sigma: tuple[int, ...]) -> Iterator[Block]:
+    """Every triple that some Petersen 5-subset extends, in lexicographic
+    order, as a block ``(x0, x1, x2, x3s, x4s)``: the witnesses extending
+    x0 < x1 < x2 are (x0, x1, x2, x3, x4) for x3 in x3s and x4 in x4s with
+    x3 < x4, and both slices are sorted tuples.
+
+    x0 < x1 < x2 run over all triples.  In cyclic value order a Petersen
+    pattern reads x0, x3, x1, x4, x2 or its reverse, so sigma[x3] must sit
+    on the arc of values from s0 to s1 that avoids s2, sigma[x4] on the arc
+    from s1 to s2 that avoids s0, and every x3 < x4 after x2 with values on
+    those arcs completes a witness.  The indices after x2 with values on an
+    arc are one slice of ring[x2], and below[x2] gives the slice's bounds.
+    The two arcs are disjoint, so no index is in both slices.
+
+    A triple is dropped at the first of three tests it fails: its x4 arc
+    is empty (two lookups in below[x2]), its x3 arc is empty (two more, and
+    equal bounds), or no x3 precedes an x4 (min of the x3 slice above max
+    of the x4 slice).  Only triples that pass the first two are sliced, and
+    only those that pass all three are sorted and yielded.  The tables take
+    O(m^2) time and memory, and the walk holds one block at a time.
+    """
+    m = len(sigma)
+    inv = [0] * m
+    for i, v in enumerate(sigma):
+        inv[v] = i
+    # below[p][v]: how many q > p have sigma[q] < v; ring[p]: those q in
+    # ascending order of sigma[q], twice over, so that an arc across the
+    # top of the value range is still one slice
+    below = [[0] * (m + 1)]
+    for s in reversed(sigma[1:]):
+        prev = below[-1]
+        below.append(prev[: s + 1] + [c + 1 for c in prev[s + 1 :]])
+    below.reverse()
+    ring = [[q for q in inv if q > p] * 2 for p in range(m)]
+    for x0 in range(m):
+        s0 = sigma[x0]
+        for x1 in range(x0 + 1, m - 3):
+            s1 = sigma[x1]
+            lo3, hi3 = (s0, s1) if s0 < s1 else (s1, s0)
+            for x2 in range(x1 + 1, m - 2):
+                s2 = sigma[x2]
+                row = below[x2]
+                # the values open to x4 are those between lo4 and hi4, or,
+                # when s0 lies between them, those above hi4 and then below
+                # lo4, which run on into ring's second copy
+                lo4, hi4 = (s1, s2) if s1 < s2 else (s2, s1)
+                i4, j4 = row[lo4], row[hi4]
+                if lo4 < s0 < hi4:
+                    i4, j4 = j4, m - 1 - x2 + i4
+                if i4 == j4:
+                    continue
+                i3, j3 = row[lo3], row[hi3]
+                if lo3 < s2 < hi3:
+                    i3, j3 = j3, m - 1 - x2 + i3
+                if i3 == j3:
+                    continue
+                x3s = ring[x2][i3:j3]
+                x4s = ring[x2][i4:j4]
+                if min(x3s) > max(x4s):
+                    continue
+                x4s.sort()
+                x3s.sort()
+                yield x0, x1, x2, tuple(x3s), tuple(x4s)
 
 
 def instance_to_networkx(G) -> nx.MultiGraph:

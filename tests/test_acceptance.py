@@ -47,11 +47,11 @@ def scans():
 
 
 def test_criterion_1_gk_counts():
-    """G_k census: c4 = 0 and p10 = 6k+6 exactly, for k = 1..6, via the CLI."""
+    """G_k census: c4 = 0 and p10 = 6k+6 exactly, for k = 1..30, via the CLI."""
     t0 = time.time()
     import json
 
-    for k in range(1, 7):
+    for k in range(1, 31):
         code, gk_text = cli(["gk", str(k)])
         assert code == 0
         code, out = cli(["census", "-", "--json"], stdin_text=gk_text)
@@ -60,7 +60,7 @@ def test_criterion_1_gk_counts():
         assert report["c4_count"] == 0, f"k={k}"
         assert report["p10_count"] == 6 * k + 6, f"k={k}"
     elapsed = time.time() - t0
-    print(f"\nPASS criterion 1: G_k censuses exact (c4=0, p10=6k+6, k=1..6) in {elapsed:.1f}s")
+    print(f"\nPASS criterion 1: G_k censuses exact (c4=0, p10=6k+6, k=1..30) in {elapsed:.1f}s")
 
 
 def test_criterion_2_main_theorem_scans(scans):

@@ -30,7 +30,7 @@ from mpgraphs import (
     suppress_match,
     validate,
 )
-from mpgraphs.census import MAX_ATTEMPTS, _expand
+from mpgraphs.census import MAX_ATTEMPTS, _expand, _petersen_blocks
 from mpgraphs.core import PETERSEN_PATTERNS, _subset_is_petersen
 from mpgraphs.errors import ExhaustedAttempts, InvalidJobs, OutOfScanRange
 
@@ -39,6 +39,7 @@ from .conftest import (
     induced_p4_count_by_bitmask,
     induced_path_order,
     instances,
+    petersen_blocks_by_rank_table,
     petersen_by_sorted_slices,
     redrawing_by_pairs,
     replace_by_census,
@@ -123,6 +124,32 @@ class TestPetersenSearch:
         # up to ~2M witnesses at m = 80: hold one list at a time
         expected = census_digest(petersen_by_sorted_slices(G.sigma))
         assert census_digest(enumerate_m_p10(G)) == expected
+
+
+class TestPetersenBlocks:
+    """The pair walk's blocks against the walk that visits every triple and
+    reads its bounds from a rank table: the same blocks, tuple for tuple,
+    in the same order."""
+
+    def test_equals_rank_table_walk_exhaustively(self):
+        for m in range(3, 8):
+            for sigma in itertools.permutations(range(m)):
+                assert list(_petersen_blocks(sigma)) == list(petersen_blocks_by_rank_table(sigma)), sigma
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_equals_rank_table_walk_on_gk(self, k):
+        sigma = generate_gk(k).graph.sigma
+        assert list(_petersen_blocks(sigma)) == list(petersen_blocks_by_rank_table(sigma))
+
+    @pytest.mark.parametrize("m", range(8, 81))
+    def test_equals_rank_table_walk_on_random(self, m):
+        # the first seed whose instance has a matched 4-cycle, and one drawn
+        # without any
+        with_c4 = next(G for s in itertools.count(1) if enumerate_m_c4(G := random_instance(m, seed=s)))
+        without = random_instance(m, seed=m, require_c4_free=True)
+        assert not enumerate_m_c4(without)
+        for G in (with_c4, without):
+            assert list(_petersen_blocks(G.sigma)) == list(petersen_blocks_by_rank_table(G.sigma)), G
 
 
 class TestJobsBounds:

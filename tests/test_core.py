@@ -101,6 +101,31 @@ class TestValidate:
         with pytest.raises(AttributeError):
             PRISM.m = 4
 
+    def test_float_entry_refused_not_truncated(self):
+        with pytest.raises(NotAPermutation) as exc:
+            validate(5, [0, 2.7, 4, 1, 3])
+        assert exc.value.certificate == {"index": 1, "value": 2.7}
+        with pytest.raises(NotAPermutation) as exc:
+            validate(5, [0, 2, 4, 1, 3.0])
+        assert exc.value.certificate["index"] == 4
+
+    def test_string_entries_refused(self):
+        with pytest.raises(NotAPermutation) as exc:
+            validate(3, ["0", "1", "2"])
+        assert exc.value.certificate == {"index": 0, "value": "0"}
+
+    @pytest.mark.parametrize("m", [3.0, 5.5, "5", None])
+    def test_non_integral_m_refused(self, m):
+        with pytest.raises(TooSmall) as exc:
+            validate(m, [0, 2, 4, 1, 3])
+        assert exc.value.certificate == {"m": m}
+
+    def test_numpy_integers_accepted_as_ints(self):
+        np = pytest.importorskip("numpy")
+        G = validate(np.int64(5), np.array([0, 2, 4, 1, 3]))
+        assert G == PETERSEN
+        assert type(G.m) is int and all(type(v) is int for v in G.sigma)
+
 
 class TestTextFormat:
     def test_fixture_files_parse_to_constants(self):
