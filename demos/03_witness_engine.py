@@ -37,6 +37,6 @@ print("\nan instance with one matched 4-cycle (0,1): reduction first, then the P
 G = validate(6, [0, 1, 3, 5, 2, 4])
 X, trace = find_p10_through(G, 0)
 print(f"  witness: {list(X)}")
-for step in trace.to_json_dict():
-    print(f"  step: {step}")
+for step in witness_report_dict(X, trace)["trace"]:
+    print(f"  step: {json.dumps(step)}")
 print(f"  replay check: {replay_trace(G, 0, trace) == X}")

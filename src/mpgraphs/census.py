@@ -282,8 +282,7 @@ def check_replace(G: MarkedPermutationGraph, a: int, b: int) -> ReplaceVerdict:
     keeps only the witnesses through a or b, in O(m^2 + those) memory.
     It expands only the blocks that hold a or b, and stops at the first
     block whose x0, its witnesses' least index, is above both."""
-    _check_index(G, a)
-    _check_index(G, b)
+    a, b = _check_index(G, a), _check_index(G, b)
     if a == b:
         raise IndicesNotDistinct("edges must be distinct", a=a, b=b)
     witnesses = []
@@ -317,8 +316,7 @@ def check_redrawing(G: MarkedPermutationGraph, a: int, b: int) -> RedrawingVerdi
     big-int operations in all.  Rows a and b need no skip in clause (ii):
     once (i) holds, both leave nothing set.  The counterexample is the
     least x, or the least pair (x, y) with x < y, that breaks the rule."""
-    _check_index(G, a)
-    _check_index(G, b)
+    a, b = _check_index(G, a), _check_index(G, b)
     if a == b:
         raise IndicesNotDistinct("anchors must be distinct", a=a, b=b)
     Ha = build_crossing_graph(G, a)
@@ -459,6 +457,11 @@ def exhaustive_scan(m: int) -> ScanReport:
     rows: list[ScanRow] = []
     violations: list[dict] = []
     runs = 0
+
+    def record(kind: str, **fields) -> None:
+        # index and sigma are read when called: the loop's current instance
+        violations.append({"instance_index": index, "sigma": list(sigma), "kind": kind, **fields})
+
     for index, sigma in enumerate(itertools.permutations(range(m))):
         G = MarkedPermutationGraph(m, sigma)
         c4s = enumerate_m_c4(G)
@@ -466,32 +469,16 @@ def exhaustive_scan(m: int) -> ScanReport:
         wit_set = set(wits)
         before = len(violations)
         if not _zhang(len(c4s), len(wits)).ok:
-            violations.append({"instance_index": index, "sigma": list(sigma), "kind": "zhang_fail"})
+            record("zhang_fail")
         for e in _qualifying_edges(G, c4s):
             runs += 1
             try:
                 X, _trace = find_p10_through(G, e)
             except Exception as exc:  # noqa: BLE001 - scans must record, not crash
-                violations.append(
-                    {
-                        "instance_index": index,
-                        "sigma": list(sigma),
-                        "kind": "witness_error",
-                        "edge": e,
-                        "detail": repr(exc),
-                    }
-                )
+                record("witness_error", edge=e, detail=repr(exc))
                 continue
             if e not in X or X not in wit_set:
-                violations.append(
-                    {
-                        "instance_index": index,
-                        "sigma": list(sigma),
-                        "kind": "witness_unsound",
-                        "edge": e,
-                        "witness": list(X),
-                    }
-                )
+                record("witness_unsound", edge=e, witness=list(X))
         rows.append(ScanRow(index, sigma, len(c4s), len(wits), len(violations) - before))
     return ScanReport(
         m=m,

@@ -15,9 +15,6 @@ class InducedPath4(NamedTuple):
     z: int
     w: int
 
-    def vertices(self) -> tuple[int, int, int, int]:
-        return (self.x, self.y, self.z, self.w)
-
 
 def _path_order(H: CrossingGraph, quad: tuple[int, ...]) -> InducedPath4:
     """The path that the ascending 4-tuple ``quad`` is known to induce,

@@ -12,7 +12,7 @@ import itertools
 import operator
 import re
 from collections import Counter, deque
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -40,9 +40,6 @@ class FourCycle(NamedTuple):
 
     i: int
     j: int
-
-    def contains_edge(self, e: int) -> bool:
-        return e == self.i or e == self.j
 
 
 class MarkedPermutationGraph(NamedTuple):
@@ -164,9 +161,17 @@ PRISM = validate(3, [0, 1, 2])
 PETERSEN = validate(5, [0, 2, 4, 1, 3])
 
 
-def _check_index(G: MarkedPermutationGraph, i: int, what: str = "A-index") -> None:
+def _check_index(G: MarkedPermutationGraph, i: int, what: str = "A-index") -> int:
+    """i as a Python int in 0..m-1.  It is read through operator.index, as
+    validate reads sigma, so a numpy integer passes and a float or a string
+    raises IndexOutOfRange, as an integer out of range does."""
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise IndexOutOfRange(f"{what} {i!r} is not an integer", index=i, m=G.m) from None
     if not 0 <= i < G.m:
         raise IndexOutOfRange(f"{what} {i} outside 0..{G.m - 1}", index=i, m=G.m)
+    return i
 
 
 def enumerate_m_c4(G: MarkedPermutationGraph) -> list[FourCycle]:
@@ -213,9 +218,7 @@ def suppress_match(G: MarkedPermutationGraph, X: Iterable[int]) -> SuppressedGra
     Each cycle collapses to a cyclic sequence of arcs through its retained
     vertices; for |X| = 2 the two arcs on a side become a parallel pair.
     """
-    xs = sorted(set(X))
-    for x in xs:
-        _check_index(G, x)
+    xs = sorted({_check_index(G, x) for x in X})
     if len(xs) < 2:
         raise TooFewEdges(f"need at least 2 matching edges, got {len(xs)}", X=xs)
     k = len(xs)
@@ -324,58 +327,51 @@ def _subset_is_petersen(G: MarkedPermutationGraph, X: tuple[int, ...]) -> bool:
 # Symmetry operations. Census counts are invariant under all four.
 # ---------------------------------------------------------------------------
 
+def _symmetry(G: MarkedPermutationGraph, op: str, k: int) -> tuple[Sequence[int], Callable[[int], int]]:
+    """op's new sigma and, beside it, where op sends A-index x.  k is the
+    shift of the two rotations; reflect and swap_sides ignore it."""
+    m, sigma = G.m, G.sigma
+    if op == "rotate_a":
+        return [sigma[(i + k) % m] for i in range(m)], lambda x: (x - k) % m
+    if op == "rotate_a_prime":
+        return [(v - k) % m for v in sigma], lambda x: x
+    if op == "reflect":
+        return [(-sigma[(-i) % m]) % m for i in range(m)], lambda x: (-x) % m
+    if op == "swap_sides":  # edge x joins new A-vertex sigma[x]
+        return G.inverse(), lambda x: sigma[x]
+    raise ValueError(f"unknown symmetry op {op!r}")
+
+
+def apply_symmetry(G: MarkedPermutationGraph, op: str, k: int = 0) -> MarkedPermutationGraph:
+    return validate(G.m, _symmetry(G, op, k)[0])
+
+
 def rotate_a(G: MarkedPermutationGraph, k: int) -> MarkedPermutationGraph:
     """Shift the A-side basepoint: old vertex k becomes new vertex 0."""
-    m = G.m
-    return validate(m, [G.sigma[(i + k) % m] for i in range(m)])
+    return apply_symmetry(G, "rotate_a", k)
 
 
 def rotate_a_prime(G: MarkedPermutationGraph, k: int) -> MarkedPermutationGraph:
     """Shift the A'-side basepoint: old vertex k' becomes new vertex 0'."""
-    m = G.m
-    return validate(m, [(G.sigma[i] - k) % m for i in range(m)])
+    return apply_symmetry(G, "rotate_a_prime", k)
 
 
 def reflect(G: MarkedPermutationGraph) -> MarkedPermutationGraph:
     """Reverse both cycle orientations, keeping both basepoints."""
-    m = G.m
-    return validate(m, [(-G.sigma[(-i) % m]) % m for i in range(m)])
+    return apply_symmetry(G, "reflect")
 
 
 def swap_sides(G: MarkedPermutationGraph) -> MarkedPermutationGraph:
     """Exchange the roles of A and A'; sigma becomes its inverse."""
-    return validate(G.m, G.inverse())
-
-
-def apply_symmetry(G: MarkedPermutationGraph, op: str, k: int = 0) -> MarkedPermutationGraph:
-    if op == "rotate_a":
-        return rotate_a(G, k)
-    if op == "rotate_a_prime":
-        return rotate_a_prime(G, k)
-    if op == "reflect":
-        return reflect(G)
-    if op == "swap_sides":
-        return swap_sides(G)
-    raise ValueError(f"unknown symmetry op {op!r}")
+    return apply_symmetry(G, "swap_sides")
 
 
 def relabel_witness(G: MarkedPermutationGraph, X: Iterable[int], op: str, k: int = 0) -> tuple[int, ...]:
     """Map a set of matching-edge indices through a symmetry op, so that
     witnesses of G correspond to witnesses of apply_symmetry(G, op, k).
     An index outside 0..m-1 raises IndexOutOfRange."""
-    m = G.m
-    X = list(X)
-    for x in X:
-        _check_index(G, x, "edge")
-    if op == "rotate_a":
-        return tuple(sorted((x - k) % m for x in X))
-    if op == "rotate_a_prime":
-        return tuple(sorted(X))
-    if op == "reflect":
-        return tuple(sorted((-x) % m for x in X))
-    if op == "swap_sides":
-        return tuple(sorted(G.sigma[x] for x in X))
-    raise ValueError(f"unknown symmetry op {op!r}")
+    X = [_check_index(G, x, "edge") for x in X]
+    return tuple(sorted(map(_symmetry(G, op, k)[1], X)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def build_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
     Row x is (the indices after x on the top row) XOR (the indices after x
     on the bottom row), so each row is read off by one walk from its far
     end: O(m) big-int operations, no pair loop."""
-    _check_index(G, a, "anchor")
+    a = _check_index(G, a, "anchor")
     m = G.m
     adj = [0] * m
     later = 0
@@ -98,7 +98,7 @@ def standard_drawing(G: MarkedPermutationGraph, a: int, format: str = "svg") -> 
     segments are straight.  The embedded ``crossings:`` comment, for
     harness parsing, is the crossing graph's edge count.
     """
-    _check_index(G, a, "anchor")
+    a = _check_index(G, a, "anchor")
     fmt = format.lower()
     if fmt not in ("svg", "dot"):
         raise UnsupportedFormat(f"unsupported drawing format {format!r}", format=format)

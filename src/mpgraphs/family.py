@@ -12,8 +12,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .census import enumerate_m_p10
-from .core import MAX_M, MarkedPermutationGraph, enumerate_m_c4, validate
-from .errors import IndexOutOfRange, InvalidK
+from .core import MAX_M, MarkedPermutationGraph, _check_index, enumerate_m_c4, validate
+from .errors import InvalidK
 from .witness import PetersenWitness
 
 
@@ -98,9 +98,7 @@ def generate_gk(k: int) -> GkInstance:
 
 
 def classify_edge(inst: GkInstance, i: int) -> EdgeClassification:
-    if not 0 <= i < inst.m:
-        raise IndexOutOfRange(f"edge index {i} outside 0..{inst.m - 1}", index=i, m=inst.m)
-    return inst.classification[i]
+    return inst.classification[_check_index(inst.graph, i, "edge index")]
 
 
 class GkVerdict(NamedTuple):

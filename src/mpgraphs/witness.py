@@ -40,7 +40,7 @@ replay_trace re-runs the same peel on the same survivors' graph.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .cograph import InducedPath4, find_induced_p4
 from .core import (
@@ -63,19 +63,10 @@ PetersenWitness = tuple[int, int, int, int, int]
 class C4ReduceStep(NamedTuple):
     z: int
 
-    def to_json_dict(self) -> dict:
-        return {"step": "C4Reduce", "z": self.z}
-
 
 class P4FoundStep(NamedTuple):
     a: int
     path: InducedPath4
-
-    def to_json_dict(self) -> dict:
-        return {"step": "P4Found", "a": self.a, "path": list(self.path.vertices())}
-
-
-TraceStep = Union[C4ReduceStep, P4FoundStep]
 
 
 class ReductionTrace(NamedTuple):
@@ -83,14 +74,17 @@ class ReductionTrace(NamedTuple):
     instance reduced by the C4Reduce steps before it, the survivors ranked
     in ascending order; the last step is P4Found."""
 
-    steps: tuple[TraceStep, ...]
-
-    def to_json_dict(self) -> list[dict]:
-        return [s.to_json_dict() for s in self.steps]
+    steps: tuple[C4ReduceStep | P4FoundStep, ...]
 
 
 def witness_report_dict(witness: PetersenWitness, trace: ReductionTrace) -> dict:
-    return {"edges": list(witness), "trace": trace.to_json_dict()}
+    """The witness document: the edges, and each step as its name, the
+    class name less ``Step``, with its fields.  json.dumps writes the
+    path, a tuple, as an array."""
+    return {
+        "edges": list(witness),
+        "trace": [{"step": type(s).__name__.removesuffix("Step"), **s._asdict()} for s in trace.steps],
+    }
 
 
 def p10_from_p4(H: CrossingGraph, p: InducedPath4) -> PetersenWitness:
@@ -102,24 +96,23 @@ def p10_from_p4(H: CrossingGraph, p: InducedPath4) -> PetersenWitness:
     test (core._subset_is_petersen) and a failure would abort loudly.
     """
     G, a = H.graph, H.anchor
-    quad = p.vertices()
-    if len(set(quad)) != 4 or any(v not in H.vertices for v in quad):
-        raise NotAnInducedP4("path vertices must be 4 distinct non-anchor indices", path=list(quad), anchor=a)
+    if len(set(p)) != 4 or any(v not in H.vertices for v in p):
+        raise NotAnInducedP4("path vertices must be 4 distinct non-anchor indices", path=list(p), anchor=a)
     required = [(p.x, p.y), (p.y, p.z), (p.z, p.w)]
     forbidden = [(p.x, p.z), (p.x, p.w), (p.y, p.w)]
     for u, v in required:
         if not H.has_edge(u, v):
-            raise NotAnInducedP4(f"missing edge {u}-{v}", path=list(quad), anchor=a, missing=[u, v])
+            raise NotAnInducedP4(f"missing edge {u}-{v}", path=list(p), anchor=a, missing=[u, v])
     for u, v in forbidden:
         if H.has_edge(u, v):
-            raise NotAnInducedP4(f"chord {u}-{v}", path=list(quad), anchor=a, chord=[u, v])
-    X = tuple(sorted((a,) + quad))
+            raise NotAnInducedP4(f"chord {u}-{v}", path=list(p), anchor=a, chord=[u, v])
+    X = tuple(sorted((a, *p)))
     if not _subset_is_petersen(G, X):
         raise InternalInvariantViolated(
             "induced P4 did not yield a Petersen subdivision",
             instance=G.to_text(),
             anchor=a,
-            path=list(quad),
+            path=list(p),
         )
     return X  # type: ignore[return-value]
 
@@ -184,9 +177,9 @@ def find_p10_through(
     the trace ends with the survivors' first P4 in current indices, and
     replays to the same witness (see the module docstring).
     """
-    _check_index(G, e, "edge")
+    e = _check_index(G, e, "edge")
     for c4 in enumerate_m_c4(G):
-        if not c4.contains_edge(e):
+        if e not in c4:
             raise PreconditionViolated(
                 f"matched 4-cycle ({c4.i},{c4.j}) avoids edge {e}",
                 c4=[c4.i, c4.j],
@@ -207,7 +200,7 @@ def find_p10_through(
             anchor=e,
         )
     witness = p10_from_p4(H, path)
-    current = [bisect_left(survivors, v) for v in (e,) + path.vertices()]
+    current = [bisect_left(survivors, v) for v in (e, *path)]
     steps.append(P4FoundStep(current[0], InducedPath4(*current[1:])))
     return witness, ReductionTrace(tuple(steps))
 
@@ -217,12 +210,14 @@ def replay_trace(
 ) -> PetersenWitness:
     """Re-run the engine's peel by the recorded steps and return the
     witness of the first P4Found, certified in G; for a trace the engine
-    wrote, that is the witness it returned.  A C4Reduce z that is no
+    wrote, that is the witness it returned.  e is checked as the engine
+    checks it (IndexOutOfRange).  A C4Reduce z that is no
     current partner raises NotAC4ThroughE.  P4Found is checked on the
     survivors' crossing graph: a path index naming no survivor raises
     NotAnInducedP4, and p10_from_p4 the rest, in G's indices.  A wrong
     anchor, a step of another type, or no P4Found raises
     InternalInvariantViolated."""
+    e = _check_index(G, e, "edge")
     p = _Peel()
     for step in trace.steps:
         if isinstance(step, C4ReduceStep):
@@ -235,10 +230,9 @@ def replay_trace(
             a, n = bisect_left(survivors, e), len(survivors)
             if step.a != a:
                 raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
-            path = step.path.vertices()
-            if not all(0 <= v < n for v in path):
-                raise NotAnInducedP4(f"path index outside 0..{n - 1}", path=list(path), anchor=a)
-            return p10_from_p4(H, InducedPath4(*(survivors[v] for v in path)))
+            if not all(0 <= v < n for v in step.path):
+                raise NotAnInducedP4(f"path index outside 0..{n - 1}", path=list(step.path), anchor=a)
+            return p10_from_p4(H, InducedPath4(*(survivors[v] for v in step.path)))
         else:
             raise InternalInvariantViolated("unknown trace step", step=repr(step))
     raise InternalInvariantViolated("trace ended without P4Found", steps=len(trace.steps))

@@ -222,8 +222,8 @@ def c4_reduce(G: MarkedPermutationGraph, a: int, z: int) -> C4Reduction:
     """Remove matching edge z of the 4-cycle a,z,z',a' and suppress the two
     degree-2 ends.  Surviving A-indices keep their cyclic order, so
     witnesses lift through the returned index map unchanged."""
-    _check_index(G, a, "edge")
-    _check_index(G, z, "edge")
+    a = _check_index(G, a, "edge")
+    z = _check_index(G, z, "edge")
     if G.m == 3:
         raise TooSmall("cannot reduce below the 6-vertex instance", m=3)
     m, sigma = G.m, G.sigma
@@ -243,11 +243,11 @@ def find_p10_through_by_chain(G, e: int):
     maps.  Returns (witness, trace) as the engine does.  O(m) per step."""
     c4s = enumerate_m_c4(G)
     for c4 in c4s:
-        if not c4.contains_edge(e):
+        if e not in c4:
             raise PreconditionViolated(f"matched 4-cycle ({c4.i},{c4.j}) avoids edge {e}", c4=[c4.i, c4.j], edge=e)
     cur, a, to_orig, steps = G, e, tuple(range(G.m)), []
     while c4s:
-        assert all(c4.contains_edge(a) for c4 in c4s), (cur, a)
+        assert all(a in c4 for c4 in c4s), (cur, a)
         z = min(c4.i if c4.j == a else c4.j for c4 in c4s)
         steps.append(C4ReduceStep(z))
         cur, index_map = c4_reduce(cur, a, z)
@@ -279,7 +279,7 @@ def long_chain_instance(m: int) -> MarkedPermutationGraph:
         for x, v in zip(rest, values):
             sigma[x] = v
         G = validate(m, sigma)
-        if all(c4.contains_edge(a) for c4 in enumerate_m_c4(G)):
+        if all(a in c4 for c4 in enumerate_m_c4(G)):
             return G
 
 
@@ -586,6 +586,44 @@ def cyclic_components_after(G, cut) -> list[set[int]]:
         for comp in nx.connected_components(g)
         if g.subgraph(comp).number_of_edges() >= len(comp)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Scan faults: every check the scan records, made to fail on one instance
+# ---------------------------------------------------------------------------
+
+# PETERSEN is instance 10 of exhaustive_scan(5), and all five of its edges
+# qualify for the witness engine
+SCAN_FAULT_INDEX = 10
+
+
+def inject_scan_faults(monkeypatch, *kinds: str) -> None:
+    """Rebind the names exhaustive_scan reads at call time so that, on
+    PETERSEN only, each violation kind in ``kinds`` is recorded once:
+    ``zhang_fail`` by a failing Zhang verdict, ``witness_error`` by an
+    engine that raises at edge 1, and ``witness_unsound`` by one that
+    returns the witness reversed, which is no census entry, at edge 3."""
+    import mpgraphs.census as census_module
+
+    engine, zhang = census_module.find_p10_through, census_module._zhang
+    calls = []
+
+    def faulty_zhang(c4_count, p10_count):
+        calls.append(None)  # one call per instance, in scan order
+        verdict = zhang(c4_count, p10_count)
+        return verdict._replace(ok=False) if len(calls) == SCAN_FAULT_INDEX + 1 else verdict
+
+    def faulty_engine(G, e):
+        X, trace = engine(G, e)
+        if G == PETERSEN and e == 1 and "witness_error" in kinds:
+            raise RuntimeError("injected engine fault")
+        if G == PETERSEN and e == 3 and "witness_unsound" in kinds:
+            return X[::-1], trace
+        return X, trace
+
+    if "zhang_fail" in kinds:
+        monkeypatch.setattr(census_module, "_zhang", faulty_zhang)
+    monkeypatch.setattr(census_module, "find_p10_through", faulty_engine)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,11 @@ from mpgraphs.core import PETERSEN_PATTERNS, _subset_is_petersen
 from mpgraphs.errors import ExhaustedAttempts, InvalidJobs, OutOfScanRange
 
 from .conftest import (
+    SCAN_FAULT_INDEX,
     all_instances,
     induced_p4_count_by_bitmask,
     induced_path_order,
+    inject_scan_faults,
     instances,
     petersen_blocks_by_rank_table,
     petersen_by_sorted_slices,
@@ -493,6 +495,41 @@ class TestExhaustiveScan:
         assert len(calls) == report.witness_runs > 0
         assert len(set(calls)) == len(calls)
 
+    # each record names its instance and kind, then its own fields
+    PETERSEN_RECORD = {"instance_index": SCAN_FAULT_INDEX, "sigma": [0, 2, 4, 1, 3]}
+
+    @pytest.mark.parametrize(
+        "kind,extra",
+        [
+            ("zhang_fail", {}),
+            ("witness_error", {"edge": 1, "detail": "RuntimeError('injected engine fault')"}),
+            ("witness_unsound", {"edge": 3, "witness": [4, 3, 2, 1, 0]}),
+        ],
+    )
+    def test_violation_record(self, monkeypatch, kind, extra):
+        clean = exhaustive_scan(5)
+        inject_scan_faults(monkeypatch, kind)
+        r = exhaustive_scan(5)
+        assert r.violations == ({**self.PETERSEN_RECORD, "kind": kind, **extra},)
+        assert list(r.violations[0]) == ["instance_index", "sigma", "kind", *extra]
+        assert r.rows[SCAN_FAULT_INDEX] == clean.rows[SCAN_FAULT_INDEX]._replace(violations=1)
+        assert r.rows[:SCAN_FAULT_INDEX] + r.rows[SCAN_FAULT_INDEX + 1 :] == (
+            clean.rows[:SCAN_FAULT_INDEX] + clean.rows[SCAN_FAULT_INDEX + 1 :]
+        )
+        assert r.witness_runs == clean.witness_runs
+
+    def test_violation_records_in_scan_order(self, monkeypatch):
+        # the Zhang record comes first, then the engine's in edge order; a
+        # raising engine run records its error and nothing else
+        inject_scan_faults(monkeypatch, "witness_unsound", "zhang_fail", "witness_error")
+        r = exhaustive_scan(5)
+        assert [(v["kind"], v.get("edge")) for v in r.violations] == [
+            ("zhang_fail", None),
+            ("witness_error", 1),
+            ("witness_unsound", 3),
+        ]
+        assert r.rows[SCAN_FAULT_INDEX].violations == r.violation_count == 3
+
     def test_csv_shape(self):
         r = exhaustive_scan(3)
         lines = r.to_csv().strip().split("\n")
@@ -569,3 +606,16 @@ class TestCensusReport:
         assert len(enumerate_m_c4(G)) == len(enumerate_m_c4(H))
         # witnesses map pointwise through the relabeling
         assert sorted(relabel_witness(G, X, op, k) for X in wits_g) == wits_h
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_relabel_witness_is_equivariant_exhaustively(self, m):
+        # each op's index map carries G's census, its matched 4-cycles and
+        # its witnesses, onto the census of the instance the op builds
+        for G in all_instances(m):
+            c4s, wits = enumerate_m_c4(G), enumerate_m_p10(G)
+            for op in ("rotate_a", "rotate_a_prime", "reflect", "swap_sides"):
+                for k in {0, 1, m - 1}:
+                    H, case = apply_symmetry(G, op, k), (G.sigma, op, k)
+                    c4s_h = sorted(tuple(sorted(c4)) for c4 in enumerate_m_c4(H))
+                    assert sorted(relabel_witness(G, c4, op, k) for c4 in c4s) == c4s_h, case
+                    assert sorted(relabel_witness(G, X, op, k) for X in wits) == enumerate_m_p10(H), case

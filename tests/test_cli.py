@@ -19,7 +19,7 @@ from mpgraphs.core import MAX_M, MarkedPermutationGraph
 from mpgraphs.cli import SCHEMA_VERSION, _build_parser, _emit_json, run
 from mpgraphs.family import generate_gk
 
-from .conftest import FIXTURE_DIR, GOLDEN_DIR, REPO_ROOT
+from .conftest import FIXTURE_DIR, GOLDEN_DIR, REPO_ROOT, inject_scan_faults
 
 PRISM_TXT = str(FIXTURE_DIR / "prism.txt")
 PETERSEN_TXT = str(FIXTURE_DIR / "petersen.txt")
@@ -60,6 +60,13 @@ class TestValidate:
         assert code == 2
         obj = assert_valid_json(out)
         assert obj["error"] == "NotAPermutation"
+
+    @pytest.mark.parametrize("text", ["", "\n", "# a comment\n\n# another\n"], ids=["empty", "blank", "comments"])
+    def test_no_instance_exit_2(self, text):
+        code, out, _ = capture(["validate", "-"], stdin_text=text)
+        assert code == 2
+        assert out == (GOLDEN_DIR / "error_no_instance.json").read_text()
+        assert_valid_json(out)
 
     def test_missing_file_exit_2(self):
         code, _, err = capture(["validate", "no-such-file.txt"])
@@ -408,6 +415,15 @@ class TestScan:
         assert code == 0
         obj = assert_valid_json(out)
         assert obj["instance_count"] == 24 and obj["violation_count"] == 0
+
+    def test_violations_json_and_exit_1(self, monkeypatch):
+        # all three records, made on PETERSEN by faults injected into the
+        # names the scan reads; the engine still ran once per qualifying edge
+        inject_scan_faults(monkeypatch, "zhang_fail", "witness_error", "witness_unsound")
+        code, out, _ = capture(["scan", "5", "--json"])
+        assert code == 1
+        assert out == (GOLDEN_DIR / "scan_m5_violations.json").read_text()
+        assert_valid_json(out)
 
     def test_out_of_range_exit_2(self):
         code, out, _ = capture(["scan", "9"])

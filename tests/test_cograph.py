@@ -65,7 +65,7 @@ class TestFindInducedP4:
         p = find_induced_p4(H)
         if p is None:
             return
-        x, y, z, w = p.vertices()
+        x, y, z, w = p
         assert len({x, y, z, w}) == 4
         assert H.has_edge(x, y) and H.has_edge(y, z) and H.has_edge(z, w)
         assert not (H.has_edge(x, z) or H.has_edge(x, w) or H.has_edge(y, w))

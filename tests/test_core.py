@@ -26,6 +26,7 @@ from mpgraphs import (
     enumerate_m_c4,
     enumerate_m_p10,
     find_cyclic_cut,
+    find_p10_through,
     generate_gk,
     girth,
     is_cyclically_5_edge_connected,
@@ -35,7 +36,9 @@ from mpgraphs import (
     random_instance,
     reflect,
     relabel_witness,
+    replay_trace,
     rotate_a,
+    standard_drawing,
     suppress_match,
     swap_sides,
     validate,
@@ -138,6 +141,13 @@ class TestTextFormat:
     def test_comments_and_multiple_instances(self):
         text = "# header\n3 0 1 2\n5 0 2 4 1 3\n"
         assert parse_instances(text) == [PRISM, PETERSEN]
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n  # another\n"], ids=["empty", "blank", "comments"])
+    @pytest.mark.parametrize("parse", [parse_instance, parse_instances])
+    def test_no_instance_is_refused(self, parse, text):
+        with pytest.raises(InstanceTextError, match="^no instance found in input$") as exc:
+            parse(text)
+        assert exc.value.certificate == {"token": None}
 
     def test_parse_instance_rejects_several(self):
         with pytest.raises(InstanceTextError) as exc:
@@ -579,3 +589,55 @@ class TestValueTypes:
         H = build_crossing_graph(PETERSEN, 0)
         assert H == build_crossing_graph(PETERSEN, 0) and H is not build_crossing_graph(PETERSEN, 0)
         assert H != build_crossing_graph(PETERSEN, 1)
+        # a matched 4-cycle is its index pair, and an induced path its 4-tuple
+        assert 0 in FourCycle(0, 1) and 1 in FourCycle(0, 1) and 2 not in FourCycle(0, 1)
+        assert InducedPath4(1, 3, 2, 4) == (1, 3, 2, 4)
+
+
+class TestIndexArguments:
+    """Every index argument is read through operator.index, as validate
+    reads sigma: numpy integers act as Python ints, and anything else is
+    refused with IndexOutOfRange, not truncated or let through."""
+
+    def test_numpy_integers_act_as_python_ints_at_m_100(self):
+        np = pytest.importorskip("numpy")
+        G = random_instance(100, seed=1, require_c4_free=True)
+        a, b = 99, 98  # 1 << 99 does not fit an int64
+        na, nb = np.int64(a), np.int64(b)
+        H = build_crossing_graph(G, na)
+        assert H == build_crossing_graph(G, a) and type(H.anchor) is int
+        X, trace = find_p10_through(G, na)
+        assert (X, trace) == find_p10_through(G, a)
+        assert replay_trace(G, na, trace) == replay_trace(G, a, trace) == X
+        assert check_redrawing(G, na, nb) == check_redrawing(G, a, b)
+        assert check_replace(G, np.int64(0), np.int64(1)) == check_replace(G, 0, 1)
+        assert standard_drawing(G, na, "dot") == standard_drawing(G, a, "dot")
+        assert suppress_match(G, np.array(X)) == suppress_match(G, X)
+        for op in ("rotate_a", "reflect", "swap_sides"):
+            assert relabel_witness(G, np.array(X), op, 7) == relabel_witness(G, X, op, 7)
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, "1", None], ids=["float", "fraction", "string", "none"])
+    def test_non_integers_are_refused(self, bad):
+        _, trace = find_p10_through(PETERSEN, 0)
+        for call in (
+            lambda: build_crossing_graph(PETERSEN, bad),
+            lambda: find_p10_through(PETERSEN, bad),
+            lambda: replay_trace(PETERSEN, bad, trace),
+            lambda: check_redrawing(PETERSEN, 0, bad),
+            lambda: check_replace(PETERSEN, bad, 1),
+            lambda: standard_drawing(PETERSEN, bad),
+            lambda: suppress_match(PETERSEN, [0, bad]),
+            lambda: relabel_witness(PETERSEN, [bad], "reflect"),
+        ):
+            with pytest.raises(IndexOutOfRange, match="is not an integer") as exc:
+                call()
+            assert exc.value.certificate == {"index": bad, "m": 5}
+
+    def test_replay_trace_checks_its_edge(self):
+        # the trace of edge 0, replayed at an edge one past the last
+        G = validate(6, [0, 1, 3, 5, 2, 4])
+        _, trace = find_p10_through(G, 0)
+        with pytest.raises(IndexOutOfRange) as exc:
+            replay_trace(G, 6, trace)
+        assert exc.value.message == "edge 6 outside 0..5"
+        assert exc.value.certificate == {"index": 6, "m": 6}

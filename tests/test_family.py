@@ -84,6 +84,15 @@ class TestClassifyEdge:
         with pytest.raises(IndexOutOfRange):
             classify_edge(generate_gk(1), 10)
 
+    def test_index_read_as_an_integer(self):
+        np = pytest.importorskip("numpy")
+        inst = generate_gk(1)
+        assert classify_edge(inst, np.int64(3)) == classify_edge(inst, 3)
+        for bad in (3.0, "3"):
+            with pytest.raises(IndexOutOfRange, match="is not an integer") as exc:
+                classify_edge(inst, bad)
+            assert exc.value.certificate == {"index": bad, "m": 10}
+
 
 class TestVerifyGk:
     @pytest.mark.parametrize("k,expected", [(1, 12), (2, 18), (3, 24)])

@@ -63,6 +63,13 @@ class TestP10FromP4:
         with pytest.raises(NotAnInducedP4):
             p10_from_p4(PETERSEN_H0, InducedPath4(1, 2, 3, 4))
 
+    def test_chord_rejected(self):
+        # 2-3-4-1 has its three path edges in H_0, and the chord 2-4
+        H = build_crossing_graph(validate(5, [0, 2, 4, 3, 1]), 0)
+        with pytest.raises(NotAnInducedP4, match="^chord 2-4$") as exc:
+            p10_from_p4(H, InducedPath4(2, 3, 4, 1))
+        assert exc.value.certificate == {"path": [2, 3, 4, 1], "anchor": 0, "chord": [2, 4]}
+
     def test_anchor_in_path_rejected(self):
         with pytest.raises(NotAnInducedP4):
             p10_from_p4(build_crossing_graph(PETERSEN, 1), InducedPath4(1, 3, 2, 4))
