@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import operator
 from bisect import bisect, bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -452,6 +453,10 @@ def exhaustive_scan(m: int) -> ScanReport:
     satisfying the extraction precondition, the witness engine, in one
     process.  Symmetry deduplication is deliberately not applied:
     correctness over speed."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise OutOfScanRange(f"scan m={m!r} is not an integer", m=m) from None
     if not 3 <= m <= 8:
         raise OutOfScanRange(f"scan supports 3 <= m <= 8, got {m}", m=m)
     rows: list[ScanRow] = []
@@ -493,10 +498,19 @@ def random_instance(m: int, seed: int, require_c4_free: bool = False) -> MarkedP
     """Uniform random sigma from a counter-based Philox stream, optionally
     rejection-sampled, at most MAX_ATTEMPTS draws, until no matched 4-cycle
     remains; past the cap it raises ExhaustedAttempts.  The seed is the
-    Philox key, so 0 <= seed < 2**128; others raise InvalidSeed.  m above
-    MAX_M raises TooLarge and m below 3 TooSmall.  numpy is imported here,
-    after those checks, not at module level, so that importing mpgraphs
-    does not load it."""
+    Philox key, so 0 <= seed < 2**128; others, and a seed that is not an
+    integer, raise InvalidSeed.  m above MAX_M raises TooLarge, and m below
+    3 or not an integer TooSmall.  numpy is imported here, after those
+    checks, not at module level, so that importing mpgraphs does not load
+    it."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise TooSmall(f"half-order m={m!r} is not an integer", m=m) from None
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidSeed(f"seed {seed!r} is not an integer", seed=seed) from None
     if m > MAX_M:
         raise TooLarge(f"m={m} above the limit {MAX_M}", m=m, limit=MAX_M)
     if not 0 <= seed < 2**128:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from collections import Counter, deque
+from collections import deque
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -223,81 +223,57 @@ def suppress_match(G: MarkedPermutationGraph, X: Iterable[int]) -> SuppressedGra
         raise TooFewEdges(f"need at least 2 matching edges, got {len(xs)}", X=xs)
     k = len(xs)
     svals = sorted(G.sigma[x] for x in xs)
-    # Vertex ids: 0..k-1 the retained A-vertices (ascending), k..2k-1 the
-    # retained A'-vertices (ascending sigma values).
-    a_id = {x: i for i, x in enumerate(xs)}
-    ap_id = {v: k + i for i, v in enumerate(svals)}
-    edges: list[tuple[int, int]] = []
-    for ids in (tuple(a_id[x] for x in xs), tuple(ap_id[v] for v in svals)):
-        if k == 2:
-            edges.append((ids[0], ids[1]))
-            edges.append((ids[0], ids[1]))
-        else:
-            for t in range(k):
-                u, v = ids[t], ids[(t + 1) % k]
-                edges.append((min(u, v), max(u, v)))
-    for x in xs:
-        edges.append((a_id[x], ap_id[G.sigma[x]]))
+    # Retained A-vertex xs[i] has id i and the A'-vertex of value svals[i]
+    # id k + i, so each side's cycle is t -- t+1 (mod k), offset by 0 or k.
+    rank = {v: i for i, v in enumerate(svals)}
+    edges = [(i, k + rank[G.sigma[x]]) for i, x in enumerate(xs)]
+    for offset in (0, k):
+        for t in range(k):
+            u, v = sorted((t, (t + 1) % k))
+            edges.append((offset + u, offset + v))
     labels = tuple(f"A{x}" for x in xs) + tuple(f"A'{v}" for v in svals)
     return SuppressedGraph(2 * k, tuple(sorted(edges)), labels)
 
 
 def girth(S: SuppressedGraph) -> int:
-    """Exact girth of a loop-free multigraph.
-
-    A parallel pair is a 2-cycle.  Longer cycles are found by, for each
-    distinct endpoint pair, a BFS between the endpoints that avoids one
-    edge of that pair: every cycle uses some edge, so the minimum over
-    pairs of 1 + that detour distance is exact.
-    """
-    if not S.edges:
-        raise NoCycle("no edges", n=S.n)
-    mult = Counter((min(u, v), max(u, v)) for u, v in S.edges)
-    if any(c >= 2 for c in mult.values()):
+    """Exact girth of a multigraph: a loop is a 1-cycle and a parallel pair
+    a 2-cycle.  Otherwise one BFS per vertex of the simple graph: each
+    non-tree edge wz bounds the girth by dist(w) + dist(z) + 1, and the
+    bound is exact from a vertex on a shortest cycle.  An acyclic
+    multigraph raises NoCycle."""
+    if any(u == v for u, v in S.edges):
+        return 1
+    simple = {(min(u, v), max(u, v)) for u, v in S.edges}
+    if len(simple) < len(S.edges):
         return 2
     adj: list[list[int]] = [[] for _ in range(S.n)]
-    for u, v in mult:
+    for u, v in simple:
         adj[u].append(v)
         adj[v].append(u)
-    best = None
-    for u, v in mult:
-        # shortest u-v path avoiding the edge uv itself
+    best = S.n + 1  # above any cycle's length
+    for s in range(S.n):
         dist = [-1] * S.n
-        dist[u] = 0
-        q = deque([u])
+        parent = [-1] * S.n
+        dist[s] = 0
+        q = deque([s])
         while q:
             w = q.popleft()
-            if best is not None and dist[w] + 1 >= best:
-                continue
             for z in adj[w]:
-                if w == u and z == v:
-                    continue
-                if z == u and w == v:
-                    continue
                 if dist[z] == -1:
-                    dist[z] = dist[w] + 1
-                    if z == v:
-                        q.clear()
-                        break
+                    dist[z], parent[z] = dist[w] + 1, w
                     q.append(z)
-        if dist[v] != -1:
-            cand = dist[v] + 1
-            if best is None or cand < best:
-                best = cand
-                if best == 3:
-                    return 3
-    if best is None:
+                elif z != parent[w]:
+                    best = min(best, dist[w] + dist[z] + 1)
+    if best > S.n:
         raise NoCycle("multigraph is acyclic", n=S.n, edge_count=len(S.edges))
     return best
 
 
 def is_petersen(S: SuppressedGraph) -> bool:
     """Recognition through the unique (3,5)-cage: 10 vertices, 3-regular,
-    loop-free, girth exactly 5.  Connectivity is implied (a second
+    girth exactly 5 (so loop-free).  Connectivity is implied (a second
     component would itself need 10 vertices)."""
     if S.n != 10 or len(S.edges) != 15:
-        return False
-    if any(u == v for u, v in S.edges):
         return False
     if any(d != 3 for d in S.degrees()):
         return False

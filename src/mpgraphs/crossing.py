@@ -99,7 +99,7 @@ def standard_drawing(G: MarkedPermutationGraph, a: int, format: str = "svg") -> 
     harness parsing, is the crossing graph's edge count.
     """
     a = _check_index(G, a, "anchor")
-    fmt = format.lower()
+    fmt = format.lower() if isinstance(format, str) else None
     if fmt not in ("svg", "dot"):
         raise UnsupportedFormat(f"unsupported drawing format {format!r}", format=format)
     m, sigma, b = G.m, G.sigma, G.sigma[a]

@@ -8,6 +8,7 @@ witness is one full group plus one outside edge.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import NamedTuple
 
@@ -55,8 +56,8 @@ class GkInstance(NamedTuple):
 
 
 def generate_gk(k: int) -> GkInstance:
-    """Build (G_k, M_k) with m = 3k+7.  k below 1, or with 3k+7 above
-    MAX_M, raises InvalidK.
+    """Build (G_k, M_k) with m = 3k+7.  k is read through operator.index;
+    a non-integer k, k below 1, or k with 3k+7 above MAX_M raises InvalidK.
 
     0-based transcription of the 1-based construction tables:
       vertical  sigma[2i-2]    = i-1        for 1 <= i <= k
@@ -65,21 +66,22 @@ def generate_gk(k: int) -> GkInstance:
       special   group 1 at indices 2k-1..2k+2   -> k+1, k+3, k, k+2
                 group 2 at indices 3k+3..3k+6   -> 3k+4, 3k+6, 3k+3, 3k+5
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidK(f"family parameter k={k!r} is not an integer", k=k) from None
     if k < 1:
         raise InvalidK(f"family parameter must be >= 1, got {k}", k=k)
     m = 3 * k + 7
     if m > MAX_M:
         raise InvalidK(f"k={k} gives m={m} above the limit {MAX_M}", k=k, m=m, limit=MAX_M)
-    sigma: list[int | None] = [None] * m
-    cls: list[EdgeClassification | None] = [None] * m
+    vertical, skew = EdgeClassification(EdgeClass.VERTICAL), EdgeClassification(EdgeClass.SKEW)
+    table: dict[int, tuple[int, EdgeClassification]] = {}  # index -> (sigma value, class)
     for i in range(1, k + 1):
-        sigma[2 * i - 2] = i - 1
-        cls[2 * i - 2] = EdgeClassification(EdgeClass.VERTICAL)
-        sigma[2 * k + i + 2] = k + 2 * i + 2
-        cls[2 * k + i + 2] = EdgeClassification(EdgeClass.VERTICAL)
+        table[2 * i - 2] = (i - 1, vertical)
+        table[2 * k + i + 2] = (k + 2 * i + 2, vertical)
     for i in range(1, k):
-        sigma[2 * i - 1] = 3 * k + 3 - 2 * i
-        cls[2 * i - 1] = EdgeClassification(EdgeClass.SKEW)
+        table[2 * i - 1] = (3 * k + 3 - 2 * i, skew)
     group1 = {2 * k - 1: k + 1, 2 * k: k + 3, 2 * k + 1: k, 2 * k + 2: k + 2}
     group2 = {
         3 * k + 3: 3 * k + 4,
@@ -87,14 +89,12 @@ def generate_gk(k: int) -> GkInstance:
         3 * k + 5: 3 * k + 3,
         3 * k + 6: 3 * k + 5,
     }
-    for idx, val in group1.items():
-        sigma[idx] = val
-        cls[idx] = EdgeClassification(EdgeClass.SPECIAL, group=1)
-    for idx, val in group2.items():
-        sigma[idx] = val
-        cls[idx] = EdgeClassification(EdgeClass.SPECIAL, group=2)
-    assert None not in sigma and None not in cls
-    return GkInstance(k=k, graph=validate(m, sigma), classification=tuple(cls))
+    for group, values in ((1, group1), (2, group2)):
+        special = EdgeClassification(EdgeClass.SPECIAL, group=group)
+        for idx, val in values.items():
+            table[idx] = (val, special)
+    sigma, cls = zip(*(table[i] for i in range(m)))  # KeyError on an index the tables miss
+    return GkInstance(k=k, graph=validate(m, sigma), classification=cls)
 
 
 def classify_edge(inst: GkInstance, i: int) -> EdgeClassification:

@@ -469,6 +469,14 @@ class TestExhaustiveScan:
         with pytest.raises(OutOfScanRange):
             exhaustive_scan(2)
 
+    def test_m_read_as_an_integer(self):
+        np = pytest.importorskip("numpy")
+        assert exhaustive_scan(np.int64(4)) == exhaustive_scan(4)
+        for bad in (5.0, "5", None):
+            with pytest.raises(OutOfScanRange, match="is not an integer") as exc:
+                exhaustive_scan(bad)
+            assert exc.value.certificate == {"m": bad}
+
     @pytest.mark.parametrize("m", range(3, 7))
     def test_rows_match_an_independent_census(self, m):
         r = exhaustive_scan(m)
@@ -540,6 +548,11 @@ class TestExhaustiveScan:
 class TestRandomInstance:
     def test_deterministic(self):
         assert random_instance(8, seed=7) == random_instance(8, seed=7)
+
+    def test_numpy_integers_act_as_python_ints(self):
+        np = pytest.importorskip("numpy")
+        G = random_instance(np.int64(30), np.int64(1), require_c4_free=True)
+        assert G == random_instance(30, 1, require_c4_free=True) and type(G.m) is int
 
     def test_any_permutation_validates(self):
         G = random_instance(5, seed=1)

@@ -896,6 +896,14 @@ def test_m_above_limit_refused_before_numpy_loads():
     assert not numpy_loaded_after_refusal(f"{MAX_M + 1}, seed=1", "TooLarge")
 
 
+def test_non_integer_seed_refused_before_numpy_loads():
+    assert not numpy_loaded_after_refusal("5, seed=1.5", "InvalidSeed")
+
+
+def test_non_integer_m_refused_before_numpy_loads():
+    assert not numpy_loaded_after_refusal("5.0, seed=1", "TooSmall")
+
+
 @pytest.mark.parametrize("command", ["gk", "random"])
 def test_help_states_size_limit(command, capsys):
     assert run([command, "--help"]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 
@@ -316,6 +317,27 @@ class TestGirth:
         with pytest.raises(NoCycle):
             girth(SuppressedGraph(2, ()))
 
+    @pytest.mark.parametrize("edges", [((0, 0),), ((0, 0), (0, 0))], ids=["single", "doubled"])
+    def test_loop(self, edges):
+        assert girth(SuppressedGraph(1, edges)) == 1
+
+    @pytest.mark.parametrize(
+        "edges",
+        [((3, 3), (0, 1), (1, 2), (0, 2)), ((0, 1), (1, 2), (0, 2), (3, 3))],
+        ids=["loop-first", "loop-last"],
+    )
+    def test_loop_beside_triangle(self, edges):
+        assert girth(SuppressedGraph(4, edges)) == 1
+
+    def test_least_over_two_components(self):
+        triangle = ((0, 1), (1, 2), (0, 2))
+        pentagon = ((3, 4), (4, 5), (5, 6), (6, 7), (3, 7))
+        assert girth(SuppressedGraph(8, triangle + pentagon)) == 3
+        assert girth(SuppressedGraph(8, pentagon + triangle)) == 3
+
+    def test_parallel_pair_after_other_edges(self):
+        assert girth(SuppressedGraph(5, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 3)))) == 2
+
     @given(instances(3, 8), st.data())
     @settings(max_examples=150)
     def test_agrees_with_cycle_enumeration(self, G, data):
@@ -323,6 +345,21 @@ class TestGirth:
         X = data.draw(st.permutations(list(range(G.m))).map(lambda p: tuple(p[:size])))
         S = suppress_match(G, X)
         assert girth(S) == girth_by_cycle_enumeration(S)
+
+
+def test_suppress_match_and_girth_digest():
+    # repr and girth of all 44,448 suppressed graphs with m <= 6 and
+    # |X| >= 2, in a fixed order; the digest was recorded from the earlier
+    # implementations of suppress_match and girth, which their rewrites
+    # must match byte for byte
+    h = hashlib.sha256()
+    for m in range(3, 7):
+        for G in all_instances(m):
+            for size in range(2, m + 1):
+                for X in itertools.combinations(range(m), size):
+                    S = suppress_match(G, X)
+                    h.update(f"{S!r} {girth(S)}\n".encode())
+    assert h.hexdigest() == "0f766b911b7105079259dce4fc6d746b18e70eb221e060eb871072ded71f84c7"
 
 
 class TestIsPetersen:
@@ -339,6 +376,15 @@ class TestIsPetersen:
 
     def test_wrong_order_rejected(self):
         assert not is_petersen(suppress_match(PETERSEN, {0, 1, 2}))
+
+    def test_cubic_with_a_loop_rejected(self):
+        # Petersen with A0's cycle edges to A1 and A4 traded for a loop at
+        # A0 and the edge A1-A4: still 10 vertices, 15 edges, 3-regular
+        S = suppress_match(PETERSEN, range(5))
+        edges = [e for e in S.edges if e not in ((0, 1), (0, 4))] + [(0, 0), (1, 4)]
+        S = S._replace(edges=tuple(edges))
+        assert len(S.edges) == 15 and S.degrees() == [3] * 10
+        assert not is_petersen(S)
 
     @given(instances(5, 9), st.data())
     @settings(max_examples=150)

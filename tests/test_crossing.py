@@ -139,6 +139,12 @@ class TestStandardDrawing:
         with pytest.raises(UnsupportedFormat):
             standard_drawing(PETERSEN, 0, "png")
 
+    @pytest.mark.parametrize("fmt", [None, b"svg", 1])
+    def test_format_not_a_string(self, fmt):
+        with pytest.raises(UnsupportedFormat) as exc:
+            standard_drawing(PETERSEN, 0, format=fmt)
+        assert exc.value.certificate == {"format": fmt}
+
     def test_deterministic(self):
         assert standard_drawing(PETERSEN, 2, "svg") == standard_drawing(PETERSEN, 2, "svg")
 

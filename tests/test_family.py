@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mpgraphs import (
@@ -59,6 +61,23 @@ class TestGenerateGk:
     def test_invalid_k(self):
         with pytest.raises(InvalidK):
             generate_gk(0)
+
+    def test_k_read_as_an_integer(self):
+        np = pytest.importorskip("numpy")
+        inst = generate_gk(np.int64(2))
+        assert inst == generate_gk(2) and type(inst.k) is int
+        for bad in (2.0, "2", None):
+            with pytest.raises(InvalidK, match="is not an integer") as exc:
+                generate_gk(bad)
+            assert exc.value.certificate == {"k": bad}
+
+    def test_repr_digest(self):
+        # recorded from the earlier two-list construction, which the
+        # one-table form must match byte for byte
+        h = hashlib.sha256()
+        for k in [*range(1, 400), 33331]:
+            h.update(f"{generate_gk(k)!r}\n".encode())
+        assert h.hexdigest() == "bb3b4a03432ef11f1094343c4927074759d2d3bebfb37dec3ba0f75466c44f58"
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_classification_partition(self, k):
