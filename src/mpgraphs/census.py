@@ -13,7 +13,8 @@ those x2 are visited.  It yields each triple that passes as a block: the
 triple and the sorted slices of later indices open to x3 and to x4.
 
 enumerate_m_p10 lists every block's witnesses, in O(witnesses) memory,
-and check_replace lists only those of the blocks through its two edges.
+and check_replace expands only the blocks through its two edges, up to
+the first witness through both.
 check_zhang and check_lower_bound count the blocks and count_per_edge
 tallies them per edge, in O(m^2) memory, without listing.  census_report
 tallies and keeps the blocks, from which `mpg census --json` is written.
@@ -21,10 +22,7 @@ tallies and keeps the blocks, from which `mpg census --json` is written.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import operator
 from bisect import bisect, bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -33,6 +31,7 @@ from .core import (
     FourCycle,
     MarkedPermutationGraph,
     _check_index,
+    _integer,
     enumerate_m_c4,
     validate,
 )
@@ -279,23 +278,25 @@ def check_replace(G: MarkedPermutationGraph, a: int, b: int) -> ReplaceVerdict:
     interchangeable inside witnesses: for every 4-set F avoiding both,
     F+{a} certifies iff F+{b} does; else the lexicographically first F
     that fails is the counterexample.  With no witness through both, F+{a}
-    certifies iff F = X-{a} for a witness X, so one walk of the census
-    keeps only the witnesses through a or b, in O(m^2 + those) memory.
-    It expands only the blocks that hold a or b, and stops at the first
-    block whose x0, its witnesses' least index, is above both."""
+    certifies iff F = X-{a} for a witness X.  One walk of the census
+    expands only the blocks that hold a or b, returns at the first
+    witness through both, and else keeps X-{a} and X-{b} for those through
+    one, in O(m^2 + those) memory, up to the first block above both."""
     a, b = _check_index(G, a), _check_index(G, b)
     if a == b:
         raise IndicesNotDistinct("edges must be distinct", a=a, b=b)
-    witnesses = []
+    with_a, with_b = set(), set()
     for x0, x1, x2, x3s, x4s in _petersen_blocks(G.sigma):
         if x0 > max(a, b):
             break
         if not {a, b}.isdisjoint((x0, x1, x2, *x3s, *x4s)):
-            witnesses += [X for X in _expand([(x0, x1, x2, x3s, x4s)]) if a in X or b in X]
-    if any(a in X and b in X for X in witnesses):
-        return ReplaceVerdict(ok=True, branch="shared_witness", counterexample=None)
-    with_a = {tuple(x for x in X if x != a) for X in witnesses if a in X}
-    with_b = {tuple(x for x in X if x != b) for X in witnesses if b in X}
+            for X in _expand([(x0, x1, x2, x3s, x4s)]):
+                if a in X and b in X:
+                    return ReplaceVerdict(ok=True, branch="shared_witness", counterexample=None)
+                if a in X:
+                    with_a.add(tuple(x for x in X if x != a))
+                elif b in X:
+                    with_b.add(tuple(x for x in X if x != b))
     if with_a != with_b:
         return ReplaceVerdict(ok=False, branch=None, counterexample=min(with_a ^ with_b))
     return ReplaceVerdict(ok=True, branch="swap_equivalent", counterexample=None)
@@ -429,12 +430,9 @@ class ScanReport(NamedTuple):
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["m", "instance_index", "c4_count", "p10_count", "violations"])
-        for row in self.rows:
-            writer.writerow([self.m, row.instance_index, row.c4_count, row.p10_count, row.violations])
-        return buf.getvalue()
+        lines = ["m,instance_index,c4_count,p10_count,violations"]
+        lines += [f"{self.m},{r.instance_index},{r.c4_count},{r.p10_count},{r.violations}" for r in self.rows]
+        return "\n".join(lines) + "\n"
 
 
 def _qualifying_edges(G: MarkedPermutationGraph, c4s: Sequence[FourCycle]) -> list[int]:
@@ -453,10 +451,7 @@ def exhaustive_scan(m: int) -> ScanReport:
     satisfying the extraction precondition, the witness engine, in one
     process.  Symmetry deduplication is deliberately not applied:
     correctness over speed."""
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise OutOfScanRange(f"scan m={m!r} is not an integer", m=m) from None
+    m = _integer(m, OutOfScanRange, "scan m=", m=m)
     if not 3 <= m <= 8:
         raise OutOfScanRange(f"scan supports 3 <= m <= 8, got {m}", m=m)
     rows: list[ScanRow] = []
@@ -503,14 +498,8 @@ def random_instance(m: int, seed: int, require_c4_free: bool = False) -> MarkedP
     3 or not an integer TooSmall.  numpy is imported here, after those
     checks, not at module level, so that importing mpgraphs does not load
     it."""
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise TooSmall(f"half-order m={m!r} is not an integer", m=m) from None
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise InvalidSeed(f"seed {seed!r} is not an integer", seed=seed) from None
+    m = _integer(m, TooSmall, "half-order m=", m=m)
+    seed = _integer(seed, InvalidSeed, "seed ", seed=seed)
     if m > MAX_M:
         raise TooLarge(f"m={m} above the limit {MAX_M}", m=m, limit=MAX_M)
     if not 0 <= seed < 2**128:

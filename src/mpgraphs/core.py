@@ -18,6 +18,7 @@ from .errors import (
     IndexOutOfRange,
     InstanceTextError,
     LengthMismatch,
+    MpgError,
     NoCycle,
     NotAPermutation,
     TooFewEdges,
@@ -65,6 +66,14 @@ class MarkedPermutationGraph(NamedTuple):
         return f"MarkedPermutationGraph({self.m}, {list(self.sigma)})"
 
 
+def _integer(value: object, error: type[MpgError], label: str, **certificate: object) -> int:
+    """operator.index(value), or error(f"{label}{value!r} is not an integer", **certificate)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{label}{value!r} is not an integer", **certificate) from None
+
+
 def validate(m: int, sigma: Sequence[int]) -> MarkedPermutationGraph:
     """Check the (m, sigma) invariants and return the immutable instance.
 
@@ -74,10 +83,7 @@ def validate(m: int, sigma: Sequence[int]) -> MarkedPermutationGraph:
     (a float, a string) is refused, not truncated: a non-integral m raises
     TooSmall, and a non-integral entry NotAPermutation with its index.
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise TooSmall(f"half-order m={m!r} is not an integer", m=m) from None
+    m = _integer(m, TooSmall, "half-order m=", m=m)
     if m < 3:
         raise TooSmall(f"half-order m={m} below minimum 3", m=m)
     sigma = tuple(sigma)
@@ -111,6 +117,8 @@ def validate(m: int, sigma: Sequence[int]) -> MarkedPermutationGraph:
 # str.splitlines' line boundaries: each match is one non-empty line, found
 # only when the reader gets to it
 _LINE = re.compile(r"[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
+# a token is an ASCII decimal integer
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def _tokens(text: str) -> Iterator[int]:
@@ -120,7 +128,9 @@ def _tokens(text: str) -> Iterator[int]:
             continue
         for tok in stripped.split():
             try:
-                yield int(tok)
+                if not _DECIMAL.fullmatch(tok):  # int() alone takes 1_3, ٣ and ３
+                    raise ValueError(tok)
+                yield int(tok)  # ValueError past int's digit limit
             except ValueError:
                 raise InstanceTextError(f"non-integer token {tok!r}", token=tok) from None
 

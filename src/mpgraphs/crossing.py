@@ -88,6 +88,28 @@ def count_segment_crossings(segments: list[Segment]) -> int:
     return count
 
 
+def _crossing_count(G: MarkedPermutationGraph, a: int) -> int:
+    """build_crossing_graph(G, a).edge_count() without the graph: the pairs
+    of segments whose columns are ordered oppositely on the two rows, the
+    inversions of pi_a.  The walk takes the A-columns right to left and
+    counts, in a Fenwick tree over the A'-columns, the segments already
+    passed that end in a column to the left: O(m log m) time, O(m) memory."""
+    m, sigma, b = G.m, G.sigma, G.sigma[a]
+    tree = [0] * (m + 1)  # tree[i] counts the passed columns in (i & (i - 1)) .. i - 1
+    count = 0
+    for t in range(m - 1, 0, -1):
+        col = (sigma[(a + t) % m] - b) % m
+        i = col
+        while i:
+            count += tree[i]
+            i &= i - 1
+        i = col + 1
+        while i <= m:
+            tree[i] += 1
+            i += i & -i
+    return count
+
+
 def standard_drawing(G: MarkedPermutationGraph, a: int, format: str = "svg") -> str:
     """Render the standard drawing as an SVG 1.1 or DOT document.
 
@@ -96,7 +118,8 @@ def standard_drawing(G: MarkedPermutationGraph, a: int, format: str = "svg") -> 
     (a + t) mod m and (sigma[a] + t) mod m and every coordinate is an
     integer.  Wraparound cycle edges are never drawn, so all drawn
     segments are straight.  The embedded ``crossings:`` comment, for
-    harness parsing, is the crossing graph's edge count.
+    harness parsing, is the crossing graph's edge count, counted as the
+    inversions of pi_a without building the graph.
     """
     a = _check_index(G, a, "anchor")
     fmt = format.lower() if isinstance(format, str) else None
@@ -105,7 +128,7 @@ def standard_drawing(G: MarkedPermutationGraph, a: int, format: str = "svg") -> 
     m, sigma, b = G.m, G.sigma, G.sigma[a]
     top = [(x - a) % m for x in range(m)]
     bot = [(v - b) % m for v in range(m)]
-    crossings = build_crossing_graph(G, a).edge_count()
+    crossings = _crossing_count(G, a)
     header = f"instance: {G.to_text()} | anchor: {a}"
     if fmt == "dot":
         lines = [

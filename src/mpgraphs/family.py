@@ -8,12 +8,11 @@ witness is one full group plus one outside edge.
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 from typing import NamedTuple
 
 from .census import enumerate_m_p10
-from .core import MAX_M, MarkedPermutationGraph, _check_index, enumerate_m_c4, validate
+from .core import MAX_M, MarkedPermutationGraph, _check_index, _integer, enumerate_m_c4, validate
 from .errors import InvalidK
 from .witness import PetersenWitness
 
@@ -66,10 +65,7 @@ def generate_gk(k: int) -> GkInstance:
       special   group 1 at indices 2k-1..2k+2   -> k+1, k+3, k, k+2
                 group 2 at indices 3k+3..3k+6   -> 3k+4, 3k+6, 3k+3, 3k+5
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise InvalidK(f"family parameter k={k!r} is not an integer", k=k) from None
+    k = _integer(k, InvalidK, "family parameter k=", k=k)
     if k < 1:
         raise InvalidK(f"family parameter must be >= 1, got {k}", k=k)
     m = 3 * k + 7

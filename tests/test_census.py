@@ -1,4 +1,6 @@
+import csv
 import importlib
+import io
 import itertools
 import math
 import sys
@@ -391,6 +393,34 @@ class TestCheckReplace:
         # through edge 0 or 1 take ~7 MB
         assert peak < 15_000_000
 
+    def test_stops_at_the_first_shared_block(self, monkeypatch):
+        # at m = 150 the walk up to max(a, b) = 149 is the whole census,
+        # 50,664,590 witnesses; the first block through 148 and 149 ends it
+        G = random_instance(150, 1, True)
+        first = next(
+            n for n, block in enumerate(_petersen_blocks(G.sigma))
+            if any(148 in X and 149 in X for X in _expand([block]))
+        )
+        drawn = 0
+
+        def counting(sigma):
+            nonlocal drawn
+            for block in _petersen_blocks(sigma):
+                drawn += 1
+                yield block
+
+        monkeypatch.setattr("mpgraphs.census._petersen_blocks", counting)
+        tracemalloc.start()
+        try:
+            verdict = check_replace(G, 148, 149)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.ok and verdict.branch == "shared_witness"
+        assert drawn == first + 1
+        # a walk that keeps every witness through 148 or 149 holds ~300 MB
+        assert peak < 20_000_000
+
 
 class TestCheckRedrawing:
     def test_petersen(self):
@@ -543,6 +573,16 @@ class TestExhaustiveScan:
         lines = r.to_csv().strip().split("\n")
         assert lines[0] == "m,instance_index,c4_count,p10_count,violations"
         assert len(lines) == 7
+
+    def test_csv_is_what_the_csv_module_writes(self, monkeypatch):
+        inject_scan_faults(monkeypatch, "zhang_fail")
+        r = exhaustive_scan(5)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["m", "instance_index", "c4_count", "p10_count", "violations"])
+        writer.writerows((5, row.instance_index, row.c4_count, row.p10_count, row.violations) for row in r.rows)
+        assert r.to_csv() == buf.getvalue()
+        assert ",1\n" in r.to_csv()
 
 
 class TestRandomInstance:

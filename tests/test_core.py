@@ -208,6 +208,16 @@ class TestTextFormat:
         with pytest.raises(InstanceTextError):
             parse_instance("3 0 x 2")
 
+    @pytest.mark.parametrize("tok", ["1_3", "\u0663", "\uff13"], ids=["underscore", "arabic_indic", "full_width"])
+    def test_tokens_are_ascii_decimal_integers(self, tok):
+        # int() reads these as 13, 3 and 3
+        with pytest.raises(InstanceTextError, match="^non-integer token ") as exc:
+            parse_instances(f"5 0 2 4 1 {tok}")
+        assert exc.value.certificate == {"token": tok}
+
+    def test_signed_tokens_are_read(self):
+        assert parse_instance("+5 +0 2 4 1 3") == PETERSEN
+
     def test_truncated(self):
         with pytest.raises(InstanceTextError):
             parse_instance("5 0 1 2")

@@ -175,6 +175,41 @@ class TestStandardDrawing:
                 for fmt in ("svg", "dot"):
                     assert embedded_crossings(standard_drawing(G, a, fmt)) == expected, (a, fmt)
 
+    def test_count_builds_no_crossing_graph(self, monkeypatch):
+        # the count is the inversion count of pi_a, in O(m) memory; the
+        # m^2/8-byte crossing graph is its test oracle only
+        expected = {a: build_crossing_graph(PETERSEN, a).edge_count() for a in range(5)}
+
+        def refuse(G, a):
+            raise AssertionError("standard_drawing built a crossing graph")
+
+        monkeypatch.setattr("mpgraphs.crossing.build_crossing_graph", refuse)
+        for a in range(5):
+            for fmt in ("svg", "dot"):
+                assert embedded_crossings(standard_drawing(PETERSEN, a, fmt)) == expected[a], (a, fmt)
+
+    @staticmethod
+    def assert_count_matches_both_oracles(G, a):
+        doc = standard_drawing(G, a, "dot")
+        count = embedded_crossings(doc)
+        assert count == build_crossing_graph(G, a).edge_count(), (G.sigma, a)
+        assert count == count_segment_crossings(dot_matching_segments(doc)), (G.sigma, a)
+
+    def test_count_matches_both_oracles_exhaustively(self):
+        checked = 0
+        for m in range(3, 8):
+            for G in all_instances(m):
+                for a in range(m):
+                    self.assert_count_matches_both_oracles(G, a)
+                    checked += 1
+        assert checked == 3 * 6 + 4 * 24 + 5 * 120 + 6 * 720 + 7 * 5040
+
+    @pytest.mark.parametrize("m", [8, 13, 40, 99, 300])
+    def test_count_matches_both_oracles_seeded(self, m):
+        for G in seeded_instances(m):
+            for a in range(0, m, max(1, m // 10)):
+                self.assert_count_matches_both_oracles(G, a)
+
     def test_svg_coordinates_are_plain_integers_at_m_25000(self):
         # width = 40m + 20 has 7 digits from here on, where a 6-significant-
         # digit float format prints exponent form and merges columns later
