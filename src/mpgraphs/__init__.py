@@ -37,12 +37,8 @@ from .core import (
     is_petersen,
     parse_instance,
     parse_instances,
-    reflect,
     relabel_witness,
-    rotate_a,
-    rotate_a_prime,
     suppress_match,
-    swap_sides,
     validate,
 )
 from .crossing import (
@@ -63,7 +59,6 @@ from .witness import (
     C4ReduceStep,
     P4FoundStep,
     PetersenWitness,
-    ReductionTrace,
     find_p10_through,
     p10_from_p4,
     replay_trace,
@@ -85,7 +80,6 @@ __all__ = [
     "PETERSEN",
     "PRISM",
     "PetersenWitness",
-    "ReductionTrace",
     "SuppressedGraph",
     "apply_symmetry",
     "build_crossing_graph",
@@ -111,14 +105,10 @@ __all__ = [
     "parse_instance",
     "parse_instances",
     "random_instance",
-    "reflect",
     "relabel_witness",
     "replay_trace",
-    "rotate_a",
-    "rotate_a_prime",
     "standard_drawing",
     "suppress_match",
-    "swap_sides",
     "validate",
     "verify_gk",
     "witness_report_dict",

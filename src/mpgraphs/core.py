@@ -317,39 +317,21 @@ def _symmetry(G: MarkedPermutationGraph, op: str, k: int) -> tuple[Sequence[int]
     """op's new sigma and, beside it, where op sends A-index x.  k is the
     shift of the two rotations; reflect and swap_sides ignore it."""
     m, sigma = G.m, G.sigma
-    if op == "rotate_a":
+    if op == "rotate_a":  # shift the A-side basepoint: old vertex k becomes new vertex 0
         return [sigma[(i + k) % m] for i in range(m)], lambda x: (x - k) % m
-    if op == "rotate_a_prime":
+    if op == "rotate_a_prime":  # shift the A'-side basepoint: old vertex k' becomes new vertex 0'
         return [(v - k) % m for v in sigma], lambda x: x
-    if op == "reflect":
+    if op == "reflect":  # reverse both cycle orientations, keeping both basepoints
         return [(-sigma[(-i) % m]) % m for i in range(m)], lambda x: (-x) % m
-    if op == "swap_sides":  # edge x joins new A-vertex sigma[x]
+    if op == "swap_sides":  # exchange A and A', inverting sigma: edge x joins new A-vertex sigma[x]
         return G.inverse(), lambda x: sigma[x]
     raise ValueError(f"unknown symmetry op {op!r}")
 
 
 def apply_symmetry(G: MarkedPermutationGraph, op: str, k: int = 0) -> MarkedPermutationGraph:
+    """G under op, one of the four in _symmetry: "rotate_a" or
+    "rotate_a_prime" by k, "reflect" or "swap_sides"."""
     return validate(G.m, _symmetry(G, op, k)[0])
-
-
-def rotate_a(G: MarkedPermutationGraph, k: int) -> MarkedPermutationGraph:
-    """Shift the A-side basepoint: old vertex k becomes new vertex 0."""
-    return apply_symmetry(G, "rotate_a", k)
-
-
-def rotate_a_prime(G: MarkedPermutationGraph, k: int) -> MarkedPermutationGraph:
-    """Shift the A'-side basepoint: old vertex k' becomes new vertex 0'."""
-    return apply_symmetry(G, "rotate_a_prime", k)
-
-
-def reflect(G: MarkedPermutationGraph) -> MarkedPermutationGraph:
-    """Reverse both cycle orientations, keeping both basepoints."""
-    return apply_symmetry(G, "reflect")
-
-
-def swap_sides(G: MarkedPermutationGraph) -> MarkedPermutationGraph:
-    """Exchange the roles of A and A'; sigma becomes its inverse."""
-    return apply_symmetry(G, "swap_sides")
 
 
 def relabel_witness(G: MarkedPermutationGraph, X: Iterable[int], op: str, k: int = 0) -> tuple[int, ...]:

@@ -21,7 +21,8 @@ pins the witness to the census:
    universal in H_a and lies in no induced P4, so in no witness through a.
 3. Deleting z keeps the survivors' order on both rows, read from a, so
    the reduced crossing graph is H_a - z relabelled monotonically; after
-   the peel, it is H_e on the survivors.
+   the peel, it is H_e induced on the survivors: H_e, its rows untouched,
+   with the survivors as its vertices.
 4. find_induced_p4 returns the lexicographically least induced P4,
    oriented from its smaller end, and a monotone relabelling keeps both.
 5. The witness is min(X for X in enumerate_m_p10(G) if e in X).  A
@@ -39,6 +40,7 @@ replay_trace re-runs the same peel on the same survivors' graph.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
@@ -69,50 +71,47 @@ class P4FoundStep(NamedTuple):
     path: InducedPath4
 
 
-class ReductionTrace(NamedTuple):
-    """The proof steps behind a witness.  Each step's indices refer to the
-    instance reduced by the C4Reduce steps before it, the survivors ranked
-    in ascending order; the last step is P4Found."""
-
-    steps: tuple[C4ReduceStep | P4FoundStep, ...]
-
-
-def witness_report_dict(witness: PetersenWitness, trace: ReductionTrace) -> dict:
+def witness_report_dict(witness: PetersenWitness, steps: tuple[C4ReduceStep | P4FoundStep, ...]) -> dict:
     """The witness document: the edges, and each step as its name, the
     class name less ``Step``, with its fields.  json.dumps writes the
     path, a tuple, as an array."""
     return {
         "edges": list(witness),
-        "trace": [{"step": type(s).__name__.removesuffix("Step"), **s._asdict()} for s in trace.steps],
+        "trace": [{"step": type(s).__name__.removesuffix("Step"), **s._asdict()} for s in steps],
     }
 
 
 def p10_from_p4(H: CrossingGraph, p: InducedPath4) -> PetersenWitness:
     """Anchor plus the four path vertices certify a Petersen subdivision.
 
-    The path must be an induced P4 of the crossing graph H (checked;
-    NotAnInducedP4 otherwise).  The two geometric cases behind this fact
-    need not be distinguished: the result is verified by the rank-pattern
-    test (core._subset_is_petersen) and a failure would abort loudly.
+    The path is read as four indices by unpacking, each through
+    operator.index, so any 4-tuple of integers serves; it must be an
+    induced P4 of the crossing graph H.  NotAnInducedP4 otherwise, with
+    the path's repr if it is not four indices.  The two geometric cases
+    behind this fact need not be distinguished: the result is verified
+    by the rank-pattern test (core._subset_is_petersen) and a failure
+    would abort loudly.
     """
     G, a = H.graph, H.anchor
-    if len(set(p)) != 4 or any(v not in H.vertices for v in p):
-        raise NotAnInducedP4("path vertices must be 4 distinct non-anchor indices", path=list(p), anchor=a)
-    required = [(p.x, p.y), (p.y, p.z), (p.z, p.w)]
-    forbidden = [(p.x, p.z), (p.x, p.w), (p.y, p.w)]
-    for u, v in required:
+    try:
+        x, y, z, w = path = tuple(map(operator.index, p))
+    except (TypeError, ValueError):
+        raise NotAnInducedP4("path must be 4 integer indices", path=repr(p), anchor=a) from None
+    if len(set(path)) != 4 or any(v not in H.vertices for v in path):
+        raise NotAnInducedP4("path vertices must be 4 distinct non-anchor indices", path=list(path), anchor=a)
+    for u, v in ((x, y), (y, z), (z, w)):
         if not H.has_edge(u, v):
-            raise NotAnInducedP4(f"missing edge {u}-{v}", path=list(p), anchor=a, missing=[u, v])
-    for u, v in forbidden:
+            raise NotAnInducedP4(f"missing edge {u}-{v}", path=list(path), anchor=a, missing=[u, v])
+    for u, v in ((x, z), (x, w), (y, w)):
         if H.has_edge(u, v):
-            raise NotAnInducedP4(f"chord {u}-{v}", path=list(p), anchor=a, chord=[u, v])
-    X = tuple(sorted((a, *p)))
+            raise NotAnInducedP4(f"chord {u}-{v}", path=list(path), anchor=a, chord=[u, v])
+    X = tuple(sorted((a, *path)))
     if not _subset_is_petersen(G, X):
         raise InternalInvariantViolated(
             "induced P4 did not yield a Petersen subdivision",
             instance=G.to_text(),
             anchor=a,
-            path=list(p),
+            path=list(path),
         )
     return X  # type: ignore[return-value]
 
@@ -152,30 +151,34 @@ def _partners(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[int, dict[in
 
 
 def _survivor_graph(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[CrossingGraph, Sequence[int]]:
-    """H_e without the vertices p peeled, in ``vertices`` or any row, and
-    the survivors, e included, ascending: survivors[i] has current index i."""
+    """H_e with only the survivors less e as ``vertices``, and the
+    survivors, e included, ascending: survivors[i] has current index i.
+    Rows keep the peeled vertices' bits, which no reader needs masked:
+    find_induced_p4 walks only ``vertices``, and its candidate mask names
+    only vertices completing an induced P4 of H_e, none peeled (step 5);
+    _path_order and p10_from_p4 read survivors' bits of survivors' rows."""
     m = G.m
     H = build_crossing_graph(G, e)
     if p.l + p.r == 0:
         return H, range(m)
     peeled = {(e + k) % m for k in range(-p.l, p.r + 1) if k}
     survivors = [x for x in range(m) if x not in peeled]
-    verts = tuple(x for x in survivors if x != e)
-    keep = sum(1 << x for x in verts)
-    adj = tuple(0 if x in peeled else row & keep for x, row in enumerate(H.adj))
-    return H._replace(vertices=verts, adj=adj), survivors
+    return H._replace(vertices=tuple(x for x in survivors if x != e)), survivors
 
 
 def find_p10_through(
     G: MarkedPermutationGraph, e: int
-) -> tuple[PetersenWitness, ReductionTrace]:
-    """Certified Petersen subdivision through matching edge ``e``.
+) -> tuple[PetersenWitness, tuple[C4ReduceStep | P4FoundStep, ...]]:
+    """Certified Petersen subdivision through matching edge ``e``, and the
+    proof steps behind it.
 
     Requires e to lie in every matched 4-cycle; otherwise
     PreconditionViolated carries a counterexample cycle.  The peel deletes
-    the partner with the least current index first, as the chain does;
-    the trace ends with the survivors' first P4 in current indices, and
-    replays to the same witness (see the module docstring).
+    the partner with the least current index first, as the chain does.
+    Each step's indices are current ones: those of the instance reduced by
+    the C4Reduce steps before it, its survivors ranked in ascending order.
+    The steps end with P4Found, the survivors' first P4, and replay to the
+    same witness (see the module docstring).
     """
     e = _check_index(G, e, "edge")
     for c4 in enumerate_m_c4(G):
@@ -202,14 +205,14 @@ def find_p10_through(
     witness = p10_from_p4(H, path)
     current = [bisect_left(survivors, v) for v in (e, *path)]
     steps.append(P4FoundStep(current[0], InducedPath4(*current[1:])))
-    return witness, ReductionTrace(tuple(steps))
+    return witness, tuple(steps)
 
 
 def replay_trace(
-    G: MarkedPermutationGraph, e: int, trace: ReductionTrace
+    G: MarkedPermutationGraph, e: int, steps: tuple[C4ReduceStep | P4FoundStep, ...]
 ) -> PetersenWitness:
     """Re-run the engine's peel by the recorded steps and return the
-    witness of the first P4Found, certified in G; for a trace the engine
+    witness of the first P4Found, certified in G; for the steps the engine
     wrote, that is the witness it returned.  e is checked as the engine
     checks it (IndexOutOfRange).  A C4Reduce z that is no
     current partner raises NotAC4ThroughE.  P4Found is checked on the
@@ -219,7 +222,7 @@ def replay_trace(
     InternalInvariantViolated."""
     e = _check_index(G, e, "edge")
     p = _Peel()
-    for step in trace.steps:
+    for step in steps:
         if isinstance(step, C4ReduceStep):
             a, partners = _partners(G, e, p)
             if step.z not in partners:
@@ -230,9 +233,13 @@ def replay_trace(
             a, n = bisect_left(survivors, e), len(survivors)
             if step.a != a:
                 raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
-            if not all(0 <= v < n for v in step.path):
-                raise NotAnInducedP4(f"path index outside 0..{n - 1}", path=list(step.path), anchor=a)
-            return p10_from_p4(H, InducedPath4(*(survivors[v] for v in step.path)))
+            try:
+                path = [operator.index(v) for v in step.path]
+            except TypeError:  # not a sequence of indices: p10_from_p4 refuses it
+                return p10_from_p4(H, step.path)
+            if not all(0 <= v < n for v in path):
+                raise NotAnInducedP4(f"path index outside 0..{n - 1}", path=path, anchor=a)
+            return p10_from_p4(H, tuple(survivors[v] for v in path))
         else:
             raise InternalInvariantViolated("unknown trace step", step=repr(step))
-    raise InternalInvariantViolated("trace ended without P4Found", steps=len(trace.steps))
+    raise InternalInvariantViolated("trace ended without P4Found", steps=len(steps))

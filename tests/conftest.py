@@ -44,7 +44,7 @@ from mpgraphs import (
 from mpgraphs.census import Block
 from mpgraphs.core import PETERSEN_PATTERNS, _check_index
 from mpgraphs.errors import NotAC4ThroughE, PreconditionViolated, TooSmall
-from mpgraphs.witness import C4ReduceStep, P4FoundStep, PetersenWitness, ReductionTrace
+from mpgraphs.witness import C4ReduceStep, P4FoundStep, PetersenWitness
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"
@@ -240,7 +240,7 @@ def find_p10_through_by_chain(G, e: int):
     has a matched 4-cycle, each through the anchor, c4_reduce the partner
     with the least index and re-list the 4-cycles; then lift the first
     induced P4 of the reduced instance's crossing graph through the index
-    maps.  Returns (witness, trace) as the engine does.  O(m) per step."""
+    maps.  Returns (witness, steps) as the engine does.  O(m) per step."""
     c4s = enumerate_m_c4(G)
     for c4 in c4s:
         if e not in c4:
@@ -257,7 +257,7 @@ def find_p10_through_by_chain(G, e: int):
     H = build_crossing_graph(cur, a)
     path = find_induced_p4(H)
     witness = tuple(sorted(to_orig[v] for v in p10_from_p4(H, path)))
-    return witness, ReductionTrace(tuple(steps) + (P4FoundStep(a, path),))
+    return witness, tuple(steps) + (P4FoundStep(a, path),)
 
 
 def long_chain_instance(m: int) -> MarkedPermutationGraph:

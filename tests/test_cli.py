@@ -923,3 +923,19 @@ def test_star_import_binds_exactly_all():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(set(mpgraphs.__all__))
     assert len(set(mpgraphs.__all__)) == len(mpgraphs.__all__)
+
+
+def test_public_names_are_pinned():
+    # a public name leaves or joins the package only with this list
+    assert sorted(mpgraphs.__all__) == [
+        "C4ReduceStep", "CensusReport", "CrossingGraph", "EdgeClass", "EdgeClassification",
+        "FourCycle", "GkInstance", "InducedPath4", "MarkedPermutationGraph", "P4FoundStep", "PETERSEN",
+        "PRISM", "PetersenWitness", "SuppressedGraph", "__version__", "apply_symmetry",
+        "build_crossing_graph", "census_report", "check_lower_bound", "check_redrawing",
+        "check_replace", "check_zhang", "classify_edge", "count_per_edge", "count_segment_crossings",
+        "enumerate_m_c4", "enumerate_m_p10", "exhaustive_scan", "find_cyclic_cut", "find_induced_p4",
+        "find_p10_through", "generate_gk", "girth", "is_cyclically_5_edge_connected", "is_petersen",
+        "p10_from_p4", "parse_instance", "parse_instances", "random_instance", "relabel_witness",
+        "replay_trace", "standard_drawing", "suppress_match", "validate", "verify_gk",
+        "witness_report_dict",
+    ]

@@ -10,7 +10,6 @@ from mpgraphs import (
     PETERSEN,
     PRISM,
     InducedPath4,
-    ReductionTrace,
     build_crossing_graph,
     enumerate_m_c4,
     enumerate_m_p10,
@@ -73,6 +72,17 @@ class TestP10FromP4:
     def test_anchor_in_path_rejected(self):
         with pytest.raises(NotAnInducedP4):
             p10_from_p4(build_crossing_graph(PETERSEN, 1), InducedPath4(1, 3, 2, 4))
+
+    def test_plain_tuple_path(self):
+        # an InducedPath4 is its 4-tuple, so the tuple itself serves
+        assert p10_from_p4(PETERSEN_H0, (1, 3, 2, 4)) == (0, 1, 2, 3, 4)
+
+    def test_float_index_rejected(self):
+        # indices are read through operator.index, so 1.0 is no index
+        path = InducedPath4(1.0, 3, 2, 4)
+        with pytest.raises(NotAnInducedP4, match="4 integer indices") as exc:
+            p10_from_p4(PETERSEN_H0, path)
+        assert exc.value.certificate == {"path": repr(path), "anchor": 0}
 
     @given(instances(5, 9), st.data())
     @settings(max_examples=100)
@@ -231,7 +241,7 @@ class TestPeelArgument:
                     assert (X, trace) == find_p10_through_by_chain(G, e), (G.to_text(), e)
                     assert replay_trace(G, e, trace) == X
                     runs += 1
-                    chained += len(trace.steps) > 1
+                    chained += len(trace) > 1
         assert (runs, chained) == (46_308, 21_132)
 
     def test_engine_equals_chain_on_gk(self):
@@ -258,7 +268,7 @@ class TestPeelArgument:
             X, trace = find_p10_through(G, e)
             assert (X, trace) == find_p10_through_by_chain(G, e), (G.to_text(), e)
             assert replay_trace(G, e, trace) == X
-        assert len(find_p10_through(*cases[0])[1].steps) > 2 * (m // 4)
+        assert len(find_p10_through(*cases[0])[1]) > 2 * (m // 4)
 
 
 def assert_least_census_witness(G) -> int:
@@ -291,7 +301,7 @@ class TestFindP10Through:
     def test_petersen(self):
         X, trace = find_p10_through(PETERSEN, 0)
         assert X == (0, 1, 2, 3, 4)
-        assert trace.steps == (P4FoundStep(0, InducedPath4(1, 3, 2, 4)),)
+        assert trace == (P4FoundStep(0, InducedPath4(1, 3, 2, 4)),)
 
     def test_prism_precondition(self):
         with pytest.raises(PreconditionViolated) as exc:
@@ -301,8 +311,8 @@ class TestFindP10Through:
     def test_c4_reduction_path(self):
         X, trace = find_p10_through(ONE_C4, 0)
         assert X == (0, 2, 3, 4, 5)
-        assert trace.steps[0] == C4ReduceStep(1)
-        assert isinstance(trace.steps[-1], P4FoundStep)
+        assert trace[0] == C4ReduceStep(1)
+        assert isinstance(trace[-1], P4FoundStep)
         assert X in enumerate_m_p10(ONE_C4)
 
     def test_gk1_witness_is_group_plus_edge(self, gk1):
@@ -387,7 +397,7 @@ class TestFindP10Through:
         # every pair is a matched 4-cycle; a replay on one that does not
         # meet it can, and is refused with the original instance and edge
         G = validate(4, [0, 1, 2, 3])
-        trace = ReductionTrace((C4ReduceStep(1), C4ReduceStep(1)))
+        trace = (C4ReduceStep(1), C4ReduceStep(1))
         with pytest.raises(InternalInvariantViolated, match="6-vertex base case") as exc:
             replay_trace(G, 0, trace)
         assert exc.value.certificate == {"instance": G.to_text(), "edge": 0}
@@ -423,21 +433,21 @@ class TestTraceReplay:
     def test_wrong_anchor_raises(self, which):
         if which == "after_c4":
             _, trace = find_p10_through(ONE_C4, 0)
-            reduce, found = trace.steps
+            reduce, found = trace
             G, steps = ONE_C4, (reduce, P4FoundStep(found.a + 1, found.path))
         else:
             G, steps = PETERSEN, (P4FoundStep(1, InducedPath4(1, 3, 2, 4)),)
         with pytest.raises(InternalInvariantViolated, match="anchor mismatch"):
-            replay_trace(G, 0, ReductionTrace(steps))
+            replay_trace(G, 0, steps)
 
     def test_foreign_step_is_an_invariant_violation(self):
         # a step of no known type, here one as a parsed JSON trace holds it,
         # is refused by the step interpreter, not by an AttributeError
         foreign = {"step": "TwinContract", "a": 0, "x": 1, "y": 2}
         _, trace = find_p10_through(ONE_C4, 0)
-        for steps in ((foreign,), (trace.steps[0], foreign)):
+        for steps in ((foreign,), (trace[0], foreign)):
             with pytest.raises(InternalInvariantViolated, match="unknown trace step") as exc:
-                replay_trace(ONE_C4, 0, ReductionTrace(steps))
+                replay_trace(ONE_C4, 0, steps)
             assert exc.value.certificate == {"step": repr(foreign)}
 
     def test_c4_reduce_of_a_non_partner_raises(self):
@@ -445,25 +455,35 @@ class TestTraceReplay:
         # before and after earlier steps moved the anchor
         G, e = long_chain_instance(20), 14
         _, trace = find_p10_through(G, e)
-        assert trace.steps[:3] == (C4ReduceStep(15), C4ReduceStep(13), C4ReduceStep(14))
+        assert trace[:3] == (C4ReduceStep(15), C4ReduceStep(13), C4ReduceStep(14))
         # the third step's anchor is 13: one peeled index, 13, lies below e
         for prefix, z, a in ((0, 13, 14), (0, 99, 14), (2, 12, 13), (2, 15, 13)):
-            steps = trace.steps[:prefix] + (C4ReduceStep(z),) + trace.steps[prefix + 1 :]
+            steps = trace[:prefix] + (C4ReduceStep(z),) + trace[prefix + 1 :]
             with pytest.raises(NotAC4ThroughE) as exc:
-                replay_trace(G, e, ReductionTrace(steps))
+                replay_trace(G, e, steps)
             assert exc.value.certificate == {"a": a, "z": z}
         with pytest.raises(NotAC4ThroughE):
-            replay_trace(PETERSEN, 0, ReductionTrace((C4ReduceStep(1),) + find_p10_through(PETERSEN, 0)[1].steps))
+            replay_trace(PETERSEN, 0, (C4ReduceStep(1),) + find_p10_through(PETERSEN, 0)[1])
 
     @pytest.mark.parametrize("bad", [5, -1, 0], ids=["past_the_end", "negative", "anchor"])
     def test_p4_found_path_outside_the_survivors_raises(self, bad):
         # after C4Reduce(1), ONE_C4 has 5 current indices and the anchor is 0
         _, trace = find_p10_through(ONE_C4, 0)
-        reduce, found = trace.steps
+        reduce, found = trace
         assert found.a == 0 and 0 not in found.path
         path = InducedPath4(bad, *found.path[1:])
         with pytest.raises(NotAnInducedP4):
-            replay_trace(ONE_C4, 0, ReductionTrace((reduce, P4FoundStep(0, path))))
+            replay_trace(ONE_C4, 0, (reduce, P4FoundStep(0, path)))
+
+    @pytest.mark.parametrize(
+        "path", [(1, 3, 2), (1, 3, 2, 4, 0), (1.0, 3, 2, 4), None], ids=["three", "five", "float", "none"]
+    )
+    def test_p4_found_path_that_is_not_four_indices_raises(self, path):
+        # PETERSEN has no peel, so current indices are G's and the
+        # certificate holds the path as handed to p10_from_p4
+        with pytest.raises(NotAnInducedP4, match="4 integer indices") as exc:
+            replay_trace(PETERSEN, 0, (P4FoundStep(0, path),))
+        assert exc.value.certificate == {"path": repr(path), "anchor": 0}
 
     def test_survivor_graph_drops_the_peeled_vertices(self):
         # the peeled partner 1 of ONE_C4's edge 0 is no vertex of the
@@ -478,9 +498,9 @@ class TestTraceReplay:
 
     def test_trace_without_p4_found_raises(self):
         _, trace = find_p10_through(ONE_C4, 1)
-        for steps in ((), trace.steps[:-1]):
+        for steps in ((), trace[:-1]):
             with pytest.raises(InternalInvariantViolated, match="without P4Found"):
-                replay_trace(ONE_C4, 1, ReductionTrace(steps))
+                replay_trace(ONE_C4, 1, steps)
 
 
 class TestOneCrossingGraphPerState:
@@ -508,7 +528,7 @@ class TestOneCrossingGraphPerState:
 
     def test_no_build_for_a_c4_state(self, builds):
         X, trace = find_p10_through(ONE_C4, 0)
-        assert isinstance(trace.steps[0], C4ReduceStep)
+        assert isinstance(trace[0], C4ReduceStep)
         assert builds == [(6, 0)]
         builds.clear()
         assert replay_trace(ONE_C4, 0, trace) == X
@@ -519,7 +539,7 @@ class TestOneCrossingGraphPerState:
         # one graph, of the original instance at edge 21
         G = random_instance(30, seed=1)
         X, trace = find_p10_through(G, 21)
-        assert [type(s) for s in trace.steps] == [C4ReduceStep] * 3 + [P4FoundStep]
+        assert [type(s) for s in trace] == [C4ReduceStep] * 3 + [P4FoundStep]
         assert builds == [(30, 21)]
         builds.clear()
         assert replay_trace(G, 21, trace) == X
@@ -550,8 +570,17 @@ class TestOneCrossingGraphPerState:
         monkeypatch.setattr(core_module, "validate", no_validate)
         G, e = long_chain_instance(40), 29
         X, trace = find_p10_through(G, e)
-        assert len(trace.steps) == 21 and listed == [G]
+        assert len(trace) == 21 and listed == [G]
         (H,) = searched
         peeled = set(range(19, 40)) - {e}
         assert H.anchor == e and len(H.vertices) == 19 and peeled.isdisjoint(H.vertices)
-        assert not any(row >> v & 1 for row in H.adj for v in peeled)
+
+    def test_survivor_graph_keeps_the_rows_of_h_e(self):
+        # after the whole peel the rows are H_e's own, peeled bits included:
+        # no induced P4 of H_e holds a peeled partner, so none needs masking
+        for G, e in ((long_chain_instance(40), 29), (ONE_C4, 0)):
+            p = _Peel()
+            while partners := _partners(G, e, p)[1]:
+                p = partners[min(partners)]
+            assert p != _Peel()
+            assert _survivor_graph(G, e, p)[0].adj == build_crossing_graph(G, e).adj
