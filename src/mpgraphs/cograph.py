@@ -36,30 +36,35 @@ def find_induced_p4(H: CrossingGraph) -> InducedPath4 | None:
     a triple with 0 or 3 edges has none.  H.vertices ascend, so the lowest
     candidate above vertex k completes the first 4-set.  O(n^3) mask
     operations in the worst case, one triple when a P4 starts at the first
-    three vertices."""
+    three vertices.  It reads x's row once per x, y's once per pair and
+    z's once per triple with one or two edges; the witness engine's H
+    computes each row on its first read, so there the search also pays
+    O(m) per distinct row it reads."""
     verts, adj = H.vertices, H.adj
     n = len(verts)
-    for i, x in enumerate(verts):
-        for j in range(i + 1, n):
+    for i in range(n - 2):
+        x = verts[i]
+        nx = adj[x]
+        for j in range(i + 1, n - 1):
             y = verts[j]
-            xy = adj[x] >> y & 1
+            ny, xy = adj[y], nx >> y & 1
             for k in range(j + 1, n):
                 z = verts[k]
-                xz, yz = adj[x] >> z & 1, adj[y] >> z & 1
+                xz, yz = nx >> z & 1, ny >> z & 1
                 edges = xy + xz + yz
                 if edges == 0 or edges == 3:
                     continue
                 # the odd vertex is the one off the pair in the minority
                 # state: the path's centre, or the isolated vertex
-                minority = 1 if edges == 1 else 0
+                nz, minority = adj[z], 1 if edges == 1 else 0
                 if yz == minority:
-                    odd, r, s = x, y, z
+                    odd, r, s = nx, ny, nz
                 elif xz == minority:
-                    odd, r, s = y, x, z
+                    odd, r, s = ny, nx, nz
                 else:
-                    odd, r, s = z, x, y
-                side = adj[odd] if minority else ~adj[odd]
-                cand = (adj[r] ^ adj[s]) & side & -(2 << z)
+                    odd, r, s = nz, nx, ny
+                side = odd if minority else ~odd
+                cand = (r ^ s) & side & -(2 << z)
                 if cand:
                     l = (cand & -cand).bit_length() - 1
                     return _path_order(H, (x, y, z, l))

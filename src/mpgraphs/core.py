@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .errors import (
     IndexOutOfRange,
     InstanceTextError,
+    InvalidSymmetry,
     LengthMismatch,
     MpgError,
     NoCycle,
@@ -315,7 +316,9 @@ def _subset_is_petersen(G: MarkedPermutationGraph, X: tuple[int, ...]) -> bool:
 
 def _symmetry(G: MarkedPermutationGraph, op: str, k: int) -> tuple[Sequence[int], Callable[[int], int]]:
     """op's new sigma and, beside it, where op sends A-index x.  k is the
-    shift of the two rotations; reflect and swap_sides ignore it."""
+    shift of the two rotations; reflect and swap_sides ignore it.  An op
+    not listed below, or a k that is not an integer, raises InvalidSymmetry."""
+    k = _integer(k, InvalidSymmetry, "symmetry shift k=", k=k)
     m, sigma = G.m, G.sigma
     if op == "rotate_a":  # shift the A-side basepoint: old vertex k becomes new vertex 0
         return [sigma[(i + k) % m] for i in range(m)], lambda x: (x - k) % m
@@ -325,7 +328,7 @@ def _symmetry(G: MarkedPermutationGraph, op: str, k: int) -> tuple[Sequence[int]
         return [(-sigma[(-i) % m]) % m for i in range(m)], lambda x: (-x) % m
     if op == "swap_sides":  # exchange A and A', inverting sigma: edge x joins new A-vertex sigma[x]
         return G.inverse(), lambda x: sigma[x]
-    raise ValueError(f"unknown symmetry op {op!r}")
+    raise InvalidSymmetry(f"unknown symmetry op {op!r}", op=op)
 
 
 def apply_symmetry(G: MarkedPermutationGraph, op: str, k: int = 0) -> MarkedPermutationGraph:

@@ -7,7 +7,7 @@ disagree; the crossing graph records that relation on A - {a}.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .core import MarkedPermutationGraph, _check_index
 from .errors import UnsupportedFormat
@@ -22,12 +22,18 @@ class CrossingGraph(NamedTuple):
     """The crossing relation of ``graph`` on the m-1 A-indices other than
     the anchor, one Python-int bitmask per row: bit y of ``adj[x]`` is set
     iff x ~ y.  Row ``anchor`` is 0 and no row has bit ``anchor`` set.
+    build_crossing_graph makes ``adj`` a tuple of all m rows, O(m) big-int
+    operations and m^2/8 bytes; the witness engine's own graphs
+    (_engine_crossing_graph), from a crossover in m on, hold a
+    _RowsOnDemand there, which computes a row in O(m) when it is first
+    read, and so cost O(rows read * m).  Either way, read ``adj`` by
+    index, at the vertices.
     It equals any tuple with the same fields; its repr leaves out adj."""
 
     anchor: int
     graph: MarkedPermutationGraph
     vertices: tuple[int, ...]
-    adj: tuple[int, ...]
+    adj: tuple[int, ...] | Mapping[int, int]
 
     def __repr__(self) -> str:
         return f"CrossingGraph(anchor={self.anchor!r}, graph={self.graph!r}, vertices={self.vertices!r})"
@@ -39,7 +45,7 @@ class CrossingGraph(NamedTuple):
         return [(x, y) for x in self.vertices for y in self.vertices if x < y and self.has_edge(x, y)]
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(self.adj[x].bit_count() for x in self.vertices) // 2
 
 
 def build_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
@@ -64,8 +70,75 @@ def build_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
         x = inv[(base + p) % m]
         adj[x] ^= later
         later |= 1 << x
-    verts = tuple(x for x in range(m) if x != a)
-    return CrossingGraph(anchor=a, graph=G, vertices=verts, adj=tuple(adj))
+    return CrossingGraph(anchor=a, graph=G, vertices=(*range(a), *range(a + 1, m)), adj=tuple(adj))
+
+
+_BINARY = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte per index -> its binary digit
+
+
+# From this m on, _engine_crossing_graph computes each row of H_a when the
+# search first reads it; below it, a row of at most 31 bits is about one
+# 30-bit CPython digit, the search reads most rows, and the walk that
+# builds them all is cheaper.  Measured on find_p10_through then
+# replay_trace at every edge of five 4-cycle-free random instances per m,
+# best of 16 runs, walk against on demand (2-core VM, Python 3.11.7):
+# 39.9 against 50.7 us at m = 8, 70.7 / 81.2 at m = 30, 84.7 / 81.9 at
+# m = 32, 121.8 / 98.0 at m = 60 and 120.0 / 109.3 at m = 100.
+_ROWS_ON_DEMAND_FROM_M = 32
+
+
+def _engine_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
+    """H_a for the witness engine: build_crossing_graph's below
+    _ROWS_ON_DEMAND_FROM_M, and from it on a graph whose ``adj`` is a
+    _RowsOnDemand, O(rows read * m) time and memory.  The search reads
+    about 4 rows a graph on random instances with m = 60..100, and every
+    row on G_k, where computing them one at a time costs a few % of its
+    triple walk (4 % on G_10, under 1 % on G_30).  a is a checked anchor."""
+    if G.m < _ROWS_ON_DEMAND_FROM_M:
+        return build_crossing_graph(G, a)
+    return CrossingGraph(a, G, (*range(a), *range(a + 1, G.m)), _RowsOnDemand(G, a))
+
+
+class _RowsOnDemand(dict):
+    """The rows of H_a that build_crossing_graph(G, a) walks, each computed
+    on its first read, in O(m): the ``adj`` of a CrossingGraph whose
+    reader reads a few of them.  Iterating it gives the rows read so far.
+
+    Row x is (the indices after x on the top row) XOR (the indices after x
+    on the bottom row), read from a; complementing both sets within the
+    m - 2 other indices gives the same row as (the indices between a and x
+    on the top row) XOR (the same on the bottom row).  Either way the
+    top-row set is one cyclic arc of indices, a few big-int operations.
+    The bottom-row set is the indices of a cyclic arc of values; the
+    shorter arc of the two sides is written one byte per index into a
+    bytearray, which reads back as one base-2 integer, linear in m."""
+
+    __slots__ = ("m", "sigma", "inv", "a")
+
+    def __init__(self, G: MarkedPermutationGraph, a: int):
+        super().__init__({a: 0})
+        self.m, self.sigma, self.inv, self.a = G.m, G.sigma, G.inverse(), a
+
+    def __missing__(self, x: int) -> int:
+        m, sigma, a = self.m, self.sigma, self.a
+        n = (sigma[a] - sigma[x] - 1) % m  # values after sigma[x], before sigma[a]
+        if 2 * n <= m - 2:
+            i, k, lo = (x + 1) % m, (a - x - 1) % m, (sigma[x] + 1) % m
+        else:  # the side between a and x holds the other m - 2 - n values
+            i, k, lo, n = (a + 1) % m, (x - a - 1) % m, (sigma[a] + 1) % m, m - 2 - n
+        if i + k <= m:  # the indices i .. i + k - 1, mod m
+            top = ((1 << k) - 1) << i
+        else:
+            top = (1 << (i + k - m)) - 1 | (1 << m) - (1 << i)
+        digits = bytearray(m)
+        inv = self.inv
+        for y in inv[lo : lo + n]:
+            digits[y] = 1
+        if lo + n > m:
+            for y in inv[: lo + n - m]:
+                digits[y] = 1
+        row = self[x] = top ^ int(digits.translate(_BINARY)[::-1], 2)
+        return row
 
 
 def _ccw(p: Point, q: Point, r: Point) -> float:
@@ -121,6 +194,14 @@ def standard_drawing(G: MarkedPermutationGraph, a: int, format: str = "svg") -> 
     harness parsing, is the crossing graph's edge count, counted as the
     inversions of pi_a without building the graph.
     """
+    return "".join(_drawing_lines(G, a, format))
+
+
+def _drawing_lines(G: MarkedPermutationGraph, a: int, format: str) -> Iterator[str]:
+    """The lines of standard_drawing(G, a, format), each with its newline,
+    made one at a time as they are read, so a writer holds O(m) integers
+    and one line, not the document.  The arguments are checked, and the
+    crossings counted, before the first line."""
     a = _check_index(G, a, "anchor")
     fmt = format.lower() if isinstance(format, str) else None
     if fmt not in ("svg", "dot"):
@@ -131,46 +212,46 @@ def standard_drawing(G: MarkedPermutationGraph, a: int, format: str = "svg") -> 
     crossings = _crossing_count(G, a)
     header = f"instance: {G.to_text()} | anchor: {a}"
     if fmt == "dot":
-        lines = [
-            f"// crossings: {crossings}",
-            f"// {header}",
-            "graph standard_drawing {",
-            "  layout=neato;",
-            "  splines=line;",
-            '  node [shape=circle, fixedsize=true, width=0.35];',
-        ]
-        lines += [f'  "A{x}" [pos="{top[x]},{ROW_GAP}!"];' for x in range(m)]
-        lines += [f'  "A\'{v}" [pos="{bot[v]},0!"];' for v in range(m)]
-        lines += [f'  "A{(a + t) % m}" -- "A{(a + t + 1) % m}";' for t in range(m - 1)]
-        lines += [f'  "A\'{(b + t) % m}" -- "A\'{(b + t + 1) % m}";' for t in range(m - 1)]
-        lines += [f'  "A{x}" -- "A\'{sigma[x]}" [kind=matching];' for x in range(m)]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        yield f"// crossings: {crossings}\n"
+        yield f"// {header}\n"
+        yield "graph standard_drawing {\n"
+        yield "  layout=neato;\n"
+        yield "  splines=line;\n"
+        yield '  node [shape=circle, fixedsize=true, width=0.35];\n'
+        for x in range(m):
+            yield f'  "A{x}" [pos="{top[x]},{ROW_GAP}!"];\n'
+        for v in range(m):
+            yield f'  "A\'{v}" [pos="{bot[v]},0!"];\n'
+        for t in range(m - 1):
+            yield f'  "A{(a + t) % m}" -- "A{(a + t + 1) % m}";\n'
+        for t in range(m - 1):
+            yield f'  "A\'{(b + t) % m}" -- "A\'{(b + t + 1) % m}";\n'
+        for x in range(m):
+            yield f'  "A{x}" -- "A\'{sigma[x]}" [kind=matching];\n'
+        yield "}\n"
+        return
 
     scale, margin = 40, 30  # column t is at x = margin + scale * t
     y_top, y_bot = margin, margin + scale * ROW_GAP
     width, height = 2 * margin + scale * (m - 1), y_bot + margin
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
-        f"<!-- crossings: {crossings} -->",
-        f"<!-- {header} -->",
-    ]
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">\n'
+    yield f"<!-- crossings: {crossings} -->\n"
+    yield f"<!-- {header} -->\n"
     for row, y in (("A", y_top), ("Ap", y_bot)):
-        lines += [
-            f'<line class="cycle-{row}" x1="{margin + scale * t}" y1="{y}" x2="{margin + scale * (t + 1)}" '
-            f'y2="{y}" stroke="#999" stroke-width="1"/>'
-            for t in range(m - 1)
-        ]
-    lines += [
-        f'<line class="matching" x1="{margin + scale * top[x]}" y1="{y_top}" '
-        f'x2="{margin + scale * bot[sigma[x]]}" y2="{y_bot}" stroke="#000" stroke-width="1.5"/>'
-        for x in range(m)
-    ]
+        for t in range(m - 1):
+            yield (
+                f'<line class="cycle-{row}" x1="{margin + scale * t}" y1="{y}" x2="{margin + scale * (t + 1)}" '
+                f'y2="{y}" stroke="#999" stroke-width="1"/>\n'
+            )
+    for x in range(m):
+        yield (
+            f'<line class="matching" x1="{margin + scale * top[x]}" y1="{y_top}" '
+            f'x2="{margin + scale * bot[sigma[x]]}" y2="{y_bot}" stroke="#000" stroke-width="1.5"/>\n'
+        )
     for name, cols, y in (("A", top, y_top), ("A'", bot, y_bot)):
         for v in range(m):
             cx = margin + scale * cols[v]
-            lines.append(f'<circle cx="{cx}" cy="{y}" r="9" fill="#fff" stroke="#000"/>')
-            lines.append(f'<text x="{cx}" y="{y + 3}" font-size="8" text-anchor="middle">{name}{v}</text>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            yield f'<circle cx="{cx}" cy="{y}" r="9" fill="#fff" stroke="#000"/>\n'
+            yield f'<text x="{cx}" y="{y + 3}" font-size="8" text-anchor="middle">{name}{v}</text>\n'
+    yield "</svg>\n"

@@ -108,5 +108,10 @@ class InvalidLemmaArgs(MpgError):
     redrawing and replace take two, zhang and lower none."""
 
 
+class InvalidSymmetry(MpgError):
+    """A symmetry op other than apply_symmetry's four, or a shift k that
+    is not an integer."""
+
+
 class InvalidSeed(MpgError):
     """Random seed outside the Philox key range 0 <= seed < 2**128."""

@@ -22,7 +22,11 @@ pins the witness to the census:
 3. Deleting z keeps the survivors' order on both rows, read from a, so
    the reduced crossing graph is H_a - z relabelled monotonically; after
    the peel, it is H_e induced on the survivors: H_e, its rows untouched,
-   with the survivors as its vertices.
+   with the survivors as its vertices.  The search reads a few of its
+   rows, so each is computed, in O(m), when it is first read: O(rows
+   read * m) time and memory, not the m^2/8 bytes of every row.  Below a
+   crossover in m the search reads most rows, and one walk builds them
+   all (crossing._engine_crossing_graph).
 4. find_induced_p4 returns the lexicographically least induced P4,
    oriented from its smaller end, and a monotone relabelling keeps both.
 5. The witness is min(X for X in enumerate_m_p10(G) if e in X).  A
@@ -51,7 +55,7 @@ from .core import (
     _subset_is_petersen,
     enumerate_m_c4,
 )
-from .crossing import CrossingGraph, build_crossing_graph
+from .crossing import CrossingGraph, _engine_crossing_graph
 from .errors import (
     InternalInvariantViolated,
     NotAC4ThroughE,
@@ -153,12 +157,14 @@ def _partners(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[int, dict[in
 def _survivor_graph(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[CrossingGraph, Sequence[int]]:
     """H_e with only the survivors less e as ``vertices``, and the
     survivors, e included, ascending: survivors[i] has current index i.
-    Rows keep the peeled vertices' bits, which no reader needs masked:
-    find_induced_p4 walks only ``vertices``, and its candidate mask names
-    only vertices completing an induced P4 of H_e, none peeled (step 5);
-    _path_order and p10_from_p4 read survivors' bits of survivors' rows."""
-    m = G.m
-    H = build_crossing_graph(G, e)
+    crossing._engine_crossing_graph makes H_e: whole below a crossover in
+    m, and from it on with each row computed, in O(m), when it is first
+    read, so O(rows read * m) time and memory.  Rows keep the peeled
+    vertices' bits, which no reader needs masked: find_induced_p4 walks
+    only ``vertices``, and its candidate mask names only vertices
+    completing an induced P4 of H_e, none peeled (step 5); _path_order and
+    p10_from_p4 read survivors' bits of survivors' rows."""
+    m, H = G.m, _engine_crossing_graph(G, e)
     if p.l + p.r == 0:
         return H, range(m)
     peeled = {(e + k) % m for k in range(-p.l, p.r + 1) if k}

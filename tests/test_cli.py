@@ -516,6 +516,20 @@ class TestDraw:
         code, _, _ = capture(["draw", PETERSEN_TXT, "--format", "png"])
         assert code == 2
 
+    def test_refusal_writes_no_line_of_the_drawing(self):
+        # the lines are made as they are written, and the anchor is
+        # checked before the first
+        code, out, _ = capture(["draw", PETERSEN_TXT, "--anchor", "5"])
+        assert code == 2 and assert_valid_json(out)["error"] == "IndexOutOfRange"
+
+    @pytest.mark.parametrize("fmt", ["svg", "dot"])
+    def test_written_in_parts_is_the_whole_drawing(self, fmt):
+        # m = 2,000 draws 10,000 lines or more, three writes of up to
+        # 4,096 lines or more
+        G = random_instance(2000, seed=1)
+        code, out, _ = capture(["draw", "-", "--anchor", "17", "--format", fmt], stdin_text=G.to_text())
+        assert code == 0 and out == mpgraphs.standard_drawing(G, 17, fmt)
+
     @pytest.mark.parametrize(
         "producer,draw_args,golden",
         [

@@ -46,6 +46,7 @@ from mpgraphs.core import MAX_M
 from mpgraphs.errors import (
     IndexOutOfRange,
     InstanceTextError,
+    InvalidSymmetry,
     LengthMismatch,
     NoCycle,
     NotAPermutation,
@@ -426,6 +427,27 @@ class TestSymmetry:
         with pytest.raises(IndexOutOfRange) as exc:
             relabel_witness(PETERSEN, [0, 1, bad, 2, 3], op, 1)
         assert exc.value.certificate == {"index": bad, "m": 5}
+
+    @pytest.mark.parametrize("op", ["rotate_a", "rotate_a_prime", "reflect", "swap_sides"])
+    @pytest.mark.parametrize("bad", [1.5, "1", None], ids=["float", "string", "none"])
+    def test_shift_that_is_not_an_integer_is_refused(self, op, bad):
+        # every op reads k, though only the rotations use it: rotate_a
+        # once leaked a TypeError, and relabel_witness under rotate_a_prime
+        # returned a result
+        for call in (
+            lambda: apply_symmetry(PETERSEN, op, bad),
+            lambda: relabel_witness(PETERSEN, (0, 1, 2, 3, 4), op, bad),
+        ):
+            with pytest.raises(InvalidSymmetry, match="is not an integer") as exc:
+                call()
+            assert exc.value.certificate == {"k": bad}
+
+    @pytest.mark.parametrize("op", ["rotate", "", None])
+    def test_unknown_op_is_refused(self, op):
+        for call in (lambda: apply_symmetry(PETERSEN, op), lambda: relabel_witness(PETERSEN, [0], op, 1)):
+            with pytest.raises(InvalidSymmetry, match="unknown symmetry op") as exc:
+                call()
+            assert exc.value.certificate == {"op": op}
 
     @given(instances(3, 7), st.data())
     @settings(max_examples=60, deadline=None)

@@ -13,6 +13,7 @@ from mpgraphs import (
     validate,
 )
 from mpgraphs.census import random_instance
+from mpgraphs.crossing import _ROWS_ON_DEMAND_FROM_M, _engine_crossing_graph, _RowsOnDemand
 from mpgraphs.errors import UnsupportedFormat
 
 from .conftest import all_instances, crossing_adj_by_pairs, instances, seeded_instances
@@ -94,6 +95,49 @@ class TestBuildCrossingGraph:
                     edges = [(x, y) for x in H.vertices for y in H.vertices if x < y and H.has_edge(x, y)]
                     assert H.edges() == edges
                     assert H.edge_count() == len(edges)
+
+
+class TestRowsOnDemand:
+    """The rows the witness engine reads from crossing._ROWS_ON_DEMAND_FROM_M
+    on, each computed on its first read, are build_crossing_graph's rows."""
+
+    @staticmethod
+    def assert_rows_match_the_walk(G, a):
+        rows, expected = _RowsOnDemand(G, a), build_crossing_graph(G, a).adj
+        assert len(rows) == 1  # the anchor's 0 row, and no other yet
+        for x in range(G.m):
+            assert rows[x] == expected[x], (G.to_text(), a, x)
+        assert len(rows) == G.m  # each row is computed once
+
+    def test_exhaustively(self):
+        # every anchor of every instance with 3 <= m <= 7: 40,314 graphs
+        checked = 0
+        for m in range(3, 8):
+            for G in all_instances(m):
+                for a in range(m):
+                    self.assert_rows_match_the_walk(G, a)
+                    checked += 1
+        assert checked == 40_314
+
+    @pytest.mark.parametrize("m", [29, 30, 31, 32, 33, 64, 100, 257])
+    def test_seeded(self, m):
+        # both sides of the crossover at m = 32, and of rows that fit one
+        # 30-bit CPython digit (m <= 30)
+        for G in seeded_instances(m):
+            for a in range(m):
+                self.assert_rows_match_the_walk(G, a)
+
+    @pytest.mark.parametrize("m", [8, 64])
+    def test_engine_graph_reads_as_the_built_one(self, m):
+        # whole below the crossover, on demand above it; edges and
+        # edge_count read the rows at the vertices either way
+        for G in seeded_instances(m):
+            for a in range(m):
+                H, expected = _engine_crossing_graph(G, a), build_crossing_graph(G, a)
+                assert isinstance(H.adj, tuple) == (m < _ROWS_ON_DEMAND_FROM_M)
+                assert H == expected._replace(adj=H.adj)
+                assert H.edge_count() == expected.edge_count()  # before any row is read
+                assert H.edges() == expected.edges()
 
 
 def svg_matching_segments(doc: str):

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,7 @@ from .conftest import (
 # The module, whose _subset_is_petersen the certification tests patch.
 witness_module = importlib.import_module("mpgraphs.witness")
 core_module = importlib.import_module("mpgraphs.core")
+crossing_module = importlib.import_module("mpgraphs.crossing")
 
 # one matched 4-cycle (0,1); both its edges satisfy the extraction
 # precondition, so the engine must take the C4-reduction path
@@ -504,20 +506,36 @@ class TestTraceReplay:
 
 
 class TestOneCrossingGraphPerState:
-    """The engine and replay each build one crossing graph, at the original
-    anchor, whatever the number of C4Reduce steps."""
+    """The engine and replay each make one crossing graph, at the original
+    anchor, whatever the number of C4Reduce steps: built whole below
+    crossing._ROWS_ON_DEMAND_FROM_M, and from it on with each row computed
+    when it is first read."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
+        # (m, anchor) of each crossing graph made, whole or on demand
         built = []
-        real = witness_module.build_crossing_graph
+        real = witness_module._engine_crossing_graph
 
         def counting(G, a):
             built.append((G.m, a))
             return real(G, a)
 
-        monkeypatch.setattr(witness_module, "build_crossing_graph", counting)
+        monkeypatch.setattr(witness_module, "_engine_crossing_graph", counting)
         return built
+
+    @pytest.fixture
+    def rows_computed(self, monkeypatch):
+        # the rows each on-demand graph computes, in the order read
+        computed = []
+        real = crossing_module._RowsOnDemand.__missing__
+
+        def counting(rows, x):
+            computed.append(x)
+            return real(rows, x)
+
+        monkeypatch.setattr(crossing_module._RowsOnDemand, "__missing__", counting)
+        return computed
 
     def test_petersen_edge_0(self, builds):
         X, trace = find_p10_through(PETERSEN, 0)
@@ -577,10 +595,36 @@ class TestOneCrossingGraphPerState:
 
     def test_survivor_graph_keeps_the_rows_of_h_e(self):
         # after the whole peel the rows are H_e's own, peeled bits included:
-        # no induced P4 of H_e holds a peeled partner, so none needs masking
+        # no induced P4 of H_e holds a peeled partner, so none needs masking.
+        # m = 40 computes its rows on demand, and ONE_C4 (m = 6) builds them
         for G, e in ((long_chain_instance(40), 29), (ONE_C4, 0)):
             p = _Peel()
             while partners := _partners(G, e, p)[1]:
                 p = partners[min(partners)]
             assert p != _Peel()
-            assert _survivor_graph(G, e, p)[0].adj == build_crossing_graph(G, e).adj
+            rows, expected = _survivor_graph(G, e, p)[0].adj, build_crossing_graph(G, e).adj
+            assert [rows[x] for x in range(G.m)] == list(expected), (G.m, e)
+
+    def test_rows_on_demand_at_m_10000(self, builds, rows_computed):
+        # the engine computes the 4 rows of H_0 that it reads, of 9,999,
+        # and replay the 3 that p10_from_p4 reads
+        G = random_instance(10_000, seed=1, require_c4_free=True)
+        X, trace = find_p10_through(G, 0)
+        assert X == (0, 1, 2, 3, 329)
+        assert builds == [(10_000, 0)] and rows_computed == [1, 2, 3, 329]
+        builds.clear()
+        rows_computed.clear()
+        assert replay_trace(G, 0, trace) == X
+        assert builds == [(10_000, 0)] and rows_computed == [2, 1, 329]
+
+    def test_engine_memory_at_m_100000(self):
+        # a few rows of 12.5 kB each, and O(m) tuples: ~8 MB, where the
+        # m - 1 rows of H_0 took 1.3 GB
+        G = random_instance(100_000, seed=1, require_c4_free=True)
+        tracemalloc.start()
+        try:
+            X, trace = find_p10_through(G, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X == (0, 1, 2, 3, 14) and peak < 64 * 2**20, peak
