@@ -78,9 +78,10 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
 
     A block's two slices come from ring[x2], the indices after x2 in
     ascending order of value, twice over, so that an arc across the top of
-    the value range is still one slice.  The bounds are counts of the
-    indices after x2 with values below s0, s1 and s2: two popcounts and
-    one lookup.  The arcs are disjoint, so no index is in both slices.
+    the value range is still one slice.  An arc's slice starts at the count
+    of indices after x2 with values below the end it leaves going up, and
+    is as long as its mask: two popcounts per arc.  The arcs are disjoint,
+    so no index is in both slices.
     The tables take O(m^2) time and memory, and the walk holds one block
     at a time.
     """
@@ -90,14 +91,12 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
         inv[v] = i
     ring = [[q for q in inv if q > p] * 2 for p in range(m)]
     # masks of indices: vmask[v] those whose value is below v, after[x]
-    # those above x, and under[x.bit_length()] those below x's highest bit;
-    # rank[x] counts the indices after x whose value is below sigma[x]
+    # those above x, and under[x.bit_length()] those below x's highest bit
     vmask = [0] * (m + 1)
     for v in range(m):
         vmask[v + 1] = vmask[v] | 1 << inv[v]
     after = [-(2 << x) & vmask[m] for x in range(m)]
     under = [0] + [(1 << k) - 1 for k in range(m)]
-    rank = [(vmask[s] & after[x]).bit_count() for x, s in enumerate(sigma)]
     last = sigma[-1]
     for x0 in range(m):
         s0 = sigma[x0]
@@ -125,21 +124,12 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
                 x3m = (outer if wrap3 else inner) & rest
                 if not x3m & under[x4m.bit_length()]:
                     continue
-                # each arc's slice of ring[x2] runs from the count of later
-                # indices below its lower end to the count below its upper
-                # end, or, when it wraps, from the upper count on to the
-                # lower count in the second copy
-                i3 = (vmask[lo] & rest).bit_count()
-                j3 = (vmask[hi] & rest).bit_count()
-                c1 = j3 if lo == s0 else i3
-                i4, j4 = (c1, rank[x2]) if s1 < s2 else (rank[x2], c1)
-                if wrap4:
-                    i4, j4 = j4, m - 1 - x2 + i4
-                if wrap3:
-                    i3, j3 = j3, m - 1 - x2 + i3
+                # a wrapping arc leaves its upper end, into the second copy
+                i3 = (vmask[hi if wrap3 else lo] & rest).bit_count()
+                i4 = (vmask[hi4 if wrap4 else lo4] & rest).bit_count()
                 row = ring[x2]
-                x3s = row[i3:j3]
-                x4s = row[i4:j4]
+                x3s = row[i3 : i3 + x3m.bit_count()]
+                x4s = row[i4 : i4 + x4m.bit_count()]
                 x3s.sort()
                 x4s.sort()
                 yield x0, x1, x2, tuple(x3s), tuple(x4s)
@@ -200,10 +190,11 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
     census_report keeps blocks.
 
     The search always runs in this process.  ``jobs`` changes nothing; it
-    is kept, with jobs < 1 raising InvalidJobs, only because the census
-    benchmark's ``census.pool_speedup`` passes it, and both go with the
-    next change to the benchmark.
+    is kept, with jobs < 1 or not an integer raising InvalidJobs, only
+    because the census benchmark's ``census.pool_speedup`` passes it, and
+    both go with the next change to the benchmark.
     """
+    jobs = _integer(jobs, InvalidJobs, "jobs=", jobs=jobs)
     if jobs < 1:
         raise InvalidJobs(f"jobs must be at least 1, got {jobs}", jobs=jobs)
     return _expand(_petersen_blocks(G.sigma))
@@ -495,9 +486,12 @@ def random_instance(m: int, seed: int, require_c4_free: bool = False) -> MarkedP
     remains; past the cap it raises ExhaustedAttempts.  The seed is the
     Philox key, so 0 <= seed < 2**128; others, and a seed that is not an
     integer, raise InvalidSeed.  m above MAX_M raises TooLarge, and m below
-    3 or not an integer TooSmall.  numpy is imported here, after those
-    checks, not at module level, so that importing mpgraphs does not load
-    it."""
+    3 or not an integer TooSmall.  A require_c4_free that is not False or
+    True (0, 1 and numpy bools are) raises TypeError.  numpy is imported
+    here, after those checks, not at module level, so that importing
+    mpgraphs does not load it."""
+    if require_c4_free not in (False, True):
+        raise TypeError(f"require_c4_free={require_c4_free!r} is not a bool")
     m = _integer(m, TooSmall, "half-order m=", m=m)
     seed = _integer(seed, InvalidSeed, "seed ", seed=seed)
     if m > MAX_M:

@@ -83,19 +83,20 @@ def validate(m: int, sigma: Sequence[int]) -> MarkedPermutationGraph:
     operator.index, so Python and numpy integers pass and anything else
     (a float, a string) is refused, not truncated: a non-integral m raises
     TooSmall, and a non-integral entry NotAPermutation with its index.
+    sigma is built once: one list whose entries become their integers in
+    place, beside a bytearray of the values seen.
     """
     m = _integer(m, TooSmall, "half-order m=", m=m)
     if m < 3:
         raise TooSmall(f"half-order m={m} below minimum 3", m=m)
-    sigma = tuple(sigma)
+    sigma = list(sigma)
     if len(sigma) != m:
         raise LengthMismatch(
             f"sigma has {len(sigma)} entries, expected {m}",
             m=m,
             length=len(sigma),
         )
-    entries: list[int] = []
-    seen = set()
+    seen = bytearray(m)
     for i, v in enumerate(sigma):
         try:
             v = operator.index(v)
@@ -103,11 +104,11 @@ def validate(m: int, sigma: Sequence[int]) -> MarkedPermutationGraph:
             raise NotAPermutation(f"sigma[{i}]={v!r} is not an integer", index=i, value=v) from None
         if not 0 <= v < m:
             raise NotAPermutation(f"sigma[{i}]={v} out of range", index=i, value=v)
-        if v in seen:
+        if seen[v]:
             raise NotAPermutation(f"duplicate value {v} at index {i}", index=i, value=v)
-        seen.add(v)
-        entries.append(v)
-    return MarkedPermutationGraph(m, tuple(entries))
+        seen[v] = 1
+        sigma[i] = v
+    return MarkedPermutationGraph(m, tuple(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +177,7 @@ def _check_index(G: MarkedPermutationGraph, i: int, what: str = "A-index") -> in
     """i as a Python int in 0..m-1.  It is read through operator.index, as
     validate reads sigma, so a numpy integer passes and a float or a string
     raises IndexOutOfRange, as an integer out of range does."""
-    try:
-        i = operator.index(i)
-    except TypeError:
-        raise IndexOutOfRange(f"{what} {i!r} is not an integer", index=i, m=G.m) from None
+    i = _integer(i, IndexOutOfRange, f"{what} ", index=i, m=G.m)
     if not 0 <= i < G.m:
         raise IndexOutOfRange(f"{what} {i} outside 0..{G.m - 1}", index=i, m=G.m)
     return i

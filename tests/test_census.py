@@ -136,7 +136,7 @@ class TestPetersenBlocks:
     in the same order."""
 
     def test_equals_rank_table_walk_exhaustively(self):
-        for m in range(3, 8):
+        for m in range(3, 9):
             for sigma in itertools.permutations(range(m)):
                 assert list(_petersen_blocks(sigma)) == list(petersen_blocks_by_rank_table(sigma)), sigma
 
@@ -164,6 +164,14 @@ class TestJobsBounds:
             with pytest.raises(InvalidJobs) as exc:
                 enumerate_m_p10(G, jobs=jobs)
             assert exc.value.certificate == {"jobs": jobs}
+
+    @pytest.mark.parametrize("jobs", ["2", 1.5])
+    def test_non_integer_jobs_rejected(self, jobs):
+        # read through operator.index, like every other integer argument
+        with pytest.raises(InvalidJobs) as exc:
+            enumerate_m_p10(PETERSEN, jobs=jobs)
+        assert exc.value.certificate == {"jobs": jobs}
+        assert exc.value.message == f"jobs={jobs!r} is not an integer"
 
 
 class TestCountPerEdge:
@@ -593,6 +601,19 @@ class TestRandomInstance:
         np = pytest.importorskip("numpy")
         G = random_instance(np.int64(30), np.int64(1), require_c4_free=True)
         assert G == random_instance(30, 1, require_c4_free=True) and type(G.m) is int
+
+    @pytest.mark.parametrize("flag", ["no", 2, None])
+    def test_non_bool_c4_free_flag_refused(self, flag):
+        # a truthy string or integer would otherwise read as True
+        with pytest.raises(TypeError, match="require_c4_free"):
+            random_instance(5, 1, flag)
+
+    def test_bool_like_c4_free_flags_accepted(self):
+        np = pytest.importorskip("numpy")
+        for flag in (1, np.bool_(True)):
+            assert random_instance(30, 1, flag) == random_instance(30, 1, True)
+        for flag in (0, np.bool_(False)):
+            assert random_instance(30, 1, flag) == random_instance(30, 1, False)
 
     def test_any_permutation_validates(self):
         G = random_instance(5, seed=1)

@@ -880,14 +880,15 @@ def test_cli_import_leaves_module_unloaded(module):
 
 def numpy_loaded_after_refusal(args: str, error: str) -> bool:
     """Whether numpy is loaded once ``random_instance(<args>)`` has raised
-    ``error`` in a fresh interpreter; fails if it did not raise."""
+    the exception named ``error`` in a fresh interpreter; fails if it did
+    not raise, or raised another."""
     code = (
         "import sys\n"
         "from mpgraphs.census import random_instance\n"
-        f"from mpgraphs.errors import {error}\n"
         "try:\n"
         f"    random_instance({args})\n"
-        f"except {error}:\n"
+        "except Exception as exc:\n"
+        f"    assert type(exc).__name__ == {error!r}, repr(exc)\n"
         "    print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run(
@@ -916,6 +917,10 @@ def test_non_integer_seed_refused_before_numpy_loads():
 
 def test_non_integer_m_refused_before_numpy_loads():
     assert not numpy_loaded_after_refusal("5.0, seed=1", "TooSmall")
+
+
+def test_non_bool_c4_free_flag_refused_before_numpy_loads():
+    assert not numpy_loaded_after_refusal("5, 1, 'no'", "TypeError")
 
 
 @pytest.mark.parametrize("command", ["gk", "random"])

@@ -1,6 +1,8 @@
 import hashlib
 import importlib
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,20 @@ class TestValidate:
         G = validate(np.int64(5), np.array([0, 2, 4, 1, 3]))
         assert G == PETERSEN
         assert type(G.m) is int and all(type(v) is int for v in G.sigma)
+
+    def test_sigma_built_once(self):
+        # one list, one tuple and a bytearray, ~1.7 MB at m = 10^5; a set of
+        # seen values and a second list and tuple took ~7.7 MB
+        m = 10**5
+        sigma = random.Random(1).sample(range(m), m)
+        tracemalloc.start()
+        try:
+            G = validate(m, sigma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.sigma == tuple(sigma)
+        assert peak < 3_000_000
 
 
 class TestTextFormat:
