@@ -504,7 +504,7 @@ def random_instance(m: int, seed: int, require_c4_free: bool = False) -> MarkedP
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     for _ in range(MAX_ATTEMPTS):
-        G = validate(m, [int(v) for v in rng.permutation(m)])
+        G = validate(m, rng.permutation(m).tolist())
         if not require_c4_free or not enumerate_m_c4(G):
             return G
     raise ExhaustedAttempts(

@@ -195,13 +195,23 @@ def run(
 
 
 def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
-    if args.command == "validate":
+    if args.command == "check":  # the arity is checked before the FILE is read
+        takes_pair = args.lemma in ("redrawing", "replace")
+        if len(args.args) != (2 if takes_pair else 0):
+            raise InvalidLemmaArgs(
+                f"--lemma {args.lemma} "
+                + ("needs two indices via --args A B" if takes_pair else "takes no --args"),
+                lemma=args.lemma,
+                args=args.args,
+            )
+    if "file" in args:  # every subcommand with a FILE reads it here, once
         G = _load_instance(args.file, stdin)
+
+    if args.command == "validate":
         stdout.write(G.to_text() + "\n")
         return 0
 
     if args.command == "census":
-        G = _load_instance(args.file, stdin)
         if args.json:
             report = census_report(G)
             # the document with an empty list, which the rows replace
@@ -221,7 +231,6 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
         return 0
 
     if args.command == "witness":
-        G = _load_instance(args.file, stdin)
         X, trace = find_p10_through(G, args.edge)
         _emit_json(witness_report_dict(X, trace), stdout)
         return 0
@@ -259,7 +268,6 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
         return 0
 
     if args.command == "draw":
-        G = _load_instance(args.file, stdin)
         lines = _drawing_lines(G, args.anchor, args.format)
         # one write per 4,096 lines: at m = 10^6 a write per line took 3 s more
         while chunk := "".join(islice(lines, 4096)):
@@ -267,7 +275,6 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
         return 0
 
     if args.command == "cyclic":
-        G = _load_instance(args.file, stdin)
         cut = find_cyclic_cut(G)
         _emit_json(
             {
@@ -279,15 +286,6 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
         return 0 if cut is None else 1
 
     if args.command == "check":
-        takes_pair = args.lemma in ("redrawing", "replace")
-        if len(args.args) != (2 if takes_pair else 0):
-            raise InvalidLemmaArgs(
-                f"--lemma {args.lemma} "
-                + ("needs two indices via --args A B" if takes_pair else "takes no --args"),
-                lemma=args.lemma,
-                args=args.args,
-            )
-        G = _load_instance(args.file, stdin)
         # built per call, not at import, so a checker rebound in this module runs
         checker = {
             "redrawing": check_redrawing,

@@ -116,21 +116,22 @@ def validate(m: int, sigma: Sequence[int]) -> MarkedPermutationGraph:
 # Lines starting with '#' are comments; a file may hold several instances.
 # ---------------------------------------------------------------------------
 
-# str.splitlines' line boundaries: each match is one non-empty line, found
-# only when the reader gets to it
+# str.splitlines' line boundaries: each match is one non-empty line, whose
+# tokens _WORD finds in the text itself, when the reader gets to them
 _LINE = re.compile(r"[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
-# a token is an ASCII decimal integer
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
+_WORD = re.compile(r"\S+")
 
 
 def _tokens(text: str) -> Iterator[int]:
     for line in _LINE.finditer(text):
-        stripped = line.group().strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        for tok in stripped.split():
+        first = _WORD.search(text, *line.span())
+        if first is None or text.startswith("#", first.start()):
+            continue  # a blank line or a comment
+        for word in _WORD.finditer(text, first.start(), line.end()):
+            tok = word.group()
             try:
-                if not _DECIMAL.fullmatch(tok):  # int() alone takes 1_3, ٣ and ３
+                # base-10 int() reads an ASCII token without "_" iff it is [+-]?[0-9]+
+                if not tok.isascii() or "_" in tok:  # int() alone takes 1_3, ٣ and ３
                     raise ValueError(tok)
                 yield int(tok)  # ValueError past int's digit limit
             except ValueError:

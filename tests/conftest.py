@@ -12,13 +12,15 @@ edges per component, for each), the replace lemma by a scan over 4-sets,
 and the
 census by the triple walk that takes three bisects and a slice for every
 triple, and the census blocks by the walk that visits every triple and
-reads its slice bounds from a per-position rank table.
+reads its slice bounds from a per-position rank table, and the text
+reader by one that strips and splits each line.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from bisect import bisect
 from collections import Counter
 from pathlib import Path
@@ -43,7 +45,7 @@ from mpgraphs import (
 )
 from mpgraphs.census import Block
 from mpgraphs.core import PETERSEN_PATTERNS, _check_index
-from mpgraphs.errors import NotAC4ThroughE, PreconditionViolated, TooSmall
+from mpgraphs.errors import InstanceTextError, NotAC4ThroughE, PreconditionViolated, TooSmall
 from mpgraphs.witness import C4ReduceStep, P4FoundStep, PetersenWitness
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -624,6 +626,27 @@ def inject_scan_faults(monkeypatch, *kinds: str) -> None:
     if "zhang_fail" in kinds:
         monkeypatch.setattr(census_module, "_zhang", faulty_zhang)
     monkeypatch.setattr(census_module, "find_p10_through", faulty_engine)
+
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def tokens_by_split(text: str) -> Iterator[int]:
+    """The text reader's integers, read from copies of the text: each of
+    str.splitlines' lines stripped and split, a line whose first token
+    starts with '#' skipped, and every other token matched in full against
+    [+-]?[0-9]+ before int() reads it."""
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        for tok in stripped.split():
+            try:
+                if not _DECIMAL.fullmatch(tok):
+                    raise ValueError(tok)
+                yield int(tok)  # ValueError past int's digit limit
+            except ValueError:
+                raise InstanceTextError(f"non-integer token {tok!r}", token=tok) from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 import mpgraphs
 import mpgraphs.census as census_module
+import mpgraphs.cli as cli_module
 from mpgraphs import __version__
 from mpgraphs.census import MAX_ATTEMPTS, census_report, random_instance
 from mpgraphs.core import MAX_M, MarkedPermutationGraph
@@ -615,6 +616,47 @@ class TestCheck:
         obj = assert_valid_json(out)
         assert obj["error"] == "IndicesNotDistinct"
         assert obj["certificate"] == {"a": int(index), "b": int(index)}
+
+
+class TestLoadOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["census"],
+            ["census", "--json"],
+            ["witness", "--edge", "0"],
+            ["draw"],
+            ["cyclic"],
+            ["check", "--lemma", "redrawing", "--args", "0", "1"],
+            ["check", "--lemma", "replace", "--args", "0", "1"],
+            ["check", "--lemma", "zhang"],
+            ["check", "--lemma", "lower"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+    )
+    def test_file_is_loaded_once(self, monkeypatch, argv):
+        load, paths = cli_module._load_instance, []
+
+        def counting(path, stdin):
+            paths.append(path)
+            return load(path, stdin)
+
+        monkeypatch.setattr(cli_module, "_load_instance", counting)
+        code, out, _ = capture([argv[0], PETERSEN_TXT, *argv[1:]])
+        assert code == 0 and out
+        assert paths == [PETERSEN_TXT]
+
+    def test_lemma_arity_is_refused_before_the_read(self):
+        class Unreadable(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("stdin was read")
+
+        out = io.StringIO()
+        argv = ["check", "-", "--lemma", "zhang", "--args", "1"]
+        code = run(argv, stdin=Unreadable(), stdout=out, stderr=io.StringIO())
+        assert code == 2
+        assert assert_valid_json(out.getvalue())["error"] == "InvalidLemmaArgs"
 
 
 def flipped_crossing(target: int, x: int, y: int):

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,7 @@ from mpgraphs.errors import (
     InstanceTextError,
     InvalidSymmetry,
     LengthMismatch,
+    MpgError,
     NoCycle,
     NotAPermutation,
     TooFewEdges,
@@ -68,6 +70,7 @@ from .conftest import (
     instances,
     is_petersen_by_isomorphism,
     seeded_instances,
+    tokens_by_split,
 )
 
 
@@ -142,6 +145,49 @@ class TestValidate:
             tracemalloc.stop()
         assert G.sigma == tuple(sigma)
         assert peak < 3_000_000
+
+
+# the reader's separators: str.splitlines' line boundaries, and whitespace
+# that str.split splits at but no line ends at
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+ODD_WORDS = st.sampled_from(["-1", "+0", "-0", "6", "1_3", "\u0663", "\uff13", "#x", "x", "9" * 5000])
+
+
+@st.composite
+def separators(draw) -> str:
+    """A space, or a line break, maybe then a comment line; each new line
+    with or without leading whitespace."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SPACES))
+    sep = draw(st.sampled_from(LINE_BREAKS)) + draw(st.sampled_from(["", *SPACES]))
+    if draw(st.booleans()):
+        sep += draw(st.sampled_from(["#", "#x 1", "# 3 0 1 2"]))
+        sep += draw(st.sampled_from(LINE_BREAKS)) + draw(st.sampled_from(["", *SPACES]))
+    return sep
+
+
+@st.composite
+def reader_texts(draw) -> str:
+    """Up to three instances with m = 3..5, their words signed or not, a
+    few odd words put among them, and separators before, between and
+    after the words."""
+    words = []
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.integers(3, 5))
+        words += [draw(st.sampled_from(["", "+"])) + str(v) for v in (m, *draw(st.permutations(range(m))))]
+    for _ in range(draw(st.integers(0, 2))):
+        words.insert(draw(st.integers(0, len(words))), draw(ODD_WORDS))
+    return "".join(draw(separators()) + word for word in words) + draw(separators())
+
+
+def parse_outcome(text: str):
+    """parse_instances(text), or the error it raises as its type, message
+    and certificate."""
+    try:
+        return parse_instances(text)
+    except MpgError as exc:
+        return type(exc), str(exc), exc.certificate
 
 
 class TestTextFormat:
@@ -230,6 +276,27 @@ class TestTextFormat:
 
     def test_signed_tokens_are_read(self):
         assert parse_instance("+5 +0 2 4 1 3") == PETERSEN
+
+    @settings(max_examples=300, deadline=None)
+    @given(reader_texts())
+    def test_reads_as_the_split_reader(self, text):
+        with mock.patch("mpgraphs.core._tokens", tokens_by_split):
+            expected = parse_outcome(text)
+        assert parse_outcome(text) == expected
+
+    def test_reads_each_token_where_it_lies(self):
+        # one token's str and match at a time beside the instance, ~5.3 MB
+        # at m = 10^5; a stripped copy of the line and a list of every
+        # token's str took ~11.5 MB
+        text = random_instance(10**5, 1).to_text()
+        tracemalloc.start()
+        try:
+            G = parse_instance(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.m == 10**5
+        assert peak < 8_000_000
 
     def test_truncated(self):
         with pytest.raises(InstanceTextError):
