@@ -61,7 +61,7 @@ class MarkedPermutationGraph(NamedTuple):
         return tuple(inv)
 
     def to_text(self) -> str:
-        return f"{self.m} " + " ".join(str(v) for v in self.sigma)
+        return f"{self.m} " + ("%d" + " %d" * (self.m - 1)) % self.sigma
 
     def __repr__(self) -> str:  # compact; sigma can be long
         return f"MarkedPermutationGraph({self.m}, {list(self.sigma)})"

@@ -78,10 +78,10 @@ _BINARY = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte per index -> its binary 
 
 # From this m on, _engine_crossing_graph computes each row of H_a when the
 # search first reads it; below it, a row of at most 31 bits is about one
-# 30-bit CPython digit, the search reads most rows, and the walk that
-# builds them all is cheaper.  Measured on find_p10_through then
-# replay_trace at every edge of five 4-cycle-free random instances per m,
-# best of 16 runs, walk against on demand (2-core VM, Python 3.11.7):
+# 30-bit CPython digit, and the walk that builds them all is cheaper, as
+# measured on find_p10_through then replay_trace at every edge of five
+# 4-cycle-free random instances per m, best of 16 runs, walk against on
+# demand (2-core VM, Python 3.11.7):
 # 39.9 against 50.7 us at m = 8, 70.7 / 81.2 at m = 30, 84.7 / 81.9 at
 # m = 32, 121.8 / 98.0 at m = 60 and 120.0 / 109.3 at m = 100.
 _ROWS_ON_DEMAND_FROM_M = 32
@@ -207,8 +207,6 @@ def _drawing_lines(G: MarkedPermutationGraph, a: int, format: str) -> Iterator[s
     if fmt not in ("svg", "dot"):
         raise UnsupportedFormat(f"unsupported drawing format {format!r}", format=format)
     m, sigma, b = G.m, G.sigma, G.sigma[a]
-    top = [(x - a) % m for x in range(m)]
-    bot = [(v - b) % m for v in range(m)]
     crossings = _crossing_count(G, a)
     header = f"instance: {G.to_text()} | anchor: {a}"
     if fmt == "dot":
@@ -219,9 +217,9 @@ def _drawing_lines(G: MarkedPermutationGraph, a: int, format: str) -> Iterator[s
         yield "  splines=line;\n"
         yield '  node [shape=circle, fixedsize=true, width=0.35];\n'
         for x in range(m):
-            yield f'  "A{x}" [pos="{top[x]},{ROW_GAP}!"];\n'
+            yield f'  "A{x}" [pos="{(x - a) % m},{ROW_GAP}!"];\n'
         for v in range(m):
-            yield f'  "A\'{v}" [pos="{bot[v]},0!"];\n'
+            yield f'  "A\'{v}" [pos="{(v - b) % m},0!"];\n'
         for t in range(m - 1):
             yield f'  "A{(a + t) % m}" -- "A{(a + t + 1) % m}";\n'
         for t in range(m - 1):
@@ -246,12 +244,12 @@ def _drawing_lines(G: MarkedPermutationGraph, a: int, format: str) -> Iterator[s
             )
     for x in range(m):
         yield (
-            f'<line class="matching" x1="{margin + scale * top[x]}" y1="{y_top}" '
-            f'x2="{margin + scale * bot[sigma[x]]}" y2="{y_bot}" stroke="#000" stroke-width="1.5"/>\n'
+            f'<line class="matching" x1="{margin + scale * ((x - a) % m)}" y1="{y_top}" '
+            f'x2="{margin + scale * ((sigma[x] - b) % m)}" y2="{y_bot}" stroke="#000" stroke-width="1.5"/>\n'
         )
-    for name, cols, y in (("A", top, y_top), ("A'", bot, y_bot)):
+    for name, offset, y in (("A", a, y_top), ("A'", b, y_bot)):
         for v in range(m):
-            cx = margin + scale * cols[v]
+            cx = margin + scale * ((v - offset) % m)
             yield f'<circle cx="{cx}" cy="{y}" r="9" fill="#fff" stroke="#000"/>\n'
             yield f'<text x="{cx}" y="{y + 3}" font-size="8" text-anchor="middle">{name}{v}</text>\n'
     yield "</svg>\n"

@@ -44,24 +44,20 @@ class GkInstance(NamedTuple):
         )
 
     def classification_json(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "vertical": [i for i, c in enumerate(self.classification) if c.kind is EdgeClass.VERTICAL],
-            "skew": [i for i, c in enumerate(self.classification) if c.kind is EdgeClass.SKEW],
-            "special_group_1": list(self.special_group(1)),
-            "special_group_2": list(self.special_group(2)),
-        }
+        lists: dict[str, list[int]] = {"vertical": [], "skew": [], "special_group_1": [], "special_group_2": []}
+        for i, c in enumerate(self.classification):
+            lists[c.kind.value if c.group is None else f"special_group_{c.group}"].append(i)
+        return {"k": self.k, "m": self.m, **lists}
 
 
 def generate_gk(k: int) -> GkInstance:
     """Build (G_k, M_k) with m = 3k+7.  k is read through operator.index;
     a non-integer k, k below 1, or k with 3k+7 above MAX_M raises InvalidK.
 
-    0-based transcription of the 1-based construction tables:
-      vertical  sigma[2i-2]    = i-1        for 1 <= i <= k
-                sigma[2k+i+2]  = k+2i+2     for 1 <= i <= k
-      skew      sigma[2i-1]    = 3k+3-2i    for 1 <= i <= k-1
+    The construction is five runs, 0-based, of (indices, sigma values):
+      vertical  indices 0, 2, .., 2k-2      -> 0, 1, .., k-1
+                indices 2k+3 .. 3k+2        -> k+4, k+6, .., 3k+2
+      skew      indices 1, 3, .., 2k-3      -> 3k+1, 3k-1, .., k+5
       special   group 1 at indices 2k-1..2k+2   -> k+1, k+3, k, k+2
                 group 2 at indices 3k+3..3k+6   -> 3k+4, 3k+6, 3k+3, 3k+5
     """
@@ -72,25 +68,19 @@ def generate_gk(k: int) -> GkInstance:
     if m > MAX_M:
         raise InvalidK(f"k={k} gives m={m} above the limit {MAX_M}", k=k, m=m, limit=MAX_M)
     vertical, skew = EdgeClassification(EdgeClass.VERTICAL), EdgeClassification(EdgeClass.SKEW)
-    table: dict[int, tuple[int, EdgeClassification]] = {}  # index -> (sigma value, class)
-    for i in range(1, k + 1):
-        table[2 * i - 2] = (i - 1, vertical)
-        table[2 * k + i + 2] = (k + 2 * i + 2, vertical)
-    for i in range(1, k):
-        table[2 * i - 1] = (3 * k + 3 - 2 * i, skew)
-    group1 = {2 * k - 1: k + 1, 2 * k: k + 3, 2 * k + 1: k, 2 * k + 2: k + 2}
-    group2 = {
-        3 * k + 3: 3 * k + 4,
-        3 * k + 4: 3 * k + 6,
-        3 * k + 5: 3 * k + 3,
-        3 * k + 6: 3 * k + 5,
-    }
-    for group, values in ((1, group1), (2, group2)):
-        special = EdgeClassification(EdgeClass.SPECIAL, group=group)
-        for idx, val in values.items():
-            table[idx] = (val, special)
-    sigma, cls = zip(*(table[i] for i in range(m)))  # KeyError on an index the tables miss
-    return GkInstance(k=k, graph=validate(m, sigma), classification=cls)
+    group1, group2 = (EdgeClassification(EdgeClass.SPECIAL, group=g) for g in (1, 2))
+    sigma: list = [None] * m  # an index no run writes stays None, which validate refuses
+    cls: list = [None] * m
+    for indices, values, c in (
+        (slice(0, 2 * k - 1, 2), range(k), vertical),
+        (slice(2 * k + 3, 3 * k + 3), range(k + 4, 3 * k + 3, 2), vertical),
+        (slice(1, 2 * k - 2, 2), range(3 * k + 1, k + 4, -2), skew),
+        (slice(2 * k - 1, 2 * k + 3), (k + 1, k + 3, k, k + 2), group1),
+        (slice(3 * k + 3, m), (3 * k + 4, 3 * k + 6, 3 * k + 3, 3 * k + 5), group2),
+    ):
+        sigma[indices] = values
+        cls[indices] = (c,) * len(values)
+    return GkInstance(k=k, graph=validate(m, sigma), classification=tuple(cls))
 
 
 def classify_edge(inst: GkInstance, i: int) -> EdgeClassification:

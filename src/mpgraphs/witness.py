@@ -25,8 +25,8 @@ pins the witness to the census:
    with the survivors as its vertices.  The search reads a few of its
    rows, so each is computed, in O(m), when it is first read: O(rows
    read * m) time and memory, not the m^2/8 bytes of every row.  Below a
-   crossover in m the search reads most rows, and one walk builds them
-   all (crossing._engine_crossing_graph).
+   crossover in m, measured, one walk that builds them all is faster
+   (crossing._engine_crossing_graph).
 4. find_induced_p4 returns the lexicographically least induced P4,
    oriented from its smaller end, and a monotone relabelling keeps both.
 5. The witness is min(X for X in enumerate_m_p10(G) if e in X).  A

@@ -12,8 +12,9 @@ edges per component, for each), the replace lemma by a scan over 4-sets,
 and the
 census by the triple walk that takes three bisects and a slice for every
 triple, and the census blocks by the walk that visits every triple and
-reads its slice bounds from a per-position rank table, and the text
-reader by one that strips and splits each line.
+reads its slice bounds from a per-position rank table, the text
+reader by one that strips and splits each line, the instance text by a
+join of m strs, and the family G_k by one dict table of every index.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from hypothesis import strategies as st
 from mpgraphs import (
     PETERSEN,
     PRISM,
+    EdgeClass,
+    EdgeClassification,
+    GkInstance,
     InducedPath4,
     MarkedPermutationGraph,
     SuppressedGraph,
@@ -647,6 +651,51 @@ def tokens_by_split(text: str) -> Iterator[int]:
                 yield int(tok)  # ValueError past int's digit limit
             except ValueError:
                 raise InstanceTextError(f"non-integer token {tok!r}", token=tok) from None
+
+
+def to_text_by_join(G: MarkedPermutationGraph) -> str:
+    return f"{G.m} " + " ".join(str(v) for v in G.sigma)
+
+
+def gk_by_table(k: int) -> tuple[GkInstance, dict]:
+    """G_k from one dict table of (sigma value, class) per index, filled
+    from the 0-based transcription of the 1-based construction tables,
+    and its classification JSON from four filtered passes; k >= 1.
+      vertical  sigma[2i-2]    = i-1        for 1 <= i <= k
+                sigma[2k+i+2]  = k+2i+2     for 1 <= i <= k
+      skew      sigma[2i-1]    = 3k+3-2i    for 1 <= i <= k-1
+      special   group 1 at indices 2k-1..2k+2   -> k+1, k+3, k, k+2
+                group 2 at indices 3k+3..3k+6   -> 3k+4, 3k+6, 3k+3, 3k+5
+    """
+    m = 3 * k + 7
+    vertical, skew = EdgeClassification(EdgeClass.VERTICAL), EdgeClassification(EdgeClass.SKEW)
+    table: dict[int, tuple[int, EdgeClassification]] = {}  # index -> (sigma value, class)
+    for i in range(1, k + 1):
+        table[2 * i - 2] = (i - 1, vertical)
+        table[2 * k + i + 2] = (k + 2 * i + 2, vertical)
+    for i in range(1, k):
+        table[2 * i - 1] = (3 * k + 3 - 2 * i, skew)
+    group1 = {2 * k - 1: k + 1, 2 * k: k + 3, 2 * k + 1: k, 2 * k + 2: k + 2}
+    group2 = {
+        3 * k + 3: 3 * k + 4,
+        3 * k + 4: 3 * k + 6,
+        3 * k + 5: 3 * k + 3,
+        3 * k + 6: 3 * k + 5,
+    }
+    for group, values in ((1, group1), (2, group2)):
+        special = EdgeClassification(EdgeClass.SPECIAL, group=group)
+        for idx, val in values.items():
+            table[idx] = (val, special)
+    sigma, cls = zip(*(table[i] for i in range(m)))  # KeyError on an index the tables miss
+    document = {
+        "k": k,
+        "m": m,
+        "vertical": [i for i, c in enumerate(cls) if c.kind is EdgeClass.VERTICAL],
+        "skew": [i for i, c in enumerate(cls) if c.kind is EdgeClass.SKEW],
+        "special_group_1": [i for i, c in enumerate(cls) if c.kind is EdgeClass.SPECIAL and c.group == 1],
+        "special_group_2": [i for i, c in enumerate(cls) if c.kind is EdgeClass.SPECIAL and c.group == 2],
+    }
+    return GkInstance(k=k, graph=validate(m, sigma), classification=cls), document
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ from .conftest import (
     instances,
     is_petersen_by_isomorphism,
     seeded_instances,
+    to_text_by_join,
     tokens_by_split,
 )
 
@@ -197,6 +198,29 @@ class TestTextFormat:
 
     def test_round_trip(self):
         assert parse_instance(PETERSEN.to_text()) == PETERSEN
+
+    def test_to_text_is_the_join_form(self):
+        checked = 0
+        for m in range(3, 8):
+            for G in all_instances(m):
+                assert G.to_text() == to_text_by_join(G), G.sigma
+                checked += 1
+        assert checked == 6 + 24 + 120 + 720 + 5040
+        G = random_instance(10**4, seed=1)
+        assert G.to_text() == to_text_by_join(G)
+
+    def test_to_text_lists_no_strs(self):
+        # one format string and the text, ~1.2 MB at m = 10^5; a join of
+        # a list of m strs took ~6.8 MB
+        G = random_instance(10**5, seed=1)
+        tracemalloc.start()
+        try:
+            text = G.to_text()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == to_text_by_join(G)
+        assert peak < 3_000_000
 
     def test_comments_and_multiple_instances(self):
         text = "# header\n3 0 1 2\n5 0 2 4 1 3\n"

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from mpgraphs import (
     validate,
 )
 from mpgraphs.census import random_instance
-from mpgraphs.crossing import _ROWS_ON_DEMAND_FROM_M, _engine_crossing_graph, _RowsOnDemand
+from mpgraphs.crossing import _ROWS_ON_DEMAND_FROM_M, _drawing_lines, _engine_crossing_graph, _RowsOnDemand
 from mpgraphs.errors import UnsupportedFormat
 
 from .conftest import all_instances, crossing_adj_by_pairs, instances, seeded_instances
@@ -265,3 +266,21 @@ class TestStandardDrawing:
         assert re.search(r'<svg [^>]* width="(\d+)"', doc).group(1) == str(40 * m + 20)
         columns = {int(cx) for cx in re.findall(r'<circle cx="(\d+)" cy="30"', doc)}
         assert columns == {30 + 40 * t for t in range(m)}
+
+    @pytest.mark.parametrize("fmt", ["dot", "svg"])
+    def test_lines_hold_no_column_tables(self, fmt):
+        # each column is computed where it is written, and the header
+        # formats the instance text in one piece, so a full pass holds
+        # ~0.1 MB at m = 10^4 (~1.2 MB at 10^5); two m-entry column lists
+        # and a header joined from m strs took ~1.5 MB (~14.8 MB). m is
+        # 10^4 because tracing every line's allocations is slow: the svg
+        # pass at 10^5 takes about a minute under tracemalloc.
+        G = random_instance(10**4, seed=1)
+        tracemalloc.start()
+        try:
+            lines = sum(1 for _ in _drawing_lines(G, 0, fmt))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lines > 3 * 10**4
+        assert peak < 750_000

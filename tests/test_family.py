@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,8 @@ from mpgraphs import (
     verify_gk,
 )
 from mpgraphs.errors import IndexOutOfRange, InvalidK
+
+from .conftest import gk_by_table
 
 
 def transcribe_gk_one_based(k: int) -> tuple[int, ...]:
@@ -73,11 +76,31 @@ class TestGenerateGk:
 
     def test_repr_digest(self):
         # recorded from the earlier two-list construction, which the
-        # one-table form must match byte for byte
+        # five runs must match byte for byte
         h = hashlib.sha256()
         for k in [*range(1, 400), 33331]:
             h.update(f"{generate_gk(k)!r}\n".encode())
         assert h.hexdigest() == "bb3b4a03432ef11f1094343c4927074759d2d3bebfb37dec3ba0f75466c44f58"
+
+    def test_equals_the_table_construction(self):
+        for k in [*range(1, 301), 33331]:
+            inst, document = gk_by_table(k)
+            runs = generate_gk(k)
+            assert runs == inst, k
+            assert runs.classification_json() == document, k
+
+    def test_runs_hold_no_table(self):
+        # the five runs fill two m-entry lists, and validate copies sigma
+        # once, ~6.5 MB at k = 33331 (m = 10^5); a dict of (value, class)
+        # tuples per index, unzipped, took ~25 MB
+        tracemalloc.start()
+        try:
+            inst = generate_gk(33331)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inst.m == 10**5
+        assert peak < 12_000_000
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_classification_partition(self, k):
