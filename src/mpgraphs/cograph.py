@@ -16,14 +16,20 @@ class InducedPath4(NamedTuple):
     w: int
 
 
-def _path_order(H: CrossingGraph, quad: tuple[int, ...]) -> InducedPath4:
+def _path_order(quad: tuple[int, int, int, int], rows: tuple[int, int, int]) -> InducedPath4:
     """The path that the ascending 4-tuple ``quad`` is known to induce,
-    oriented from its smaller endpoint.  The ends are the two vertices
-    whose row within the quad has one bit, the end's one neighbour."""
-    mask = sum(1 << v for v in quad)
-    rows = {v: H.adj[v] & mask for v in quad}
-    x, w = (v for v in quad if rows[v].bit_count() == 1)
-    return InducedPath4(x, rows[x].bit_length() - 1, rows[w].bit_length() - 1, w)
+    oriented from its smaller endpoint, from ``rows``, the rows of its
+    first three vertices: the fourth vertex's row within the quad is its
+    bits in those three, so its own row is never read.  The ends are the
+    two vertices whose row within the quad has one bit, the end's one
+    neighbour."""
+    x, y, z, l = quad
+    nx, ny, nz = rows
+    mask = 1 << x | 1 << y | 1 << z | 1 << l
+    row_l = (nx >> l & 1) << x | (ny >> l & 1) << y | (nz >> l & 1) << z
+    within = {x: nx & mask, y: ny & mask, z: nz & mask, l: row_l}
+    p, q = (v for v in quad if within[v].bit_count() == 1)
+    return InducedPath4(p, within[p].bit_length() - 1, within[q].bit_length() - 1, q)
 
 
 def find_induced_p4(H: CrossingGraph) -> InducedPath4 | None:
@@ -37,9 +43,9 @@ def find_induced_p4(H: CrossingGraph) -> InducedPath4 | None:
     candidate above vertex k completes the first 4-set.  O(n^3) mask
     operations in the worst case, one triple when a P4 starts at the first
     three vertices.  It reads x's row once per x, y's once per pair and
-    z's once per triple with one or two edges; the witness engine's H
-    computes each row on its first read, so there the search also pays
-    O(m) per distinct row it reads."""
+    z's once per triple with one or two edges, and never the fourth
+    vertex's; the witness engine's H computes each row on its first read,
+    so there the search also pays O(m) per distinct row it reads."""
     verts, adj = H.vertices, H.adj
     n = len(verts)
     for i in range(n - 2):
@@ -67,5 +73,5 @@ def find_induced_p4(H: CrossingGraph) -> InducedPath4 | None:
                 cand = (r ^ s) & side & -(2 << z)
                 if cand:
                     l = (cand & -cand).bit_length() - 1
-                    return _path_order(H, (x, y, z, l))
+                    return _path_order((x, y, z, l), (nx, ny, nz))
     return None

@@ -86,10 +86,21 @@ def validate(m: int, sigma: Sequence[int]) -> MarkedPermutationGraph:
     sigma is built once: one list whose entries become their integers in
     place, beside a bytearray of the values seen.
     """
+    m = _half_order(m)
+    return _validate_list(m, list(sigma))
+
+
+def _half_order(m: object) -> int:
+    """m as a Python int of at least 3, or TooSmall."""
     m = _integer(m, TooSmall, "half-order m=", m=m)
     if m < 3:
         raise TooSmall(f"half-order m={m} below minimum 3", m=m)
-    sigma = list(sigma)
+    return m
+
+
+def _validate_list(m: int, sigma: list) -> MarkedPermutationGraph:
+    """validate's sigma checks on a list of the caller's own, whose entries
+    become their integers in place; m is a checked half-order."""
     if len(sigma) != m:
         raise LengthMismatch(
             f"sigma has {len(sigma)} entries, expected {m}",
@@ -140,7 +151,7 @@ def _tokens(text: str) -> Iterator[int]:
 
 def _read_instances(tokens: Iterator[int]) -> Iterator[MarkedPermutationGraph]:
     """Each instance in turn, validated, taking from tokens only its header
-    and its m entries."""
+    and its m entries, into a list that becomes sigma in place."""
     for m in tokens:
         if m > MAX_M:
             raise TooLarge(f"m={m} above the limit {MAX_M}", m=m, limit=MAX_M)
@@ -148,7 +159,7 @@ def _read_instances(tokens: Iterator[int]) -> Iterator[MarkedPermutationGraph]:
         if len(sigma) != m:  # m < 0, or the text ends first
             left = len(sigma) + sum(1 for _ in tokens)
             raise InstanceTextError(f"truncated instance: declared m={m} with {left} entries left", m=m)
-        yield validate(m, sigma)
+        yield _validate_list(_half_order(m), sigma)
 
 
 def parse_instances(text: str) -> list[MarkedPermutationGraph]:

@@ -79,11 +79,13 @@ _BINARY = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte per index -> its binary 
 # From this m on, _engine_crossing_graph computes each row of H_a when the
 # search first reads it; below it, a row of at most 31 bits is about one
 # 30-bit CPython digit, and the walk that builds them all is cheaper, as
-# measured on find_p10_through then replay_trace at every edge of five
-# 4-cycle-free random instances per m, best of 16 runs, walk against on
-# demand (2-core VM, Python 3.11.7):
-# 39.9 against 50.7 us at m = 8, 70.7 / 81.2 at m = 30, 84.7 / 81.9 at
-# m = 32, 121.8 / 98.0 at m = 60 and 120.0 / 109.3 at m = 100.
+# measured on find_p10_through alone (replay_trace makes no graph) at
+# every edge of five 4-cycle-free random instances per m, seeds 1-5, best
+# of 48 alternating runs, walk against on demand (2-core VM, Python
+# 3.11.7): 26.3 against 30.8 us at m = 8, 37.1 / 37.5 at m = 30,
+# 38.6 / 37.1 at m = 32, 52.2 / 44.9 at m = 60 and 77.4 / 79.5 at
+# m = 100, where a few edges read most rows; on demand, the memory is
+# O(rows read * m), not m^2/8 bytes.
 _ROWS_ON_DEMAND_FROM_M = 32
 
 
@@ -91,7 +93,7 @@ def _engine_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
     """H_a for the witness engine: build_crossing_graph's below
     _ROWS_ON_DEMAND_FROM_M, and from it on a graph whose ``adj`` is a
     _RowsOnDemand, O(rows read * m) time and memory.  The search reads
-    about 4 rows a graph on random instances with m = 60..100, and every
+    about 3 rows a graph on random instances with m = 60..100, and every
     row on G_k, where computing them one at a time costs a few % of its
     triple walk (4 % on G_10, under 1 % on G_30).  a is a checked anchor."""
     if G.m < _ROWS_ON_DEMAND_FROM_M:

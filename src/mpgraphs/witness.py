@@ -39,14 +39,17 @@ pins the witness to the census:
 The witness is certified in G.  The paper's theorem gives every
 4-cycle-free state a witness through its anchor, hence an induced P4; a
 P4-free one would refute it and raises InternalInvariantViolated.
-replay_trace re-runs the same peel on the same survivors' graph.
+replay_trace re-runs the same peel and certifies the path from the five
+points alone, as p10_from_p4 does: each of its six pairs is one
+comparison of positions in the drawing, so replay makes no crossing graph
+and an engine call computes only the rows its search reads.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cograph import InducedPath4, find_induced_p4
 from .core import (
@@ -91,23 +94,39 @@ def p10_from_p4(H: CrossingGraph, p: InducedPath4) -> PetersenWitness:
     The path is read as four indices by unpacking, each through
     operator.index, so any 4-tuple of integers serves; it must be an
     induced P4 of the crossing graph H.  NotAnInducedP4 otherwise, with
-    the path's repr if it is not four indices.  The two geometric cases
-    behind this fact need not be distinguished: the result is verified
-    by the rank-pattern test (core._subset_is_petersen) and a failure
-    would abort loudly.
+    the path's repr if it is not four indices.  Its six pairs are tested
+    on H.graph at H.anchor, each from the two points' positions in the
+    drawing, within H.vertices: ``H.adj`` is not read, so hand-edited
+    rows are not consulted.  The two geometric cases behind this fact
+    need not be distinguished: the result is verified by the rank-pattern
+    test (core._subset_is_petersen) and a failure would abort loudly.
     """
-    G, a = H.graph, H.anchor
+    return _certify(H.graph, H.anchor, p, H.vertices.__contains__)
+
+
+def _crosses(G: MarkedPermutationGraph, a: int, x: int, y: int) -> bool:
+    """x ~ y in H_a, in O(1): the rotated positions (x - a) mod m and
+    (sigma[x] - sigma[a]) mod m order x and y oppositely on the two rows."""
+    m, sigma = G.m, G.sigma
+    s = sigma[a]
+    return ((x - a) % m < (y - a) % m) != ((sigma[x] - s) % m < (sigma[y] - s) % m)
+
+
+def _certify(G: MarkedPermutationGraph, a: int, p: InducedPath4, is_vertex: Callable[[int], bool]) -> PetersenWitness:
+    """p10_from_p4 on the crossing graph of G at a whose vertices are
+    those is_vertex accepts, with each pair tested by _crosses: no row is
+    computed."""
     try:
         x, y, z, w = path = tuple(map(operator.index, p))
     except (TypeError, ValueError):
         raise NotAnInducedP4("path must be 4 integer indices", path=repr(p), anchor=a) from None
-    if len(set(path)) != 4 or any(v not in H.vertices for v in path):
+    if len(set(path)) != 4 or not all(map(is_vertex, path)):
         raise NotAnInducedP4("path vertices must be 4 distinct non-anchor indices", path=list(path), anchor=a)
     for u, v in ((x, y), (y, z), (z, w)):
-        if not H.has_edge(u, v):
+        if not _crosses(G, a, u, v):
             raise NotAnInducedP4(f"missing edge {u}-{v}", path=list(path), anchor=a, missing=[u, v])
     for u, v in ((x, z), (x, w), (y, w)):
-        if H.has_edge(u, v):
+        if _crosses(G, a, u, v):
             raise NotAnInducedP4(f"chord {u}-{v}", path=list(path), anchor=a, chord=[u, v])
     X = tuple(sorted((a, *path)))
     if not _subset_is_petersen(G, X):
@@ -130,6 +149,12 @@ class _Peel(NamedTuple):
     u: int = 0
 
 
+def _current(m: int, e: int, p: _Peel) -> tuple[int, int]:
+    """e's current index, e less the peeled indices below it (left of e
+    down to 0, right past m - 1), and the number of survivors."""
+    return e - min(p.l, e) - max(0, e + p.r + 1 - m), m - p.l - p.r
+
+
 def _partners(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[int, dict[int, _Peel]]:
     """e's current index and, by current index, each partner left after p,
     with the peel after deleting it.  e's current A-neighbours lie just
@@ -138,11 +163,9 @@ def _partners(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[int, dict[in
     no peel meeting the precondition gets there: InternalInvariantViolated."""
     m, sigma = G.m, G.sigma
     l, r, d, u = p
-    n = m - l - r
+    a, n = _current(m, e, p)
     if n <= 3:
         raise InternalInvariantViolated("the peel reached the 6-vertex base case", instance=G.to_text(), edge=e)
-    # e less the peeled indices below it: left of e down to 0, right past m - 1
-    a = e - min(l, e) - max(0, e + r + 1 - m)
     below, above = (sigma[e] - d - 1) % m, (sigma[e] + u + 1) % m
     partners = {}
     s = sigma[(e - l - 1) % m]
@@ -162,8 +185,8 @@ def _survivor_graph(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[Crossi
     read, so O(rows read * m) time and memory.  Rows keep the peeled
     vertices' bits, which no reader needs masked: find_induced_p4 walks
     only ``vertices``, and its candidate mask names only vertices
-    completing an induced P4 of H_e, none peeled (step 5); _path_order and
-    p10_from_p4 read survivors' bits of survivors' rows."""
+    completing an induced P4 of H_e, none peeled (step 5); _path_order
+    reads survivors' bits of survivors' rows, and p10_from_p4 no row."""
     m, H = G.m, _engine_crossing_graph(G, e)
     if p.l + p.r == 0:
         return H, range(m)
@@ -221,11 +244,12 @@ def replay_trace(
     witness of the first P4Found, certified in G; for the steps the engine
     wrote, that is the witness it returned.  e is checked as the engine
     checks it (IndexOutOfRange).  A C4Reduce z that is no
-    current partner raises NotAC4ThroughE.  P4Found is checked on the
-    survivors' crossing graph: a path index naming no survivor raises
-    NotAnInducedP4, and p10_from_p4 the rest, in G's indices.  A wrong
-    anchor, a step of another type, or no P4Found raises
-    InternalInvariantViolated."""
+    current partner raises NotAC4ThroughE.  P4Found is checked as a path
+    of the survivors' crossing graph: a path index naming no survivor raises
+    NotAnInducedP4, and p10_from_p4's checks the rest, in G's indices.  A
+    wrong anchor, a step of another type, or no P4Found raises
+    InternalInvariantViolated.  No crossing graph is made and no row
+    computed: the path's pairs are read off the points, in O(1) each."""
     e = _check_index(G, e, "edge")
     p = _Peel()
     for step in steps:
@@ -235,17 +259,20 @@ def replay_trace(
                 raise NotAC4ThroughE(f"edges {a} and {step.z} do not span a matched 4-cycle", a=a, z=step.z)
             p = partners[step.z]
         elif isinstance(step, P4FoundStep):
-            H, survivors = _survivor_graph(G, e, p)
-            a, n = bisect_left(survivors, e), len(survivors)
+            m = G.m
+            a, n = _current(m, e, p)
             if step.a != a:
                 raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
             try:
                 path = [operator.index(v) for v in step.path]
-            except TypeError:  # not a sequence of indices: p10_from_p4 refuses it
-                return p10_from_p4(H, step.path)
+            except TypeError:  # not a sequence of indices: the certifier refuses it
+                return _certify(G, e, step.path, e.__ne__)
             if not all(0 <= v < n for v in path):
                 raise NotAnInducedP4(f"path index outside 0..{n - 1}", path=path, anchor=a)
-            return p10_from_p4(H, tuple(survivors[v] for v in path))
+            # the survivors in cyclic order from e are e, then (e + r + t) mod m
+            # for t = 1 .. n - 1, and their current indices (a + t) mod n
+            original = tuple(e if v == a else (e + p.r + (v - a) % n) % m for v in path)
+            return _certify(G, e, original, e.__ne__)
         else:
             raise InternalInvariantViolated("unknown trace step", step=repr(step))
     raise InternalInvariantViolated("trace ended without P4Found", steps=len(steps))

@@ -6,7 +6,8 @@ a networkx isomorphism test against the reference graph, P4-freeness
 by twin elimination, crossing rows by a pair loop, the first induced P4 by
 a scan over 4-subsets, the number of induced P4s by counting the ends of
 each middle edge on bitmasks, the witness engine by the paper's chain of
-reduced instances (c4_reduce), the cyclic cut by a search over every set
+reduced instances (c4_reduce), the P4 certificate by one that reads the
+path's six pairs off the crossing graph's rows, the cyclic cut by a search over every set
 of at most 4 edges (with a union-find pass, or a count of vertices and
 edges per component, for each), the replace lemma by a scan over 4-sets,
 and the
@@ -20,6 +21,7 @@ join of m strs, and the family G_k by one dict table of every index.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 from bisect import bisect
@@ -48,8 +50,15 @@ from mpgraphs import (
     validate,
 )
 from mpgraphs.census import Block
-from mpgraphs.core import PETERSEN_PATTERNS, _check_index
-from mpgraphs.errors import InstanceTextError, NotAC4ThroughE, PreconditionViolated, TooSmall
+from mpgraphs.core import PETERSEN_PATTERNS, _check_index, _subset_is_petersen
+from mpgraphs.errors import (
+    InstanceTextError,
+    InternalInvariantViolated,
+    NotAC4ThroughE,
+    NotAnInducedP4,
+    PreconditionViolated,
+    TooSmall,
+)
 from mpgraphs.witness import C4ReduceStep, P4FoundStep, PetersenWitness
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -217,6 +226,31 @@ def induced_p4_count_by_bitmask(H) -> int:
             ends_y ^= low
             total += (ends_z & ~adj[low.bit_length() - 1]).bit_count()
     return total
+
+
+def p10_from_p4_by_rows(H, p) -> PetersenWitness:
+    """p10_from_p4 reading the path's six pairs off H's rows by
+    H.has_edge: the same checks, in the same order, with the same
+    messages and certificates."""
+    G, a = H.graph, H.anchor
+    try:
+        x, y, z, w = path = tuple(map(operator.index, p))
+    except (TypeError, ValueError):
+        raise NotAnInducedP4("path must be 4 integer indices", path=repr(p), anchor=a) from None
+    if len(set(path)) != 4 or any(v not in H.vertices for v in path):
+        raise NotAnInducedP4("path vertices must be 4 distinct non-anchor indices", path=list(path), anchor=a)
+    for u, v in ((x, y), (y, z), (z, w)):
+        if not H.has_edge(u, v):
+            raise NotAnInducedP4(f"missing edge {u}-{v}", path=list(path), anchor=a, missing=[u, v])
+    for u, v in ((x, z), (x, w), (y, w)):
+        if H.has_edge(u, v):
+            raise NotAnInducedP4(f"chord {u}-{v}", path=list(path), anchor=a, chord=[u, v])
+    X = tuple(sorted((a, *path)))
+    if not _subset_is_petersen(G, X):
+        raise InternalInvariantViolated(
+            "induced P4 did not yield a Petersen subdivision", instance=G.to_text(), anchor=a, path=list(path)
+        )
+    return X
 
 
 class C4Reduction(NamedTuple):

@@ -222,6 +222,21 @@ class TestTextFormat:
         assert text == to_text_by_join(G)
         assert peak < 3_000_000
 
+    def test_parse_copies_no_sigma_list(self):
+        # beyond the instance it keeps, the parse holds the reader's one
+        # list of m entries, 8 bytes each, which becomes sigma in place:
+        # ~0.9 MB at m = 10^5; validate's copy of that list took ~1.7 MB
+        m = 10**5
+        text = random_instance(m, seed=1).to_text()
+        tracemalloc.start()
+        try:
+            G = parse_instance(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.to_text() == text
+        assert peak - kept < 1.5 * 8 * m, (kept, peak)
+
     def test_comments_and_multiple_instances(self):
         text = "# header\n3 0 1 2\n5 0 2 4 1 3\n"
         assert parse_instances(text) == [PRISM, PETERSEN]
@@ -241,19 +256,21 @@ class TestTextFormat:
     def test_parse_instance_stops_at_the_second_header(self, monkeypatch):
         core_module = importlib.import_module("mpgraphs.core")
         calls = []
+        real = core_module._validate_list
 
-        def counting(m, sigma):
+        def counting(m, sigma):  # the reader's validate, on its own list
             calls.append(m)
-            return validate(m, sigma)
+            return real(m, sigma)
 
-        monkeypatch.setattr(core_module, "validate", counting)
+        monkeypatch.setattr(core_module, "_validate_list", counting)
         text = "3 0 1 2\n5 0 2 4 1 3\n4 0 1 2 3\n"
         with pytest.raises(InstanceTextError) as exc:
             parse_instance(text)
         assert exc.value.certificate == {"instances": 2}
         assert calls == [3]
+        third = validate(4, [0, 1, 2, 3])
         calls.clear()
-        assert parse_instances(text) == [PRISM, PETERSEN, validate(4, [0, 1, 2, 3])]
+        assert parse_instances(text) == [PRISM, PETERSEN, third]
         assert calls == [3, 5, 4]
 
     @pytest.mark.parametrize("second", ["3 0 x 2", f"{MAX_M + 1} 0 1 2", "3 0 1 5", "7 0 1"])

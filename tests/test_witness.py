@@ -11,6 +11,7 @@ from mpgraphs import (
     PETERSEN,
     PRISM,
     InducedPath4,
+    apply_symmetry,
     build_crossing_graph,
     enumerate_m_c4,
     enumerate_m_p10,
@@ -27,12 +28,13 @@ from mpgraphs.census import _qualifying_edges, random_instance
 from mpgraphs.core import _subset_is_petersen
 from mpgraphs.errors import (
     InternalInvariantViolated,
+    MpgError,
     NotAC4ThroughE,
     NotAnInducedP4,
     PreconditionViolated,
     TooSmall,
 )
-from mpgraphs.witness import C4ReduceStep, P4FoundStep, _partners, _Peel, _survivor_graph
+from mpgraphs.witness import C4ReduceStep, P4FoundStep, _crosses, _partners, _Peel, _survivor_graph
 
 from .conftest import (
     all_instances,
@@ -41,6 +43,7 @@ from .conftest import (
     induced_path_order,
     instances,
     long_chain_instance,
+    p10_from_p4_by_rows,
     seeded_instances,
 )
 
@@ -54,6 +57,14 @@ crossing_module = importlib.import_module("mpgraphs.crossing")
 ONE_C4 = validate(6, [0, 1, 3, 5, 2, 4])
 
 PETERSEN_H0 = build_crossing_graph(PETERSEN, 0)  # the path 1-3-2-4
+
+
+def outcome(f, *args):
+    """f(*args), or the class, message and certificate of the MpgError it raises."""
+    try:
+        return f(*args)
+    except MpgError as exc:
+        return type(exc), exc.message, exc.certificate
 
 
 class TestP10FromP4:
@@ -85,6 +96,41 @@ class TestP10FromP4:
         with pytest.raises(NotAnInducedP4, match="4 integer indices") as exc:
             p10_from_p4(PETERSEN_H0, path)
         assert exc.value.certificate == {"path": repr(path), "anchor": 0}
+
+    @staticmethod
+    def assert_pair_test_is_the_rows(G):
+        # _crosses, from two points' positions, on every ordered pair of
+        # non-anchor indices at every anchor gives build_crossing_graph's rows
+        for a in range(G.m):
+            H = build_crossing_graph(G, a)
+            for x in H.vertices:
+                row = sum(_crosses(G, a, x, y) << y for y in H.vertices if y != x)
+                assert row == H.adj[x], (G.to_text(), a, x)
+
+    def test_pair_test_is_the_rows_exhaustively(self):
+        for m in range(3, 8):
+            for G in all_instances(m):
+                self.assert_pair_test_is_the_rows(G)
+
+    @pytest.mark.parametrize("m", [30, 60, 100])
+    def test_pair_test_is_the_rows_seeded(self, m):
+        for G in seeded_instances(m):
+            self.assert_pair_test_is_the_rows(G)
+
+    def test_certifier_is_the_row_oracle_exhaustively(self):
+        # every ordered 4-tuple of non-anchor indices at m <= 6 (m >= 5 has
+        # one): the same witness, or the same error class, message and
+        # certificate
+        witnesses = 0
+        for m in range(5, 7):
+            for G in all_instances(m):
+                for a in range(m):
+                    H = build_crossing_graph(G, a)
+                    for path in itertools.permutations(H.vertices, 4):
+                        expected = outcome(p10_from_p4_by_rows, H, path)
+                        assert outcome(p10_from_p4, H, path) == expected, (G.to_text(), a, path)
+                        witnesses += isinstance(expected[0], int)
+        assert witnesses > 0
 
     @given(instances(5, 9), st.data())
     @settings(max_examples=100)
@@ -420,6 +466,43 @@ class TestFindP10Through:
 
 
 class TestTraceReplay:
+    @staticmethod
+    def assert_replay_is_the_row_oracle(G, e, reduces):
+        # replay maps every 4-tuple of current indices, the anchor's
+        # included, through the survivors as the survivors' graph does, and
+        # certifies it as the row oracle does on that graph
+        p = _Peel()
+        for step in reduces:
+            p = _partners(G, e, p)[1][step.z]
+        H, survivors = _survivor_graph(G, e, p)
+        a = survivors.index(e)
+        for path in itertools.permutations(range(len(survivors)), 4):
+            expected = outcome(p10_from_p4_by_rows, H, tuple(survivors[v] for v in path))
+            got = outcome(replay_trace, G, e, (*reduces, P4FoundStep(a, path)))
+            assert got == expected, (G.to_text(), e, reduces, path)
+
+    def test_replay_is_the_row_oracle_after_every_peel_exhaustively(self):
+        # every prefix of the engine's peel, wrapping ones included, m <= 6
+        peels = 0
+        for m in range(4, 7):
+            for G in all_instances(m):
+                for e in _qualifying_edges(G, enumerate_m_c4(G)):
+                    reduces = find_p10_through(G, e)[1][:-1]
+                    for k in range(len(reduces) + 1):
+                        self.assert_replay_is_the_row_oracle(G, e, reduces[:k])
+                    peels += len(reduces)
+        assert peels > 0
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_replay_is_the_row_oracle_after_a_long_peel(self, k):
+        # the long chain at m = 16 peels 8 partners, and rotating it by k
+        # wraps the peeled interval past index 0 in every way
+        G = apply_symmetry(long_chain_instance(16), "rotate_a", k)
+        e = (11 - k) % 16
+        reduces = find_p10_through(G, e)[1][:-1]
+        assert len(reduces) == 8
+        self.assert_replay_is_the_row_oracle(G, e, reduces)
+
     def test_replay_c4_path(self):
         X, trace = find_p10_through(ONE_C4, 1)
         assert replay_trace(ONE_C4, 1, trace) == X
@@ -506,10 +589,11 @@ class TestTraceReplay:
 
 
 class TestOneCrossingGraphPerState:
-    """The engine and replay each make one crossing graph, at the original
-    anchor, whatever the number of C4Reduce steps: built whole below
+    """The engine makes one crossing graph, at the original anchor,
+    whatever the number of C4Reduce steps: built whole below
     crossing._ROWS_ON_DEMAND_FROM_M, and from it on with each row computed
-    when it is first read."""
+    when it is first read.  Replay makes none: it certifies the path from
+    the points."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -542,7 +626,7 @@ class TestOneCrossingGraphPerState:
         assert builds == [(5, 0)]
         builds.clear()
         assert replay_trace(PETERSEN, 0, trace) == X
-        assert builds == [(5, 0)]
+        assert builds == []
 
     def test_no_build_for_a_c4_state(self, builds):
         X, trace = find_p10_through(ONE_C4, 0)
@@ -550,18 +634,19 @@ class TestOneCrossingGraphPerState:
         assert builds == [(6, 0)]
         builds.clear()
         assert replay_trace(ONE_C4, 0, trace) == X
-        assert builds == [(6, 0)]
+        assert builds == []
 
-    def test_replay_builds_only_for_p4_found(self, builds):
+    def test_replay_builds_nothing(self, builds):
         # two matched 4-cycles through edge 21: three C4Reduce steps, then
-        # one graph, of the original instance at edge 21
+        # one graph, of the original instance at edge 21, which replay
+        # does not make
         G = random_instance(30, seed=1)
         X, trace = find_p10_through(G, 21)
         assert [type(s) for s in trace] == [C4ReduceStep] * 3 + [P4FoundStep]
         assert builds == [(30, 21)]
         builds.clear()
         assert replay_trace(G, 21, trace) == X
-        assert builds == [(30, 21)]
+        assert builds == []
 
     def test_p4_search_visits_only_the_survivors(self, monkeypatch):
         # the long chain at m = 40 peels 20 partners; the P4 search gets
@@ -606,25 +691,41 @@ class TestOneCrossingGraphPerState:
             assert [rows[x] for x in range(G.m)] == list(expected), (G.m, e)
 
     def test_rows_on_demand_at_m_10000(self, builds, rows_computed):
-        # the engine computes the 4 rows of H_0 that it reads, of 9,999,
-        # and replay the 3 that p10_from_p4 reads
+        # the engine computes the 3 rows of H_0 that its search reads, of
+        # 9,999: the path's fourth vertex 329 is oriented from its bits in
+        # them, and p10_from_p4 reads none; replay computes none
         G = random_instance(10_000, seed=1, require_c4_free=True)
         X, trace = find_p10_through(G, 0)
         assert X == (0, 1, 2, 3, 329)
-        assert builds == [(10_000, 0)] and rows_computed == [1, 2, 3, 329]
+        assert builds == [(10_000, 0)] and rows_computed == [1, 2, 3]
         builds.clear()
         rows_computed.clear()
         assert replay_trace(G, 0, trace) == X
-        assert builds == [(10_000, 0)] and rows_computed == [2, 1, 329]
+        assert builds == [] and rows_computed == []
 
-    def test_engine_memory_at_m_100000(self):
+    @pytest.fixture(scope="class")
+    def m_100000(self):
+        return random_instance(100_000, seed=1, require_c4_free=True)
+
+    def test_engine_memory_at_m_100000(self, m_100000):
         # a few rows of 12.5 kB each, and O(m) tuples: ~8 MB, where the
         # m - 1 rows of H_0 took 1.3 GB
-        G = random_instance(100_000, seed=1, require_c4_free=True)
         tracemalloc.start()
         try:
-            X, trace = find_p10_through(G, 0)
+            X, trace = find_p10_through(m_100000, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert X == (0, 1, 2, 3, 14) and peak < 64 * 2**20, peak
+
+    def test_replay_memory_at_m_100000(self, m_100000):
+        # replay holds the peel and five points, not O(m) survivors or
+        # rows: ~1 kB, where building its graph's rows peaked at 8.4 MB
+        X, trace = find_p10_through(m_100000, 0)
+        tracemalloc.start()
+        try:
+            assert replay_trace(m_100000, 0, trace) == X
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
