@@ -306,7 +306,9 @@ def is_petersen(S: SuppressedGraph) -> bool:
 # matching x_i -- rank of sigma[x_i].  That is the Petersen graph exactly
 # when the A'-cycle joins the partners of x_i and x_{i+-2}, i.e. when the
 # rank pattern is i -> c*i + d (mod 5) with c in {2, 3}: 10 of the 120
-# patterns.  The tests check this against is_petersen on all 120.
+# patterns.  The tests check this against is_petersen on all 120.  The
+# table is closed under inversion: i -> c*i + d inverts to
+# i -> c'*(i - d) with c' = 3 for c = 2 and c' = 2 for c = 3.
 PETERSEN_PATTERNS: frozenset[tuple[int, ...]] = frozenset(
     tuple((c * i + d) % 5 for i in range(5)) for c in (2, 3) for d in range(5)
 )
@@ -314,10 +316,11 @@ PETERSEN_PATTERNS: frozenset[tuple[int, ...]] = frozenset(
 
 def _subset_is_petersen(G: MarkedPermutationGraph, X: tuple[int, ...]) -> bool:
     """is_petersen(suppress_match(G, X)) for a sorted 5-subset X: whether
-    the rank pattern of sigma on X is in PETERSEN_PATTERNS."""
+    the rank pattern of sigma on X is in PETERSEN_PATTERNS.  One sort
+    lists X's positions in value order, which is the inverse of the rank
+    pattern, and the table holds a pattern iff it holds its inverse."""
     values = [G.sigma[x] for x in X]
-    ranked = sorted(values)
-    return tuple(ranked.index(v) for v in values) in PETERSEN_PATTERNS
+    return tuple(sorted(range(len(values)), key=values.__getitem__)) in PETERSEN_PATTERNS
 
 
 # ---------------------------------------------------------------------------

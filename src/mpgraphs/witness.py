@@ -3,6 +3,10 @@
 Given an edge e in every matched 4-cycle, the paper deletes a matched
 4-cycle through e and suppresses its ends until none is left; then the
 crossing graph at e has an induced P4, and e plus the path is the witness.
+The precondition is one pass over the m - 2 pairs of A-neighbours that
+avoid e, the consecutive pairs of the A-row read from e + 1 round to
+e - 1, for a value step of 1 mod m; only a refusal lists the matched
+4-cycles, to name the first that avoids e.
 
 The engine builds no reduced instance.  Each deletion removes a partner
 of e, an A-neighbour of e whose value is next to sigma[e], so four counts
@@ -40,9 +44,11 @@ The witness is certified in G.  The paper's theorem gives every
 4-cycle-free state a witness through its anchor, hence an induced P4; a
 P4-free one would refute it and raises InternalInvariantViolated.
 replay_trace re-runs the same peel and certifies the path from the five
-points alone, as p10_from_p4 does: each of its six pairs is one
-comparison of positions in the drawing, so replay makes no crossing graph
-and an engine call computes only the rows its search reads.
+points alone, as p10_from_p4 does: the anchor and the four path points
+are placed once in the drawing anchored at e, each of the six pairs is
+then two comparisons of those positions, and the rank pattern is one
+sort of five values.  So replay makes no crossing graph, and an engine
+call computes only the rows its search reads.
 """
 
 from __future__ import annotations
@@ -95,38 +101,48 @@ def p10_from_p4(H: CrossingGraph, p: InducedPath4) -> PetersenWitness:
     operator.index, so any 4-tuple of integers serves; it must be an
     induced P4 of the crossing graph H.  NotAnInducedP4 otherwise, with
     the path's repr if it is not four indices.  Its six pairs are tested
-    on H.graph at H.anchor, each from the two points' positions in the
-    drawing, within H.vertices: ``H.adj`` is not read, so hand-edited
-    rows are not consulted.  The two geometric cases behind this fact
-    need not be distinguished: the result is verified by the rank-pattern
-    test (core._subset_is_petersen) and a failure would abort loudly.
+    on H.graph at H.anchor, within H.vertices, from the four points'
+    positions in the drawing, each computed once: ``H.adj`` is not read,
+    so hand-edited rows are not consulted.  The two geometric cases
+    behind this fact need not be distinguished: the result is verified by
+    the rank-pattern test (core._subset_is_petersen) and a failure would
+    abort loudly.  That test sorts the five indices by value once, which
+    gives the inverse of the rank pattern; PETERSEN_PATTERNS holds the
+    inverse of each of its patterns, so the verdict is the pattern's own.
     """
     return _certify(H.graph, H.anchor, p, H.vertices.__contains__)
 
 
-def _crosses(G: MarkedPermutationGraph, a: int, x: int, y: int) -> bool:
-    """x ~ y in H_a, in O(1): the rotated positions (x - a) mod m and
-    (sigma[x] - sigma[a]) mod m order x and y oppositely on the two rows."""
-    m, sigma = G.m, G.sigma
-    s = sigma[a]
-    return ((x - a) % m < (y - a) % m) != ((sigma[x] - s) % m < (sigma[y] - s) % m)
-
-
 def _certify(G: MarkedPermutationGraph, a: int, p: InducedPath4, is_vertex: Callable[[int], bool]) -> PetersenWitness:
     """p10_from_p4 on the crossing graph of G at a whose vertices are
-    those is_vertex accepts, with each pair tested by _crosses: no row is
-    computed."""
+    those is_vertex accepts.  The path's points are placed once on the two
+    rows of the drawing anchored at a, at (v - a) mod m and
+    (sigma[v] - sigma[a]) mod m, and two of them cross iff the rows order
+    them oppositely: each of the six pairs is two comparisons, and no row
+    is computed."""
     try:
         x, y, z, w = path = tuple(map(operator.index, p))
     except (TypeError, ValueError):
         raise NotAnInducedP4("path must be 4 integer indices", path=repr(p), anchor=a) from None
     if len(set(path)) != 4 or not all(map(is_vertex, path)):
         raise NotAnInducedP4("path vertices must be 4 distinct non-anchor indices", path=list(path), anchor=a)
-    for u, v in ((x, y), (y, z), (z, w)):
-        if not _crosses(G, a, u, v):
+    m, sigma = G.m, G.sigma
+    s = sigma[a]
+    px, py, pz, pw = (x - a) % m, (y - a) % m, (z - a) % m, (w - a) % m
+    qx, qy, qz, qw = (sigma[x] - s) % m, (sigma[y] - s) % m, (sigma[z] - s) % m, (sigma[w] - s) % m
+    for u, v, crossed in (
+        (x, y, (px < py) != (qx < qy)),
+        (y, z, (py < pz) != (qy < qz)),
+        (z, w, (pz < pw) != (qz < qw)),
+    ):
+        if not crossed:
             raise NotAnInducedP4(f"missing edge {u}-{v}", path=list(path), anchor=a, missing=[u, v])
-    for u, v in ((x, z), (x, w), (y, w)):
-        if _crosses(G, a, u, v):
+    for u, v, crossed in (
+        (x, z, (px < pz) != (qx < qz)),
+        (x, w, (px < pw) != (qx < qw)),
+        (y, w, (py < pw) != (qy < qw)),
+    ):
+        if crossed:
             raise NotAnInducedP4(f"chord {u}-{v}", path=list(path), anchor=a, chord=[u, v])
     X = tuple(sorted((a, *path)))
     if not _subset_is_petersen(G, X):
@@ -210,13 +226,18 @@ def find_p10_through(
     same witness (see the module docstring).
     """
     e = _check_index(G, e, "edge")
-    for c4 in enumerate_m_c4(G):
-        if e not in c4:
-            raise PreconditionViolated(
-                f"matched 4-cycle ({c4.i},{c4.j}) avoids edge {e}",
-                c4=[c4.i, c4.j],
-                edge=e,
-            )
+    m, sigma = G.m, G.sigma
+    # the pairs (i, i + 1 mod m) that avoid e are the consecutive pairs of
+    # the A-row read from e + 1 round to e - 1; one is a matched 4-cycle iff
+    # its values differ by 1 mod m
+    ring = sigma[e + 1 :] + sigma[:e]
+    if not {1, -1, m - 1, 1 - m}.isdisjoint(map(operator.sub, ring[1:], ring)):
+        c4 = next(c4 for c4 in enumerate_m_c4(G) if e not in c4)
+        raise PreconditionViolated(
+            f"matched 4-cycle ({c4.i},{c4.j}) avoids edge {e}",
+            c4=[c4.i, c4.j],
+            edge=e,
+        )
     p, steps = _Peel(), []
     while partners := _partners(G, e, p)[1]:
         z = min(partners)
@@ -232,8 +253,11 @@ def find_p10_through(
             anchor=e,
         )
     witness = p10_from_p4(H, path)
-    current = [bisect_left(survivors, v) for v in (e, *path)]
-    steps.append(P4FoundStep(current[0], InducedPath4(*current[1:])))
+    if steps:
+        current = [bisect_left(survivors, v) for v in (e, *path)]
+        steps.append(P4FoundStep(current[0], InducedPath4(*current[1:])))
+    else:  # nothing peeled: every index is its own current index
+        steps.append(P4FoundStep(e, path))
     return witness, tuple(steps)
 
 
@@ -264,15 +288,16 @@ def replay_trace(
             if step.a != a:
                 raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
             try:
-                path = [operator.index(v) for v in step.path]
+                path = list(map(operator.index, step.path))
             except TypeError:  # not a sequence of indices: the certifier refuses it
                 return _certify(G, e, step.path, e.__ne__)
-            if not all(0 <= v < n for v in path):
+            if path and (min(path) < 0 or max(path) >= n):
                 raise NotAnInducedP4(f"path index outside 0..{n - 1}", path=path, anchor=a)
-            # the survivors in cyclic order from e are e, then (e + r + t) mod m
-            # for t = 1 .. n - 1, and their current indices (a + t) mod n
-            original = tuple(e if v == a else (e + p.r + (v - a) % n) % m for v in path)
-            return _certify(G, e, original, e.__ne__)
+            if n < m:
+                # the survivors in cyclic order from e are e, then (e + r + t) mod m
+                # for t = 1 .. n - 1, and their current indices (a + t) mod n
+                path = [e if v == a else (e + p.r + (v - a) % n) % m for v in path]
+            return _certify(G, e, tuple(path), e.__ne__)
         else:
             raise InternalInvariantViolated("unknown trace step", step=repr(step))
     raise InternalInvariantViolated("trace ended without P4Found", steps=len(steps))

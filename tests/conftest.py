@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own algorithms: girth is
 re-derived by exhaustive simple-cycle enumeration, Petersen recognition by
 a networkx isomorphism test against the reference graph, P4-freeness
-by twin elimination, crossing rows by a pair loop, the first induced P4 by
+by twin elimination, crossing rows by a pair loop, a crossing-graph pair by
+the two points' rotated positions, the first induced P4 by
 a scan over 4-subsets, the number of induced P4s by counting the ends of
 each middle edge on bitmasks, the witness engine by the paper's chain of
 reduced instances (c4_reduce), the P4 certificate by one that reads the
@@ -171,6 +172,14 @@ def crossing_adj_by_pairs(G, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 adj[x] |= 1 << y
                 adj[y] |= 1 << x
     return verts, tuple(adj)
+
+
+def crosses_by_positions(G, a: int, x: int, y: int) -> bool:
+    """x ~ y in H_a, in O(1): the rotated positions (x - a) mod m and
+    (sigma[x] - sigma[a]) mod m order x and y oppositely on the two rows."""
+    m, sigma = G.m, G.sigma
+    s = sigma[a]
+    return ((x - a) % m < (y - a) % m) != ((sigma[x] - s) % m < (sigma[y] - s) % m)
 
 
 def induced_path_order(H, quad):

@@ -100,6 +100,16 @@ class TestPetersenSearch:
         for G in all_instances(5):
             assert (G.sigma in PETERSEN_PATTERNS) == is_petersen(suppress_match(G, range(5)))
 
+    def test_table_is_closed_under_inversion(self):
+        # _subset_is_petersen looks up the inverse of the rank pattern,
+        # which gives the pattern's own verdict only if the table holds
+        # the inverse of each of its patterns
+        for P in PETERSEN_PATTERNS:
+            inverse = [0] * 5
+            for i, r in enumerate(P):
+                inverse[r] = i
+            assert tuple(inverse) in PETERSEN_PATTERNS, P
+
     def test_equals_brute_force_exhaustively(self):
         for m in range(3, 9):
             for G in all_instances(m):

@@ -34,11 +34,12 @@ from mpgraphs.errors import (
     PreconditionViolated,
     TooSmall,
 )
-from mpgraphs.witness import C4ReduceStep, P4FoundStep, _crosses, _partners, _Peel, _survivor_graph
+from mpgraphs.witness import C4ReduceStep, P4FoundStep, _partners, _Peel, _survivor_graph
 
 from .conftest import (
     all_instances,
     c4_reduce,
+    crosses_by_positions,
     find_p10_through_by_chain,
     induced_path_order,
     instances,
@@ -99,12 +100,12 @@ class TestP10FromP4:
 
     @staticmethod
     def assert_pair_test_is_the_rows(G):
-        # _crosses, from two points' positions, on every ordered pair of
+        # the oracle crosses_by_positions, on every ordered pair of
         # non-anchor indices at every anchor gives build_crossing_graph's rows
         for a in range(G.m):
             H = build_crossing_graph(G, a)
             for x in H.vertices:
-                row = sum(_crosses(G, a, x, y) << y for y in H.vertices if y != x)
+                row = sum(crosses_by_positions(G, a, x, y) << y for y in H.vertices if y != x)
                 assert row == H.adj[x], (G.to_text(), a, x)
 
     def test_pair_test_is_the_rows_exhaustively(self):
@@ -130,6 +131,24 @@ class TestP10FromP4:
                         expected = outcome(p10_from_p4_by_rows, H, path)
                         assert outcome(p10_from_p4, H, path) == expected, (G.to_text(), a, path)
                         witnesses += isinstance(expected[0], int)
+        assert witnesses > 0
+
+    @pytest.mark.parametrize("m", [30, 60, 100])
+    def test_certifier_is_the_row_oracle_seeded(self, m):
+        # at three anchors of each seeded instance: the first induced P4,
+        # each of its 24 orderings, and 200 random 4-tuples of vertices
+        rng = random.Random(m)
+        witnesses = 0
+        for G in seeded_instances(m):
+            for a in rng.sample(range(m), 3):
+                H = build_crossing_graph(G, a)
+                paths = [rng.sample(H.vertices, 4) for _ in range(200)]
+                p = find_induced_p4(H)
+                paths += itertools.permutations(p) if p is not None else ()
+                for path in paths:
+                    expected = outcome(p10_from_p4_by_rows, H, path)
+                    assert outcome(p10_from_p4, H, path) == expected, (G.to_text(), a, path)
+                    witnesses += isinstance(expected[0], int)
         assert witnesses > 0
 
     @given(instances(5, 9), st.data())
@@ -355,6 +374,62 @@ class TestFindP10Through:
         with pytest.raises(PreconditionViolated) as exc:
             find_p10_through(PRISM, 0)
         assert exc.value.certificate["c4"] == [1, 2]
+
+    def test_precondition_is_the_listed_cycles_exhaustively(self):
+        # every edge of every instance with m <= 7: the engine refuses e
+        # exactly when enumerate_m_c4 lists a cycle that avoids e, and
+        # names the first such cycle in listing order
+        refusals = 0
+        for m in range(3, 8):
+            for G in all_instances(m):
+                c4s = enumerate_m_c4(G)
+                for e in range(m):
+                    first = next((c4 for c4 in c4s if e not in c4), None)
+                    try:
+                        find_p10_through(G, e)
+                    except PreconditionViolated as exc:
+                        assert first is not None, (G.to_text(), e)
+                        assert exc.message == f"matched 4-cycle ({first.i},{first.j}) avoids edge {e}"
+                        assert exc.certificate == {"c4": [first.i, first.j], "edge": e}
+                        refusals += 1
+                    else:
+                        assert first is None, (G.to_text(), e)
+        assert refusals == 35_350
+
+    @pytest.mark.parametrize(
+        "sigma, e, c4",
+        [
+            ([0, 1, 2], 0, [1, 2]),
+            ([0, 2, 1], 1, [2, 0]),
+            ([1, 0, 2], 2, [0, 1]),
+            ([0, 1, 2, 3], 0, [1, 2]),
+            ([0, 1, 2, 3], 3, [0, 1]),
+            ([0, 2, 1, 3], 1, [3, 0]),
+            ([0, 2, 1, 3], 0, [1, 2]),
+            # ONE_C4 rotated by one: (5, 0) is the only matched 4-cycle
+            ([1, 3, 5, 2, 4, 0], 1, [5, 0]),
+            ([1, 3, 5, 2, 4, 0], 4, [5, 0]),
+        ],
+    )
+    def test_precondition_refusal(self, sigma, e, c4):
+        G = validate(len(sigma), sigma)
+        with pytest.raises(PreconditionViolated) as exc:
+            find_p10_through(G, e)
+        assert exc.value.message == f"matched 4-cycle ({c4[0]},{c4[1]}) avoids edge {e}"
+        assert exc.value.certificate == {"c4": c4, "edge": e}
+
+    def test_wrap_pair_alone_admits_its_own_ends(self):
+        # the only matched 4-cycle is (5, 0), which the pass from e + 1
+        # round to e - 1 skips for e = 5 and e = 0 and reads for the rest
+        G = validate(6, [1, 3, 5, 2, 4, 0])
+        assert enumerate_m_c4(G) == [(5, 0)]
+        for e in (5, 0):
+            X, trace = find_p10_through(G, e)
+            assert trace[0] == C4ReduceStep(0 if e == 5 else 5)
+            assert X in enumerate_m_p10(G) and replay_trace(G, e, trace) == X
+        for e in range(1, 5):
+            with pytest.raises(PreconditionViolated):
+                find_p10_through(G, e)
 
     def test_c4_reduction_path(self):
         X, trace = find_p10_through(ONE_C4, 0)
@@ -650,7 +725,8 @@ class TestOneCrossingGraphPerState:
 
     def test_p4_search_visits_only_the_survivors(self, monkeypatch):
         # the long chain at m = 40 peels 20 partners; the P4 search gets
-        # the other 19 vertices, and no instance is rebuilt or re-listed
+        # the other 19 vertices, and no instance is rebuilt; the
+        # precondition holds, so no matched 4-cycle is listed either
         searched = []
         real = witness_module.find_induced_p4
 
@@ -673,7 +749,7 @@ class TestOneCrossingGraphPerState:
         monkeypatch.setattr(core_module, "validate", no_validate)
         G, e = long_chain_instance(40), 29
         X, trace = find_p10_through(G, e)
-        assert len(trace) == 21 and listed == [G]
+        assert len(trace) == 21 and listed == []
         (H,) = searched
         peeled = set(range(19, 40)) - {e}
         assert H.anchor == e and len(H.vertices) == 19 and peeled.isdisjoint(H.vertices)
