@@ -7,10 +7,13 @@ a, a lemma proved in the tests; the census is the independent count the
 witness engine is checked against.)  What makes it fast is that a
 5-subset's verdict depends only on the rank pattern of sigma on it, and
 only 10 of the 120 patterns certify.  The search takes the index pairs
-x0 < x1 and, with a few big-int mask operations per pair, finds every x2
-after x1 that some x3 < x4 could still complete to one of those 10; only
-those x2 are visited.  It yields each triple that passes as a block: the
-triple and the sorted slices of later indices open to x3 and to x4.
+x0 < x1 and, with a few big-int mask operations and one value threshold
+per side of each pair, finds the x2s after x1 that some x3 < x4 could
+still complete to one of those 10; only those x2 are visited.  It yields
+each triple that passes as a block: the triple and the sorted slices of
+later indices open to x3 and to x4.  The cost is the O(m^2) pair work
+plus the visits, and on the paper's family G_k every visit yields a
+block: G_150 (m = 457) takes 753 visits of its 15,596,035 triples.
 
 enumerate_m_p10 lists every block's witnesses, in O(witnesses) memory,
 and check_replace expands only the blocks through its two edges, up to
@@ -70,35 +73,51 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
     an other-side index follows it and a same-side index follows that one.
     Let ``tail`` be the side that holds the last index, m - 1.  An x2 on it
     qualifies iff it precedes the other side's last index, and an x2 on
-    the other side iff it precedes the last qualifying tail index.  About
-    eight mask operations per pair give every such x2, and only those are
-    visited.  The x3 arc after a qualifying x2 is not empty, so each takes
-    two more tests, as masks: its x4 arc after x2 is not empty, and the
-    first x3 there precedes the last x4.
+    the other side iff it precedes the last qualifying tail index.
+
+    A value threshold per side narrows these.  The x4 of an x2 on side S
+    has its value strictly between s1 and s2 on S's arc from s1, and it
+    follows an x3, so it follows f, the other side's first index.  Let v
+    be the value nearest s1 on that arc among the S-indices after f:
+    ``vafter[f]`` holds the values of the indices after f as bits, and v
+    is its lowest or highest bit in S's range, where the outer side's
+    walk wraps through m - 1 -> 0.  v exists, since each x2 left on S has
+    an S-index after an other-side one, and only the x2s on S whose
+    values lie beyond v from s1 can extend: one vmask range per side.
+    About twenty mask operations per pair give these x2s, and only those
+    are visited.  The threshold is necessary, not sufficient, and the x3
+    arc after a visited x2 is not empty, so each takes two more tests, as
+    masks: its x4 arc after x2 is not empty, and the first x3 there
+    precedes the last x4.  On G_k every visited x2 passes both.
 
     A block's two slices come from ring[x2], the indices after x2 in
     ascending order of value, twice over, so that an arc across the top of
     the value range is still one slice.  An arc's slice starts at the count
     of indices after x2 with values below the end it leaves going up, and
     is as long as its mask: two popcounts per arc.  The arcs are disjoint,
-    so no index is in both slices.
-    The tables take O(m^2) time and memory, and the walk holds one block
-    at a time.
+    so no index is in both slices.  ring[x2] is made when x2 yields its
+    first block, in O(m), so an x2 without one costs no row.
+    The mask tables take O(m^2) bits, and the walk costs the C(m, 2)
+    pairs' mask operations plus its visits and holds one block at a time.
     """
     m = len(sigma)
     inv = [0] * m
     for i, v in enumerate(sigma):
         inv[v] = i
-    ring = [[q for q in inv if q > p] * 2 for p in range(m)]
+    ring: list[list[int] | None] = [None] * m
     # masks of indices: vmask[v] those whose value is below v, after[x]
-    # those above x, and under[x.bit_length()] those below x's highest bit
+    # those above x, and under[x.bit_length()] those below x's highest bit;
+    # a mask of values: vafter[x] those of the indices above x
     vmask = [0] * (m + 1)
     for v in range(m):
         vmask[v + 1] = vmask[v] | 1 << inv[v]
     after = [-(2 << x) & vmask[m] for x in range(m)]
     under = [0] + [(1 << k) - 1 for k in range(m)]
+    vafter = [0] * m
+    for x in range(m - 1, 0, -1):
+        vafter[x - 1] = vafter[x] | 1 << sigma[x]
     last = sigma[-1]
-    for x0 in range(m):
+    for x0 in range(m - 4):
         s0 = sigma[x0]
         for x1 in range(x0 + 1, m - 3):
             s1 = sigma[x1]
@@ -109,6 +128,33 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
             tail, other = (inner, outer) if lo < last < hi else (outer, inner)
             ok = tail & under[other.bit_length()]
             ok |= other & under[ok.bit_length()]
+            if not ok:
+                continue
+            # each side keeps the x2s whose values lie beyond v from s1,
+            # where v is the side's value nearest s1 after the other side's
+            # first index; vals holds the side's values after that index
+            span = (1 << hi) - (2 << lo)
+            ins = ok & inner
+            if ins:
+                vals = vafter[(outer & -outer).bit_length() - 1] & span
+                if s1 == lo:
+                    ins &= ~vmask[(vals & -vals).bit_length()]
+                else:
+                    ins &= vmask[vals.bit_length() - 1]
+            outs = ok & outer
+            if outs:
+                vals = vafter[(inner & -inner).bit_length() - 1] & ~span
+                if s1 == hi:  # up from hi, through m - 1 -> 0
+                    near = vals >> hi << hi or vals
+                    v = (near & -near).bit_length() - 1
+                    cut = vmask[v + 1] ^ vmask[lo]
+                else:  # down from lo, through 0 -> m - 1
+                    v = (vals & (1 << lo) - 1 or vals).bit_length() - 1
+                    cut = vmask[v] ^ vmask[lo]
+                # cut runs from lo to v: the values kept if the walk
+                # wrapped to reach v, else the ones dropped
+                outs &= cut if (v < lo) == (s1 == hi) else ~cut
+            ok = ins | outs
             while ok:
                 bit = ok & -ok
                 ok ^= bit
@@ -128,6 +174,8 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
                 i3 = (vmask[hi if wrap3 else lo] & rest).bit_count()
                 i4 = (vmask[hi4 if wrap4 else lo4] & rest).bit_count()
                 row = ring[x2]
+                if row is None:
+                    row = ring[x2] = [q for q in inv if q > x2] * 2
                 x3s = row[i3 : i3 + x3m.bit_count()]
                 x4s = row[i4 : i4 + x4m.bit_count()]
                 x3s.sort()
@@ -180,14 +228,16 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
     The census is exhaustive and exact: a subset is a witness exactly when
     its rank pattern is in PETERSEN_PATTERNS, and the search drops a prefix
     only when its exact rank pattern cannot complete to one.  After O(m^2)
-    tables, each of the C(m,2) pairs x0 < x1 costs a few mask operations,
-    which give the x2s that could still extend it; the other triples are
-    never visited.  Each visited x2 costs a few more, and only a triple
-    with some x3 before some x4 has its two slices of later indices
-    sorted; each witness then costs O(1).  Brute force costs C(m,5) subset
-    checks whatever the answer.  The list takes O(witnesses) memory, up to
-    C(m,5); check_zhang and count_per_edge count in O(m^2), and
-    census_report keeps blocks.
+    tables, each of the C(m,2) pairs x0 < x1 costs a few mask operations
+    and a value threshold per side, which give the x2s that could still
+    extend it; the other triples are never visited.  Each visited x2
+    costs a few more, and only a triple with some x3 before some x4 has
+    its two slices of later indices sorted; each witness then costs O(1).
+    On G_k every visited x2 yields a block, so the pairs are the cost:
+    G_300 (m = 907) takes under half a second.  Brute force costs C(m,5)
+    subset checks whatever the answer.  The list takes O(witnesses)
+    memory, up to C(m,5); check_zhang and count_per_edge count in O(m^2),
+    and census_report keeps blocks.
 
     The search always runs in this process.  ``jobs`` changes nothing; it
     is kept, with jobs < 1 or not an integer raising InvalidJobs, only

@@ -21,10 +21,12 @@ join of m strs, and the family G_k by one dict table of every index.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import operator
 import random
 import re
+import sys
 from bisect import bisect
 from collections import Counter
 from pathlib import Path
@@ -85,6 +87,38 @@ def gk1():
 @pytest.fixture(scope="session")
 def gk2():
     return generate_gk(2)
+
+
+@pytest.fixture(scope="session")
+def gk300():
+    """G_300 (m = 907), where a census that visits Theta(m^3) x2s takes
+    seconds and one that visits only x2s that yield blocks takes well
+    under one."""
+    return generate_gk(300)
+
+
+def line_runs(func, line_text: str, run) -> int:
+    """How many times run() executes the one line of func whose stripped
+    text is line_text: a clock-free count of one step of func, read by a
+    line tracer that follows func's frames and no others."""
+    lines, first = inspect.getsourcelines(func)
+    (target,) = [first + i for i, line in enumerate(lines) if line.strip() == line_text]
+    code = func.__code__
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line" and frame.f_lineno == target:
+            count += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -43,6 +44,7 @@ from .conftest import (
     induced_path_order,
     inject_scan_faults,
     instances,
+    line_runs,
     petersen_blocks_by_rank_table,
     petersen_by_sorted_slices,
     redrawing_by_pairs,
@@ -164,6 +166,30 @@ class TestPetersenBlocks:
         assert not enumerate_m_c4(without)
         for G in (with_c4, without):
             assert list(_petersen_blocks(G.sigma)) == list(petersen_blocks_by_rank_table(G.sigma)), G
+
+
+class TestPairWalkScaling:
+    """Each pair keeps, per side, only the x2s whose values lie beyond that
+    side's threshold, so on G_k every x2 the walk visits yields a block and
+    the census grows with the pairs, not the triples."""
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_every_visit_yields_a_block_on_gk(self, k):
+        sigma = generate_gk(k).graph.sigma
+        blocks = []
+        visits = line_runs(
+            _petersen_blocks, "x2 = bit.bit_length() - 1", lambda: blocks.extend(_petersen_blocks(sigma))
+        )
+        assert visits == len(blocks) > 0
+
+    def test_gk300_census_within_seconds(self, gk300):
+        # ~0.4 s on a 2-core VM (Python 3.11); a walk that visits every x2
+        # the pair's side masks allow takes ~13 s there
+        start = time.perf_counter()
+        count = len(enumerate_m_p10(gk300.graph))
+        elapsed = time.perf_counter() - start
+        assert count == 6 * 300 + 6
+        assert elapsed < 3, elapsed
 
 
 class TestJobsBounds:

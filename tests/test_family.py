@@ -137,13 +137,18 @@ class TestClassifyEdge:
 
 
 class TestVerifyGk:
-    @pytest.mark.parametrize("k,expected", [(1, 12), (2, 18), (3, 24)])
+    @pytest.mark.parametrize("k,expected", [(1, 12), (2, 18), (3, 24), (60, 366), (100, 606)])
     def test_counts(self, k, expected):
         v = verify_gk(generate_gk(k))
         assert v.ok
         assert v.c4_count == 0
         assert v.p10_count == expected
         assert not v.bad_witnesses
+
+    def test_ok_on_g300(self, gk300):
+        v = verify_gk(gk300)
+        assert v.ok
+        assert v.p10_count == 6 * 300 + 6
 
     def test_mutation_is_caught(self, gk2):
         sig = list(gk2.graph.sigma)
