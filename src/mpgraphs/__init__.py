@@ -44,7 +44,6 @@ from .core import (
 from .crossing import (
     CrossingGraph,
     build_crossing_graph,
-    count_segment_crossings,
     standard_drawing,
 )
 from .family import (
@@ -90,7 +89,6 @@ __all__ = [
     "check_zhang",
     "classify_edge",
     "count_per_edge",
-    "count_segment_crossings",
     "enumerate_m_c4",
     "enumerate_m_p10",
     "exhaustive_scan",

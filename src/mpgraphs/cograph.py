@@ -16,22 +16,6 @@ class InducedPath4(NamedTuple):
     w: int
 
 
-def _path_order(quad: tuple[int, int, int, int], rows: tuple[int, int, int]) -> InducedPath4:
-    """The path that the ascending 4-tuple ``quad`` is known to induce,
-    oriented from its smaller endpoint, from ``rows``, the rows of its
-    first three vertices: the fourth vertex's row within the quad is its
-    bits in those three, so its own row is never read.  The ends are the
-    two vertices whose row within the quad has one bit, the end's one
-    neighbour."""
-    x, y, z, l = quad
-    nx, ny, nz = rows
-    mask = 1 << x | 1 << y | 1 << z | 1 << l
-    row_l = (nx >> l & 1) << x | (ny >> l & 1) << y | (nz >> l & 1) << z
-    within = {x: nx & mask, y: ny & mask, z: nz & mask, l: row_l}
-    p, q = (v for v in quad if within[v].bit_count() == 1)
-    return InducedPath4(p, within[p].bit_length() - 1, within[q].bit_length() - 1, q)
-
-
 def find_induced_p4(H: CrossingGraph) -> InducedPath4 | None:
     """Lexicographically smallest induced P4 (by sorted vertex set, then
     oriented from the smaller endpoint), or None if H is P4-free.
@@ -40,12 +24,15 @@ def find_induced_p4(H: CrossingGraph) -> InducedPath4 | None:
     plus an isolated w.  So for each triple i<j<k, in order, the fourth
     vertices are one mask: (N(p) ^ N(q)) & ~N(b), or N(w) & (N(u) ^ N(v));
     a triple with 0 or 3 edges has none.  H.vertices ascend, so the lowest
-    candidate above vertex k completes the first 4-set.  O(n^3) mask
+    candidate above vertex k completes the first 4-set.  The triple's
+    three rows also orient the path: with u the vertex of the pair that
+    the fourth vertex l is joined to and v the other, it is v-b-u-l or
+    v-u-l-w, reversed if it ends below where it starts.  O(n^3) mask
     operations in the worst case, one triple when a P4 starts at the first
     three vertices.  It reads x's row once per x, y's once per pair and
-    z's once per triple with one or two edges, and never the fourth
-    vertex's; the witness engine's H computes each row on its first read,
-    so there the search also pays O(m) per distinct row it reads."""
+    z's once per triple with one or two edges, and never l's; the witness
+    engine's H computes each row on its first read, so there the search
+    also pays O(m) per distinct row it reads."""
     verts, adj = H.vertices, H.adj
     n = len(verts)
     for i in range(n - 2):
@@ -60,18 +47,22 @@ def find_induced_p4(H: CrossingGraph) -> InducedPath4 | None:
                 edges = xy + xz + yz
                 if edges == 0 or edges == 3:
                     continue
-                # the odd vertex is the one off the pair in the minority
+                # the odd vertex o is the one off the pair in the minority
                 # state: the path's centre, or the isolated vertex
                 nz, minority = adj[z], 1 if edges == 1 else 0
                 if yz == minority:
-                    odd, r, s = nx, ny, nz
+                    o, r, s = x, y, z
+                    no, nr, ns = nx, ny, nz
                 elif xz == minority:
-                    odd, r, s = ny, nx, nz
+                    o, r, s = y, x, z
+                    no, nr, ns = ny, nx, nz
                 else:
-                    odd, r, s = nz, nx, ny
-                side = odd if minority else ~odd
-                cand = (r ^ s) & side & -(2 << z)
+                    o, r, s = z, x, y
+                    no, nr, ns = nz, nx, ny
+                cand = (nr ^ ns) & (no if minority else ~no) & -(2 << z)
                 if cand:
                     l = (cand & -cand).bit_length() - 1
-                    return _path_order((x, y, z, l), (nx, ny, nz))
+                    u, v = (r, s) if nr >> l & 1 else (s, r)
+                    path = (v, u, l, o) if minority else (v, o, u, l)
+                    return InducedPath4(*path) if path[0] < path[3] else InducedPath4(*path[::-1])
     return None

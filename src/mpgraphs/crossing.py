@@ -12,9 +12,6 @@ from typing import Iterator, Mapping, NamedTuple
 from .core import MarkedPermutationGraph, _check_index
 from .errors import UnsupportedFormat
 
-Point = tuple[float, float]
-Segment = tuple[Point, Point]
-
 ROW_GAP = 10  # vertical units between the two rows
 
 
@@ -89,16 +86,16 @@ _BINARY = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte per index -> its binary 
 _ROWS_ON_DEMAND_FROM_M = 32
 
 
-def _engine_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
-    """H_a for the witness engine: build_crossing_graph's below
-    _ROWS_ON_DEMAND_FROM_M, and from it on a graph whose ``adj`` is a
-    _RowsOnDemand, O(rows read * m) time and memory.  The search reads
-    about 3 rows a graph on random instances with m = 60..100, and every
-    row on G_k, where computing them one at a time costs a few % of its
-    triple walk (4 % on G_10, under 1 % on G_30).  a is a checked anchor."""
-    if G.m < _ROWS_ON_DEMAND_FROM_M:
-        return build_crossing_graph(G, a)
-    return CrossingGraph(a, G, (*range(a), *range(a + 1, G.m)), _RowsOnDemand(G, a))
+def _engine_crossing_graph(G: MarkedPermutationGraph, a: int, vertices: tuple[int, ...]) -> CrossingGraph:
+    """H_a for the witness engine, with the given ``vertices``, which the
+    caller makes once: build_crossing_graph's rows below
+    _ROWS_ON_DEMAND_FROM_M, and from it on a _RowsOnDemand, O(rows read *
+    m) time and memory.  The search reads about 3 rows a graph on random
+    instances with m = 60..100, and every row on G_k, where computing them
+    one at a time costs a few % of its triple walk (4 % on G_10, under 1 %
+    on G_30).  a is a checked anchor."""
+    adj = build_crossing_graph(G, a).adj if G.m < _ROWS_ON_DEMAND_FROM_M else _RowsOnDemand(G, a)
+    return CrossingGraph(a, G, vertices, adj)
 
 
 class _RowsOnDemand(dict):
@@ -141,26 +138,6 @@ class _RowsOnDemand(dict):
                 digits[y] = 1
         row = self[x] = top ^ int(digits.translate(_BINARY)[::-1], 2)
         return row
-
-
-def _ccw(p: Point, q: Point, r: Point) -> float:
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-def count_segment_crossings(segments: list[Segment]) -> int:
-    """Pairwise proper intersections (shared endpoints do not count): the
-    geometric reference that the tests recount drawn segments with.  It
-    is O(len(segments)^2), and no drawing calls it."""
-    count = 0
-    for i, (p, q) in enumerate(segments):
-        for r, s in segments[i + 1 :]:
-            d1 = _ccw(r, s, p)
-            d2 = _ccw(r, s, q)
-            d3 = _ccw(p, q, r)
-            d4 = _ccw(p, q, s)
-            if d1 * d2 < 0 and d3 * d4 < 0:
-                count += 1
-    return count
 
 
 def _crossing_count(G: MarkedPermutationGraph, a: int) -> int:

@@ -26,10 +26,14 @@ pins the witness to the census:
 3. Deleting z keeps the survivors' order on both rows, read from a, so
    the reduced crossing graph is H_a - z relabelled monotonically; after
    the peel, it is H_e induced on the survivors: H_e, its rows untouched,
-   with the survivors as its vertices.  The search reads a few of its
-   rows, so each is computed, in O(m), when it is first read: O(rows
-   read * m) time and memory, not the m^2/8 bytes of every row.  Below a
-   crossover in m, measured, one walk that builds them all is faster
+   with the survivors as its vertices.  The peeled indices are the cyclic
+   interval e - l .. e + r, so the survivors are the indices outside it,
+   two ranges, and the survivor t places after e, counting survivors
+   only, has current index (a + t) mod n, with a e's current index and n
+   the number of survivors.  The search reads a few of H_e's rows, so
+   each is computed, in O(m), when it is first read: O(rows read * m)
+   time and memory, not the m^2/8 bytes of every row.  Below a crossover
+   in m, measured, one walk that builds them all is faster
    (crossing._engine_crossing_graph).
 4. find_induced_p4 returns the lexicographically least induced P4,
    oriented from its smaller end, and a monotone relabelling keeps both.
@@ -38,7 +42,8 @@ pins the witness to the census:
    before it are gone, so, by induction, no induced P4 of H_e contains
    one, and the survivors' first P4 is H_e's own first P4.  Inserting e
    into two sorted 4-sets keeps their lexicographic order, so by step 1
-   e plus that P4 is the least witness through e.
+   e plus that P4 is the least witness through e.  P4Found records the
+   path in current indices by step 3's map, which replay_trace inverts.
 
 The witness is certified in G.  The paper's theorem gives every
 4-cycle-free state a witness through its anchor, hence an induced P4; a
@@ -54,8 +59,7 @@ call computes only the rows its search reads.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .cograph import InducedPath4, find_induced_p4
 from .core import (
@@ -193,22 +197,20 @@ def _partners(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[int, dict[in
     return a, partners
 
 
-def _survivor_graph(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[CrossingGraph, Sequence[int]]:
-    """H_e with only the survivors less e as ``vertices``, and the
-    survivors, e included, ascending: survivors[i] has current index i.
+def _survivor_graph(G: MarkedPermutationGraph, e: int, p: _Peel) -> CrossingGraph:
+    """H_e with the survivors less e as ``vertices``: the indices outside
+    the peeled cyclic interval e - l .. e + r, ascending, which is two
+    ranges, as the interval wraps past index 0 on at most one side.
     crossing._engine_crossing_graph makes H_e: whole below a crossover in
     m, and from it on with each row computed, in O(m), when it is first
     read, so O(rows read * m) time and memory.  Rows keep the peeled
     vertices' bits, which no reader needs masked: find_induced_p4 walks
-    only ``vertices``, and its candidate mask names only vertices
-    completing an induced P4 of H_e, none peeled (step 5); _path_order
-    reads survivors' bits of survivors' rows, and p10_from_p4 no row."""
-    m, H = G.m, _engine_crossing_graph(G, e)
-    if p.l + p.r == 0:
-        return H, range(m)
-    peeled = {(e + k) % m for k in range(-p.l, p.r + 1) if k}
-    survivors = [x for x in range(m) if x not in peeled]
-    return H._replace(vertices=tuple(x for x in survivors if x != e)), survivors
+    only ``vertices`` and orients its path from survivors' bits of
+    survivors' rows, its candidate mask names only vertices completing an
+    induced P4 of H_e, none peeled (step 5), and p10_from_p4 reads no row."""
+    m = G.m
+    lo, hi = e - p.l, e + p.r + 1
+    return _engine_crossing_graph(G, e, (*range(max(0, hi - m), lo), *range(hi, min(m, lo + m))))
 
 
 def find_p10_through(
@@ -243,7 +245,7 @@ def find_p10_through(
         z = min(partners)
         steps.append(C4ReduceStep(z))
         p = partners[z]
-    H, survivors = _survivor_graph(G, e, p)
+    H = _survivor_graph(G, e, p)
     path = find_induced_p4(H)
     if path is None:
         raise InternalInvariantViolated(
@@ -254,8 +256,9 @@ def find_p10_through(
         )
     witness = p10_from_p4(H, path)
     if steps:
-        current = [bisect_left(survivors, v) for v in (e, *path)]
-        steps.append(P4FoundStep(current[0], InducedPath4(*current[1:])))
+        # step 3's map: survivor v is (v - e - r) mod m survivors after e
+        a, n = _current(m, e, p)
+        steps.append(P4FoundStep(a, InducedPath4(*((a + (v - e - p.r) % m) % n for v in path))))
     else:  # nothing peeled: every index is its own current index
         steps.append(P4FoundStep(e, path))
     return witness, tuple(steps)

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms: girth is
 re-derived by exhaustive simple-cycle enumeration, Petersen recognition by
 a networkx isomorphism test against the reference graph, P4-freeness
-by twin elimination, crossing rows by a pair loop, a crossing-graph pair by
-the two points' rotated positions, the first induced P4 by
+by twin elimination, crossing rows by a pair loop, drawn crossings by a
+geometric recount of the segments, a crossing-graph pair by the two
+points' rotated positions, the first induced P4 by
 a scan over 4-subsets, the number of induced P4s by counting the ends of
 each middle edge on bitmasks, the witness engine by the paper's chain of
 reduced instances (c4_reduce), the P4 certificate by one that reads the
@@ -206,6 +207,30 @@ def crossing_adj_by_pairs(G, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 adj[x] |= 1 << y
                 adj[y] |= 1 << x
     return verts, tuple(adj)
+
+
+Point = tuple[float, float]
+Segment = tuple[Point, Point]
+
+
+def _ccw(p: Point, q: Point, r: Point) -> float:
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def count_segment_crossings(segments: list[Segment]) -> int:
+    """Pairwise proper intersections (shared endpoints do not count): the
+    geometric recount of drawn segments, O(len(segments)^2).  The drawing
+    counts its crossings as the inversions of pi_a."""
+    count = 0
+    for i, (p, q) in enumerate(segments):
+        for r, s in segments[i + 1 :]:
+            d1 = _ccw(r, s, p)
+            d2 = _ccw(r, s, q)
+            d3 = _ccw(p, q, r)
+            d4 = _ccw(p, q, s)
+            if d1 * d2 < 0 and d3 * d4 < 0:
+                count += 1
+    return count
 
 
 def crosses_by_positions(G, a: int, x: int, y: int) -> bool:

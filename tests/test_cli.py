@@ -993,8 +993,8 @@ def test_public_names_are_pinned():
         "FourCycle", "GkInstance", "InducedPath4", "MarkedPermutationGraph", "P4FoundStep", "PETERSEN",
         "PRISM", "PetersenWitness", "SuppressedGraph", "__version__", "apply_symmetry",
         "build_crossing_graph", "census_report", "check_lower_bound", "check_redrawing",
-        "check_replace", "check_zhang", "classify_edge", "count_per_edge", "count_segment_crossings",
-        "enumerate_m_c4", "enumerate_m_p10", "exhaustive_scan", "find_cyclic_cut", "find_induced_p4",
+        "check_replace", "check_zhang", "classify_edge", "count_per_edge", "enumerate_m_c4",
+        "enumerate_m_p10", "exhaustive_scan", "find_cyclic_cut", "find_induced_p4",
         "find_p10_through", "generate_gk", "girth", "is_cyclically_5_edge_connected", "is_petersen",
         "p10_from_p4", "parse_instance", "parse_instances", "random_instance", "relabel_witness",
         "replay_trace", "standard_drawing", "suppress_match", "validate", "verify_gk",

@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -23,6 +25,7 @@ from mpgraphs import (
     replay_trace,
     suppress_match,
     validate,
+    witness_report_dict,
 )
 from mpgraphs.census import _qualifying_edges, random_instance
 from mpgraphs.core import _subset_is_petersen
@@ -282,7 +285,8 @@ class TestPeelArgument:
                     assert set(partners) == {c4.i if c4.j == a else c4.j for c4 in c4s}
                     for z, peel in partners.items():
                         red = c4_reduce(G, a, z)
-                        H, survivors = _survivor_graph(G, a, peel)
+                        H = _survivor_graph(G, a, peel)
+                        survivors = sorted((a, *H.vertices))
                         assert tuple(survivors) == red.index_map
                         new = {v: i for i, v in enumerate(survivors)}
                         reduced = build_crossing_graph(red.graph, new[a])
@@ -549,7 +553,8 @@ class TestTraceReplay:
         p = _Peel()
         for step in reduces:
             p = _partners(G, e, p)[1][step.z]
-        H, survivors = _survivor_graph(G, e, p)
+        H = _survivor_graph(G, e, p)
+        survivors = sorted((e, *H.vertices))
         a = survivors.index(e)
         for path in itertools.permutations(range(len(survivors)), 4):
             expected = outcome(p10_from_p4_by_rows, H, tuple(survivors[v] for v in path))
@@ -577,6 +582,21 @@ class TestTraceReplay:
         reduces = find_p10_through(G, e)[1][:-1]
         assert len(reduces) == 8
         self.assert_replay_is_the_row_oracle(G, e, reduces)
+        assert find_p10_through(G, e) == find_p10_through_by_chain(G, e)
+
+    def test_engine_wraps_a_long_peel_past_index_0(self):
+        # rotated so that edge 19,999's 10,000-step peel crosses index 0;
+        # the digest of the document was recorded from the engine that
+        # ranked the survivors by bisecting their sorted list
+        G, e = apply_symmetry(long_chain_instance(20000), "rotate_a", 15000), 19_999
+        X, steps = find_p10_through(G, e)
+        assert X == (5000, 5001, 5003, 5005, 19_999) and len(steps) == 10_001
+        assert steps[-1] == P4FoundStep(9999, InducedPath4(1, 0, 5, 3))
+        doc = json.dumps(witness_report_dict(X, steps), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "2b765c3ac5b30ceecc6771dcc5a4f661a6cdba86db2c2c76db5d209af2ae06c2"
+        )
+        assert replay_trace(G, e, steps) == X
 
     def test_replay_c4_path(self):
         X, trace = find_p10_through(ONE_C4, 1)
@@ -649,8 +669,9 @@ class TestTraceReplay:
         # the peeled partner 1 of ONE_C4's edge 0 is no vertex of the
         # graph that P4Found is checked on, so no path through it passes
         _, partners = _partners(ONE_C4, 0, _Peel())
-        H, survivors = _survivor_graph(ONE_C4, 0, partners[1])
-        assert list(survivors) == [0, 2, 3, 4, 5] and H.vertices == (2, 3, 4, 5)
+        H = _survivor_graph(ONE_C4, 0, partners[1])
+        survivors = sorted((0, *H.vertices))
+        assert survivors == [0, 2, 3, 4, 5] and H.vertices == (2, 3, 4, 5)
         assert H.adj[1] == 0 and not any(row >> 1 & 1 for row in H.adj)
         for path in itertools.permutations((1, 2, 3, 4)):
             with pytest.raises(NotAnInducedP4, match="distinct non-anchor"):
@@ -676,9 +697,9 @@ class TestOneCrossingGraphPerState:
         built = []
         real = witness_module._engine_crossing_graph
 
-        def counting(G, a):
+        def counting(G, a, vertices):
             built.append((G.m, a))
-            return real(G, a)
+            return real(G, a, vertices)
 
         monkeypatch.setattr(witness_module, "_engine_crossing_graph", counting)
         return built
@@ -763,7 +784,7 @@ class TestOneCrossingGraphPerState:
             while partners := _partners(G, e, p)[1]:
                 p = partners[min(partners)]
             assert p != _Peel()
-            rows, expected = _survivor_graph(G, e, p)[0].adj, build_crossing_graph(G, e).adj
+            rows, expected = _survivor_graph(G, e, p).adj, build_crossing_graph(G, e).adj
             assert [rows[x] for x in range(G.m)] == list(expected), (G.m, e)
 
     def test_rows_on_demand_at_m_10000(self, builds, rows_computed):
