@@ -33,12 +33,12 @@ from .core import (
     MAX_M,
     FourCycle,
     MarkedPermutationGraph,
+    PetersenWitness,
     _check_index,
     _integer,
     enumerate_m_c4,
     validate,
 )
-from .crossing import build_crossing_graph
 from .errors import (
     ExhaustedAttempts,
     IndicesNotDistinct,
@@ -48,7 +48,6 @@ from .errors import (
     TooLarge,
     TooSmall,
 )
-from .witness import PetersenWitness, find_p10_through
 
 MAX_ATTEMPTS = 100000  # cap on random_instance's rejection draws
 Block = tuple[int, int, int, tuple[int, ...], tuple[int, ...]]  # see _petersen_blocks
@@ -359,6 +358,8 @@ def check_redrawing(G: MarkedPermutationGraph, a: int, b: int) -> RedrawingVerdi
     big-int operations in all.  Rows a and b need no skip in clause (ii):
     once (i) holds, both leave nothing set.  The counterexample is the
     least x, or the least pair (x, y) with x < y, that breaks the rule."""
+    from .crossing import build_crossing_graph  # imported here: no other census code reads one
+
     a, b = _check_index(G, a), _check_index(G, b)
     if a == b:
         raise IndicesNotDistinct("anchors must be distinct", a=a, b=b)
@@ -492,6 +493,8 @@ def exhaustive_scan(m: int) -> ScanReport:
     satisfying the extraction precondition, the witness engine, in one
     process.  Symmetry deduplication is deliberately not applied:
     correctness over speed."""
+    from .witness import find_p10_through  # imported here: no other census code runs the engine
+
     m = _integer(m, OutOfScanRange, "scan m=", m=m)
     if not 3 <= m <= 8:
         raise OutOfScanRange(f"scan supports 3 <= m <= 8, got {m}", m=m)

@@ -38,10 +38,7 @@ from .core import (
     find_cyclic_cut,
     parse_instance,
 )
-from .crossing import _drawing_lines
 from .errors import InvalidLemmaArgs, MpgError, PreconditionViolated
-from .family import generate_gk
-from .witness import find_p10_through, witness_report_dict
 
 SCHEMA_VERSION = 1
 
@@ -230,12 +227,18 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
             )
         return 0
 
+    # draw, gk and witness import their modules here, so that no other
+    # subcommand compiles or loads them
     if args.command == "witness":
+        from .witness import find_p10_through, witness_report_dict
+
         X, trace = find_p10_through(G, args.edge)
         _emit_json(witness_report_dict(X, trace), stdout)
         return 0
 
     if args.command == "gk":
+        from .family import generate_gk
+
         inst = generate_gk(args.k)
         stdout.write(inst.graph.to_text() + "\n")
         stdout.write(
@@ -268,6 +271,8 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
         return 0
 
     if args.command == "draw":
+        from .crossing import _drawing_lines
+
         lines = _drawing_lines(G, args.anchor, args.format)
         # one write per 4,096 lines: at m = 10^6 a write per line took 3 s more
         while chunk := "".join(islice(lines, 4096)):
@@ -286,7 +291,9 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
         return 0 if cut is None else 1
 
     if args.command == "check":
-        # built per call, not at import, so a checker rebound in this module runs
+        # built per call from this module's globals, so a checker rebound here
+        # after import, as benchmarks/tracing.py rebinds each to its wrapper,
+        # is the one that runs; a dict built at import would keep the originals
         checker = {
             "redrawing": check_redrawing,
             "replace": check_replace,

@@ -313,6 +313,10 @@ PETERSEN_PATTERNS: frozenset[tuple[int, ...]] = frozenset(
     tuple((c * i + d) % 5 for i in range(5)) for c in (2, 3) for d in range(5)
 )
 
+# a sorted 5-subset of A-indices whose match-subgraph suppresses to the
+# Petersen graph, as the census lists it and the witness engine returns it
+PetersenWitness = tuple[int, int, int, int, int]
+
 
 def _subset_is_petersen(G: MarkedPermutationGraph, X: tuple[int, ...]) -> bool:
     """is_petersen(suppress_match(G, X)) for a sorted 5-subset X: whether

@@ -12,9 +12,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .census import enumerate_m_p10
-from .core import MAX_M, MarkedPermutationGraph, _check_index, _integer, enumerate_m_c4, validate
+from .core import MAX_M, MarkedPermutationGraph, PetersenWitness, _check_index, _integer, enumerate_m_c4, validate
 from .errors import InvalidK
-from .witness import PetersenWitness
 
 
 class EdgeClass(Enum):

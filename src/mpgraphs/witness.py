@@ -64,6 +64,7 @@ from typing import Callable, NamedTuple
 from .cograph import InducedPath4, find_induced_p4
 from .core import (
     MarkedPermutationGraph,
+    PetersenWitness,
     _check_index,
     _subset_is_petersen,
     enumerate_m_c4,
@@ -75,8 +76,6 @@ from .errors import (
     NotAnInducedP4,
     PreconditionViolated,
 )
-
-PetersenWitness = tuple[int, int, int, int, int]
 
 
 class C4ReduceStep(NamedTuple):

@@ -712,8 +712,9 @@ def inject_scan_faults(monkeypatch, *kinds: str) -> None:
     engine that raises at edge 1, and ``witness_unsound`` by one that
     returns the witness reversed, which is no census entry, at edge 3."""
     import mpgraphs.census as census_module
+    import mpgraphs.witness as witness_module
 
-    engine, zhang = census_module.find_p10_through, census_module._zhang
+    engine, zhang = witness_module.find_p10_through, census_module._zhang
     calls = []
 
     def faulty_zhang(c4_count, p10_count):
@@ -731,7 +732,7 @@ def inject_scan_faults(monkeypatch, *kinds: str) -> None:
 
     if "zhang_fail" in kinds:
         monkeypatch.setattr(census_module, "_zhang", faulty_zhang)
-    monkeypatch.setattr(census_module, "find_p10_through", faulty_engine)
+    monkeypatch.setattr(witness_module, "find_p10_through", faulty_engine)
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")

@@ -515,7 +515,7 @@ class TestCheckRedrawing:
                             adj[x] ^= 1 << y
                             adj[y] ^= 1 << x
                         H[target] = H[target]._replace(adj=tuple(adj))
-                        monkeypatch.setattr("mpgraphs.census.build_crossing_graph", lambda G, v: H[v])
+                        monkeypatch.setattr("mpgraphs.crossing.build_crossing_graph", lambda G, v: H[v])
                         verdict = check_redrawing(G, a, b)
                         assert verdict == redrawing_by_pairs(H[a], H[b]), (a, b, target, x, ys)
                         assert not verdict.ok
@@ -562,16 +562,16 @@ class TestExhaustiveScan:
         assert r.instance_count == len(expected) == math.factorial(m)
 
     def test_scan_runs_the_public_engine(self, monkeypatch):
-        # every engine run goes through the public find_p10_through, so a
-        # wrapper on the module global sees each one
-        census_module = importlib.import_module("mpgraphs.census")
+        # every engine run goes through the public find_p10_through, which
+        # the scan reads from the witness module, so a wrapper there sees each one
+        witness_module = importlib.import_module("mpgraphs.witness")
         calls = []
 
         def counting(G, e):
             calls.append((G.sigma, e))
             return find_p10_through(G, e)
 
-        monkeypatch.setattr(census_module, "find_p10_through", counting)
+        monkeypatch.setattr(witness_module, "find_p10_through", counting)
         report = exhaustive_scan(6)
         assert report.violation_count == 0
         assert len(calls) == report.witness_runs > 0

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -14,6 +15,7 @@ import pytest
 import mpgraphs
 import mpgraphs.census as census_module
 import mpgraphs.cli as cli_module
+import mpgraphs.crossing as crossing_module
 from mpgraphs import __version__
 from mpgraphs.census import MAX_ATTEMPTS, census_report, random_instance
 from mpgraphs.core import MAX_M, MarkedPermutationGraph
@@ -661,7 +663,7 @@ class TestLoadOnce:
 
 def flipped_crossing(target: int, x: int, y: int):
     """build_crossing_graph with the crossing x-y of H_target flipped."""
-    build = census_module.build_crossing_graph
+    build = crossing_module.build_crossing_graph
 
     def flipped(G, a):
         H = build(G, a)
@@ -687,7 +689,7 @@ class TestCheckFailureDocuments:
 
     def test_redrawing_clause_1(self, monkeypatch):
         # a ~ 3 in H_1 no longer matches 1 ~ 3 in H_0
-        monkeypatch.setattr("mpgraphs.census.build_crossing_graph", flipped_crossing(0, 1, 3))
+        monkeypatch.setattr("mpgraphs.crossing.build_crossing_graph", flipped_crossing(0, 1, 3))
         self.check(
             [PETERSEN_TXT, "--lemma", "redrawing", "--args", "0", "1"],
             "",
@@ -696,7 +698,7 @@ class TestCheckFailureDocuments:
         )
 
     def test_redrawing_clause_2(self, monkeypatch):
-        monkeypatch.setattr("mpgraphs.census.build_crossing_graph", flipped_crossing(1, 2, 3))
+        monkeypatch.setattr("mpgraphs.crossing.build_crossing_graph", flipped_crossing(1, 2, 3))
         self.check(
             [PETERSEN_TXT, "--lemma", "redrawing", "--args", "0", "1"],
             "",
@@ -912,12 +914,55 @@ def loaded_by_cli_import(module: str) -> bool:
     return proc.stdout == "True\n"
 
 
-@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+@pytest.mark.parametrize(
+    "module",
+    ["numpy", "dataclasses", "inspect", "mpgraphs.witness", "mpgraphs.crossing", "mpgraphs.cograph", "mpgraphs.family"],
+)
 def test_cli_import_leaves_module_unloaded(module):
     # only random_instance needs numpy, and it imports it itself; the value
     # types are NamedTuples, so nothing loads dataclasses or the inspect
-    # module that dataclasses imports
+    # module that dataclasses imports; the cli imports the engine, the
+    # drawing and the family in the branches that run them
     assert not loaded_by_cli_import(module)
+
+
+def mpgraphs_modules_after(code: str) -> list[str]:
+    """The mpgraphs modules loaded once ``code`` has run in a fresh interpreter."""
+    code += "\nimport sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'mpgraphs'))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_package_import_loads_only_the_census():
+    assert mpgraphs_modules_after("import mpgraphs") == [
+        "mpgraphs", "mpgraphs.census", "mpgraphs.core", "mpgraphs.errors",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        (["validate", PETERSEN_TXT], []),
+        (["cyclic", PETERSEN_TXT], []),
+        (["census", PETERSEN_TXT, "--json"], []),
+        (["check", PETERSEN_TXT, "--lemma", "zhang"], []),
+        (["check", PETERSEN_TXT, "--lemma", "redrawing", "--args", "0", "1"], ["crossing"]),
+        (["draw", PETERSEN_TXT], ["crossing"]),
+        (["witness", PETERSEN_TXT, "--edge", "0"], ["cograph", "crossing", "witness"]),
+        (["gk", "4"], ["family"]),
+        (["scan", "3"], ["cograph", "crossing", "witness"]),
+    ],
+    ids=["validate", "cyclic", "census", "check-zhang", "check-redrawing", "draw", "witness", "gk", "scan"],
+)
+def test_command_loads_only_the_modules_it_runs(argv, extra):
+    # import mpgraphs loads census, core and errors; a command adds only
+    # the modules its own code reads
+    code = f"import io\nfrom mpgraphs.cli import run\nassert run({argv!r}, stdout=io.StringIO()) == 0"
+    expected = ["census", "cli", "core", "errors", *extra]
+    assert mpgraphs_modules_after(code) == ["mpgraphs"] + sorted(f"mpgraphs.{m}" for m in expected)
 
 
 def numpy_loaded_after_refusal(args: str, error: str) -> bool:
@@ -984,6 +1029,23 @@ def test_star_import_binds_exactly_all():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(set(mpgraphs.__all__))
     assert len(set(mpgraphs.__all__)) == len(mpgraphs.__all__)
+
+
+def test_public_names_are_their_modules_objects():
+    # each name is the object its module defines, read from there on
+    # every lookup, so the package namespace gains none of them
+    for module in ("cograph", "crossing", "family", "witness"):
+        importlib.import_module(f"mpgraphs.{module}")
+    before = dict(vars(mpgraphs))
+    for name in set(mpgraphs.__all__) - {"__version__"}:
+        obj = getattr(mpgraphs, name)
+        home = "mpgraphs.core" if name == "PetersenWitness" else obj.__module__
+        assert getattr(sys.modules[home], name) is obj, name
+        assert name not in before or home == "mpgraphs.census", name
+    assert vars(mpgraphs) == before
+    assert set(mpgraphs.__all__) <= set(dir(mpgraphs))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        mpgraphs.no_such_name
 
 
 def test_public_names_are_pinned():
