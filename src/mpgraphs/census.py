@@ -21,6 +21,9 @@ the first witness through both.
 check_zhang and check_lower_bound count the blocks and count_per_edge
 tallies them per edge, in O(m^2) memory, without listing.  census_report
 tallies and keeps the blocks, from which `mpg census --json` is written.
+Every block has an x3 before its last x4; the tally and that writer stop
+at the first x3 after the last x4 and pass over the x4s before the first
+x3, the slice entries that complete no witness.
 """
 
 from __future__ import annotations
@@ -91,7 +94,10 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
 
     A block's two slices come from ring[x2], the indices after x2 in
     ascending order of value, twice over, so that an arc across the top of
-    the value range is still one slice.  An arc's slice starts at the count
+    the value range is still one slice.  Within a pair x2 ascends, and an
+    x3 slice is a whole side after x2, so it is a suffix of the first x3
+    slice sorted on its side of the pair: only that one is cut and sorted,
+    and the later ones are its tails.  An arc's slice starts at the count
     of indices after x2 with values below the end it leaves going up, and
     is as long as its mask: two popcounts per arc.  The arcs are disjoint,
     so no index is in both slices.  ring[x2] is made when x2 yields its
@@ -154,6 +160,9 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
                 # wrapped to reach v, else the ones dropped
                 outs &= cut if (v < lo) == (s1 == hi) else ~cut
             ok = ins | outs
+            # x2 ascends, so an x3 slice is a suffix of the first one sorted
+            # from the same side of this pair
+            inner3 = outer3 = ()
             while ok:
                 bit = ok & -ok
                 ok ^= bit
@@ -169,17 +178,27 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
                 x3m = (outer if wrap3 else inner) & rest
                 if not x3m & under[x4m.bit_length()]:
                     continue
-                # a wrapping arc leaves its upper end, into the second copy
-                i3 = (vmask[hi if wrap3 else lo] & rest).bit_count()
-                i4 = (vmask[hi4 if wrap4 else lo4] & rest).bit_count()
                 row = ring[x2]
                 if row is None:
                     row = ring[x2] = [q for q in inv if q > x2] * 2
-                x3s = row[i3 : i3 + x3m.bit_count()]
+                n3 = x3m.bit_count()
+                x3s = outer3 if wrap3 else inner3
+                if x3s:
+                    x3s = x3s[len(x3s) - n3 :]
+                else:
+                    # a wrapping arc leaves its upper end, into the second copy
+                    i3 = (vmask[hi if wrap3 else lo] & rest).bit_count()
+                    x3s = row[i3 : i3 + n3]
+                    x3s.sort()
+                    x3s = tuple(x3s)
+                    if wrap3:
+                        outer3 = x3s
+                    else:
+                        inner3 = x3s
+                i4 = (vmask[hi4 if wrap4 else lo4] & rest).bit_count()
                 x4s = row[i4 : i4 + x4m.bit_count()]
-                x3s.sort()
                 x4s.sort()
-                yield x0, x1, x2, tuple(x3s), tuple(x4s)
+                yield x0, x1, x2, x3s, tuple(x4s)
 
 
 def _count(sigma: tuple[int, ...]) -> int:
@@ -201,19 +220,27 @@ def _expand(blocks: Iterable[Block]) -> list[PetersenWitness]:
 
 def _tally(m: int, blocks: Iterable[Block]) -> list[int]:
     """Per-edge witness counts from one pass over the blocks, in O(1) per
-    slice entry: x0, x1 and x2 lie in all n witnesses of their block, an
-    x3 in one per later x4 and an x4 in one per earlier x3.  The slices are
-    disjoint, so bisect_left counts the x3s strictly before an x4."""
+    live slice entry: x0, x1 and x2 lie in all n witnesses of their block,
+    an x3 in one per later x4 and an x4 in one per earlier x3.  The slices
+    are disjoint, so bisect_left counts the x3s strictly before an x4.
+    An x3 after the last x4, or an x4 before the first x3, completes no
+    witness: the x3 loop stops at the first such x3, and the x4 loop
+    passes over such x4s with one comparison each."""
     counts = [0] * m
     for x0, x1, x2, x3s, x4s in blocks:
         k = len(x4s)
+        last = x4s[-1]
         n = 0
         for x3 in x3s:
+            if x3 > last:
+                break
             c = k - bisect(x4s, x3)
             counts[x3] += c
             n += c
+        first = x3s[0]
         for x4 in x4s:
-            counts[x4] += bisect_left(x3s, x4)
+            if x4 > first:
+                counts[x4] += bisect_left(x3s, x4)
         counts[x0] += n
         counts[x1] += n
         counts[x2] += n

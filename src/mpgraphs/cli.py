@@ -54,21 +54,39 @@ def _dumps(obj: dict) -> str:
 
 def _witness_rows(report: CensusReport) -> Iterator[str]:
     """``report``'s witness list as json.dumps writes it at a top-level key,
-    one piece per block, from cells and row tails formatted once per index."""
+    one piece per block.  A row is ``,``, its x0..x3 cells and its x4 tail;
+    cells and tails are formatted once per index, and the row head is the
+    pair's, made once per (x0, x1), plus x2's cell.  ``ends`` is "" and the
+    tails of the block's x4s, so the rows of an x3 with j x4s before it
+    are ends[j:] joined by their head once ends[j] is blanked: one str.join
+    per x3, and j never falls, so no later x3 reads the blanked tail.  The
+    loop stops at the first x3 after the last x4, which completes no
+    witness; every block has an x3 before it, so the first row's ``,``
+    becomes the list's ``[``."""
     row, cell = "\n    ", "\n      "
     cells = [f"{cell}{i}," for i in range(report.m)]
     tails = [f"{cell}{i}{row}]" for i in range(report.m)]
-    sep = "["
+    first, p0, p1 = "[", -1, -1
     for x0, x1, x2, x3s, x4s in report.blocks:
-        head = row + "[" + cells[x0] + cells[x1] + cells[x2]
-        ends = [tails[x4] for x4 in x4s]
+        if x1 != p1 or x0 != p0:
+            p0, p1 = x0, x1
+            pair_head = "," + row + "[" + cells[x0] + cells[x1]
+        head = pair_head + cells[x2]
+        ends = [""]
+        ends += map(tails.__getitem__, x4s)
+        last = x4s[-1]
         groups = []
-        for x3 in x3s[: bisect(x3s, x4s[-1])]:  # one row per later x4
-            prefix = head + cells[x3]
-            groups.append(prefix + ("," + prefix).join(ends[bisect(x4s, x3) :]))
-        yield sep + ",".join(groups)
-        sep = ","
-    yield "\n  ]" if report.blocks else "[]"
+        for x3 in x3s:
+            if x3 > last:
+                break
+            j = bisect(x4s, x3)
+            ends[j] = ""
+            groups.append((head + cells[x3]).join(ends[j:]))
+        if first:
+            groups[0] = first + groups[0][1:]
+            first = ""
+        yield "".join(groups)
+    yield "[]" if first else "\n  ]"
 
 
 def _load_instance(path: str, stdin: IO[str]) -> MarkedPermutationGraph:
@@ -237,15 +255,11 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
         return 0
 
     if args.command == "gk":
-        from .family import generate_gk
+        from .family import _classification_line, generate_gk
 
         inst = generate_gk(args.k)
         stdout.write(inst.graph.to_text() + "\n")
-        stdout.write(
-            "# classification: "
-            + json.dumps(inst.classification_json(), sort_keys=True)
-            + "\n"
-        )
+        stdout.writelines(_classification_line(inst.k))
         return 0
 
     if args.command == "scan":

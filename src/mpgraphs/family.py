@@ -9,7 +9,7 @@ witness is one full group plus one outside edge.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .census import enumerate_m_p10
 from .core import MAX_M, MarkedPermutationGraph, PetersenWitness, _check_index, _integer, enumerate_m_c4, validate
@@ -66,20 +66,51 @@ def generate_gk(k: int) -> GkInstance:
     m = 3 * k + 7
     if m > MAX_M:
         raise InvalidK(f"k={k} gives m={m} above the limit {MAX_M}", k=k, m=m, limit=MAX_M)
-    vertical, skew = EdgeClassification(EdgeClass.VERTICAL), EdgeClassification(EdgeClass.SKEW)
-    group1, group2 = (EdgeClassification(EdgeClass.SPECIAL, group=g) for g in (1, 2))
+    classes = {
+        "vertical": EdgeClassification(EdgeClass.VERTICAL),
+        "skew": EdgeClassification(EdgeClass.SKEW),
+        "special_group_1": EdgeClassification(EdgeClass.SPECIAL, group=1),
+        "special_group_2": EdgeClassification(EdgeClass.SPECIAL, group=2),
+    }
     sigma: list = [None] * m  # an index no run writes stays None, which validate refuses
     cls: list = [None] * m
-    for indices, values, c in (
-        (slice(0, 2 * k - 1, 2), range(k), vertical),
-        (slice(2 * k + 3, 3 * k + 3), range(k + 4, 3 * k + 3, 2), vertical),
-        (slice(1, 2 * k - 2, 2), range(3 * k + 1, k + 4, -2), skew),
-        (slice(2 * k - 1, 2 * k + 3), (k + 1, k + 3, k, k + 2), group1),
-        (slice(3 * k + 3, m), (3 * k + 4, 3 * k + 6, 3 * k + 3, 3 * k + 5), group2),
-    ):
+    for indices, values, name in _runs(k):
         sigma[indices] = values
-        cls[indices] = (c,) * len(values)
+        cls[indices] = (classes[name],) * len(values)
     return GkInstance(k=k, graph=validate(m, sigma), classification=tuple(cls))
+
+
+def _runs(k: int) -> tuple[tuple[slice, Sequence[int], str], ...]:
+    """G_k's five runs, as generate_gk's docstring lists them: (index
+    slice, sigma values, classification_json key)."""
+    m = 3 * k + 7
+    return (
+        (slice(0, 2 * k - 1, 2), range(k), "vertical"),
+        (slice(2 * k + 3, 3 * k + 3), range(k + 4, 3 * k + 3, 2), "vertical"),
+        (slice(1, 2 * k - 2, 2), range(3 * k + 1, k + 4, -2), "skew"),
+        (slice(2 * k - 1, 2 * k + 3), (k + 1, k + 3, k, k + 2), "special_group_1"),
+        (slice(3 * k + 3, m), (3 * k + 4, 3 * k + 6, 3 * k + 3, 3 * k + 5), "special_group_2"),
+    )
+
+
+def _classification_line(k: int) -> Iterator[str]:
+    """``mpg gk``'s second line, ``# classification: `` and then
+    json.dumps(generate_gk(k).classification_json(), sort_keys=True), in
+    pieces made from the runs' index ranges, at most 4,096 indices each, so
+    no list of every index is made.  k is a checked family parameter."""
+    m = 3 * k + 7
+    ranges: dict[str, list[range]] = {}
+    for indices, _, name in _runs(k):
+        ranges.setdefault(name, []).append(range(m)[indices])
+    yield f'# classification: {{"k": {k}, "m": {m}'
+    for name in sorted(ranges):  # after "k" and "m", as sort_keys puts them
+        sep = f', "{name}": ['
+        for r in ranges[name]:
+            for i in range(0, len(r), 4096):
+                yield sep + ", ".join(map(str, r[i : i + 4096]))
+                sep = ", "
+        yield "]" if sep == ", " else sep + "]"
+    yield "}\n"
 
 
 def classify_edge(inst: GkInstance, i: int) -> EdgeClassification:

@@ -102,15 +102,23 @@ def line_runs(func, line_text: str, run) -> int:
     """How many times run() executes the one line of func whose stripped
     text is line_text: a clock-free count of one step of func, read by a
     line tracer that follows func's frames and no others."""
+    return line_counts(func, [line_text], run)[0]
+
+
+def line_counts(func, line_texts, run) -> list[int]:
+    """line_runs for several lines of func at once, in one run: how many
+    times run() executes each, in the order given."""
     lines, first = inspect.getsourcelines(func)
-    (target,) = [first + i for i, line in enumerate(lines) if line.strip() == line_text]
+    targets = {}
+    for n, text in enumerate(line_texts):
+        (line,) = [first + i for i, line in enumerate(lines) if line.strip() == text]
+        targets[line] = n
     code = func.__code__
-    count = 0
+    counts = [0] * len(targets)
 
     def local(frame, event, arg):
-        nonlocal count
-        if event == "line" and frame.f_lineno == target:
-            count += 1
+        if event == "line" and frame.f_lineno in targets:
+            counts[targets[frame.f_lineno]] += 1
         return local
 
     previous = sys.gettrace()
@@ -119,7 +127,7 @@ def line_runs(func, line_text: str, run) -> int:
         run()
     finally:
         sys.settrace(previous)
-    return count
+    return counts
 
 
 # ---------------------------------------------------------------------------

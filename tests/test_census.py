@@ -168,6 +168,31 @@ class TestPetersenBlocks:
             assert list(_petersen_blocks(G.sigma)) == list(petersen_blocks_by_rank_table(G.sigma)), G
 
 
+def assert_blocks_live(sigma):
+    # every block's first x3 precedes its last x4, so it yields at least
+    # that witness: _tally's early stop and the census --json writer, whose
+    # first row opens the list, read no block without one
+    for block in _petersen_blocks(sigma):
+        x3s, x4s = block[3:]
+        assert x3s and x4s and x3s[0] < x4s[-1], (sigma, block)
+
+
+class TestBlockLiveness:
+    def test_every_block_yields_a_witness_exhaustively(self):
+        for m in range(3, 8):
+            for sigma in itertools.permutations(range(m)):
+                assert_blocks_live(sigma)
+
+    def test_every_block_yields_a_witness_on_gk(self):
+        for k in range(1, 31):
+            assert_blocks_live(generate_gk(k).graph.sigma)
+
+    def test_every_block_yields_a_witness_on_random(self):
+        for m in range(30, 81, 10):
+            for c4_free in (True, False):
+                assert_blocks_live(random_instance(m, seed=m, require_c4_free=c4_free).sigma)
+
+
 class TestPairWalkScaling:
     """Each pair keeps, per side, only the x2s whose values lie beyond that
     side's threshold, so on G_k every x2 the walk visits yields a block and

@@ -387,6 +387,19 @@ class TestGk:
         assert cls["special_group_1"] == [1, 2, 3, 4]
         assert cls["special_group_2"] == [6, 7, 8, 9]
 
+    def test_classification_line_is_json_dumps_of_the_lists(self):
+        # written from the five runs' index ranges, 4,096 indices a piece;
+        # k = 5000 puts more than one piece in a run
+        for k in [*range(1, 61), 5000]:
+            inst = generate_gk(k)
+            _, out, _ = capture(["gk", str(k)])
+            assert out == (
+                inst.graph.to_text()
+                + "\n# classification: "
+                + json.dumps(inst.classification_json(), sort_keys=True)
+                + "\n"
+            ), k
+
     def test_invalid_k_exit_2(self):
         code, out, _ = capture(["gk", "0"])
         assert code == 2

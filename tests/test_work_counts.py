@@ -1,0 +1,142 @@
+"""Work counts on fixed inputs, against the committed BENCH_counts.json.
+
+Each counter is a clock-free count of the steps one layer takes on one
+input: the census walk's x2 visits (read by a line tracer), its blocks,
+witnesses and slice entries, the per-edge tally's bisects, and the
+crossing-graph rows the witness engine computes over every qualifying
+edge.  Counts do not drift from run to run as times do, so a change that
+does less work shows it exactly, in the diff of the file.
+
+Any counter that moves, up or down, without the file changing fails the
+test, which names it.  After a change that moves counts on purpose,
+rewrite the file from the root of the checkout and commit it with the
+change:
+
+    PYTHONPATH=src python -m tests.test_work_counts
+"""
+
+from __future__ import annotations
+
+import json
+from bisect import bisect
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from mpgraphs import crossing as crossing_module
+from mpgraphs import witness as witness_module
+from mpgraphs.census import _petersen_blocks, _qualifying_edges, _tally, random_instance
+from mpgraphs.core import enumerate_m_c4
+from mpgraphs.family import generate_gk
+
+from .conftest import line_counts
+
+COUNTS_FILE = Path(__file__).resolve().parent.parent / "BENCH_counts.json"
+
+# instance name (the mpg command that prints it) -> does the engine run on it
+INSTANCES = {
+    "gk 4": False,
+    "gk 12": True,
+    "gk 30": False,
+    "random 30 --seed 1 --c4-free": True,
+    "random 40 --seed 1 --c4-free": False,
+    "random 60 --seed 1 --c4-free": True,
+}
+
+
+def _instance(name: str):
+    words = name.split()
+    if words[0] == "gk":
+        return generate_gk(int(words[1])).graph
+    return random_instance(int(words[1]), seed=int(words[3]), require_c4_free=True)
+
+
+def census_counts(G) -> dict[str, int]:
+    blocks = []
+    (visits,) = line_counts(
+        _petersen_blocks, ["x2 = bit.bit_length() - 1"], lambda: blocks.extend(_petersen_blocks(G.sigma))
+    )
+    x3_bisects, x4_bisects = line_counts(
+        _tally,
+        ["c = k - bisect(x4s, x3)", "counts[x4] += bisect_left(x3s, x4)"],
+        lambda: _tally(G.m, blocks),
+    )
+    return {
+        "census.walk_visits": visits,
+        "census.blocks": len(blocks),
+        "census.witnesses": sum(len(x4s) - bisect(x4s, x3) for *_, x3s, x4s in blocks for x3 in x3s),
+        "census.slice_entries": sum(len(x3s) + len(x4s) for *_, x3s, x4s in blocks),
+        "census.tally_x3_bisects": x3_bisects,
+        "census.tally_x4_bisects": x4_bisects,
+    }
+
+
+def engine_counts(G) -> dict[str, int]:
+    """find_p10_through on every qualifying edge: the crossing graphs the
+    engine makes, and the rows computed in them, whole graphs (below the
+    on-demand crossover) counting every row."""
+    graphs, rows = [], []
+    real_graph = witness_module._engine_crossing_graph
+    real_build = crossing_module.build_crossing_graph
+    real_row = crossing_module._RowsOnDemand.__missing__
+
+    def counting_graph(*args):
+        graphs.append(args[1])
+        return real_graph(*args)
+
+    def counting_build(*args):
+        H = real_build(*args)
+        rows.extend(range(len(H.adj)))
+        return H
+
+    def counting_row(self, x):
+        rows.append(x)
+        return real_row(self, x)
+
+    edges = _qualifying_edges(G, enumerate_m_c4(G))
+    with (
+        mock.patch.object(witness_module, "_engine_crossing_graph", counting_graph),
+        mock.patch.object(crossing_module, "build_crossing_graph", counting_build),
+        mock.patch.object(crossing_module._RowsOnDemand, "__missing__", counting_row),
+    ):
+        for e in edges:
+            witness_module.find_p10_through(G, e)
+    return {"engine.calls": len(edges), "engine.graphs": len(graphs), "engine.rows_computed": len(rows)}
+
+
+def work_counts(name: str) -> dict[str, int]:
+    G = _instance(name)
+    counts = census_counts(G)
+    if INSTANCES[name]:
+        counts |= engine_counts(G)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict:
+    return json.loads(COUNTS_FILE.read_text())["counts"]
+
+
+def test_file_names_every_instance(recorded):
+    assert sorted(recorded) == sorted(INSTANCES)
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_work_counts_match_the_file(name, recorded):
+    counts, expected = work_counts(name), recorded.get(name, {})
+    moved = [
+        f"{counter}: {expected.get(counter)} in {COUNTS_FILE.name}, {counts.get(counter)} now"
+        for counter in sorted(counts.keys() | expected.keys())
+        if counts.get(counter) != expected.get(counter)
+    ]
+    assert not moved, f"{name}: " + "; ".join(moved)
+
+
+if __name__ == "__main__":
+    document = {
+        "about": "work counts on fixed inputs, compared by tests/test_work_counts.py, which rewrites this file "
+        "when run as: PYTHONPATH=src python -m tests.test_work_counts",
+        "counts": {name: work_counts(name) for name in INSTANCES},
+    }
+    COUNTS_FILE.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
