@@ -21,9 +21,8 @@ the first witness through both.
 check_zhang and check_lower_bound count the blocks and count_per_edge
 tallies them per edge, in O(m^2) memory, without listing.  census_report
 tallies and keeps the blocks, from which `mpg census --json` is written.
-Every block has an x3 before its last x4; the tally and that writer stop
-at the first x3 after the last x4 and pass over the x4s before the first
-x3, the slice entries that complete no witness.
+The walk yields only live slice entries, each of which completes a
+witness, so no reader skips any.
 """
 
 from __future__ import annotations
@@ -60,7 +59,9 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
     """Every triple that some Petersen 5-subset extends, in lexicographic
     order, as a block ``(x0, x1, x2, x3s, x4s)``: the witnesses extending
     x0 < x1 < x2 are (x0, x1, x2, x3, x4) for x3 in x3s and x4 in x4s with
-    x3 < x4, and both slices are sorted tuples.
+    x3 < x4, and both slices are sorted tuples.  They hold only live
+    entries: each x3 precedes the last x4 and each x4 follows the first
+    x3, so each completes at least one witness.
 
     In cyclic value order a Petersen pattern reads x0, x3, x1, x4, x2 or
     its reverse, so sigma[x3] must sit on the arc of values from s0 to s1
@@ -100,8 +101,11 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
     and the later ones are its tails.  An arc's slice starts at the count
     of indices after x2 with values below the end it leaves going up, and
     is as long as its mask: two popcounts per arc.  The arcs are disjoint,
-    so no index is in both slices.  ring[x2] is made when x2 yields its
-    first block, in O(m), so an x2 without one costs no row.
+    so no index is in both slices.  One more popcount each trims them to
+    their live entries: the x3s below the last x4 lead the sorted x3
+    slice, and the x4s below the first x3, which are dropped, lead the
+    x4 slice.  ring[x2] is made when x2 yields its first block, in O(m),
+    so an x2 without one costs no row.
     The mask tables take O(m^2) bits, and the walk costs the C(m, 2)
     pairs' mask operations plus its visits and holds one block at a time.
     """
@@ -176,7 +180,8 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
                     x4m ^= rest
                 wrap3 = lo < s2 < hi
                 x3m = (outer if wrap3 else inner) & rest
-                if not x3m & under[x4m.bit_length()]:
+                live3 = x3m & under[x4m.bit_length()]
+                if not live3:
                     continue
                 row = ring[x2]
                 if row is None:
@@ -198,7 +203,8 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
                 i4 = (vmask[hi4 if wrap4 else lo4] & rest).bit_count()
                 x4s = row[i4 : i4 + x4m.bit_count()]
                 x4s.sort()
-                yield x0, x1, x2, x3s, tuple(x4s)
+                del x4s[: (x4m & (x3m & -x3m) - 1).bit_count()]
+                yield x0, x1, x2, x3s[: live3.bit_count()], tuple(x4s)
 
 
 def _count(sigma: tuple[int, ...]) -> int:
@@ -219,28 +225,21 @@ def _expand(blocks: Iterable[Block]) -> list[PetersenWitness]:
 
 
 def _tally(m: int, blocks: Iterable[Block]) -> list[int]:
-    """Per-edge witness counts from one pass over the blocks, in O(1) per
-    live slice entry: x0, x1 and x2 lie in all n witnesses of their block,
-    an x3 in one per later x4 and an x4 in one per earlier x3.  The slices
-    are disjoint, so bisect_left counts the x3s strictly before an x4.
-    An x3 after the last x4, or an x4 before the first x3, completes no
-    witness: the x3 loop stops at the first such x3, and the x4 loop
-    passes over such x4s with one comparison each."""
+    """Per-edge witness counts from one pass over the blocks, in one
+    bisect per slice entry: x0, x1 and x2 lie in all n witnesses of their
+    block, an x3 in one per later x4 and an x4 in one per earlier x3.  The
+    slices are disjoint, so bisect_left counts the x3s strictly before an
+    x4."""
     counts = [0] * m
     for x0, x1, x2, x3s, x4s in blocks:
         k = len(x4s)
-        last = x4s[-1]
         n = 0
         for x3 in x3s:
-            if x3 > last:
-                break
             c = k - bisect(x4s, x3)
             counts[x3] += c
             n += c
-        first = x3s[0]
         for x4 in x4s:
-            if x4 > first:
-                counts[x4] += bisect_left(x3s, x4)
+            counts[x4] += bisect_left(x3s, x4)
         counts[x0] += n
         counts[x1] += n
         counts[x2] += n

@@ -59,10 +59,9 @@ def _witness_rows(report: CensusReport) -> Iterator[str]:
     pair's, made once per (x0, x1), plus x2's cell.  ``ends`` is "" and the
     tails of the block's x4s, so the rows of an x3 with j x4s before it
     are ends[j:] joined by their head once ends[j] is blanked: one str.join
-    per x3, and j never falls, so no later x3 reads the blanked tail.  The
-    loop stops at the first x3 after the last x4, which completes no
-    witness; every block has an x3 before it, so the first row's ``,``
-    becomes the list's ``[``."""
+    per x3, and j never falls, so no later x3 reads the blanked tail.  Each
+    x3 makes at least one row (see census._petersen_blocks), so the first
+    row's ``,`` becomes the list's ``[``."""
     row, cell = "\n    ", "\n      "
     cells = [f"{cell}{i}," for i in range(report.m)]
     tails = [f"{cell}{i}{row}]" for i in range(report.m)]
@@ -74,11 +73,8 @@ def _witness_rows(report: CensusReport) -> Iterator[str]:
         head = pair_head + cells[x2]
         ends = [""]
         ends += map(tails.__getitem__, x4s)
-        last = x4s[-1]
         groups = []
         for x3 in x3s:
-            if x3 > last:
-                break
             j = bisect(x4s, x3)
             ends[j] = ""
             groups.append((head + cells[x3]).join(ends[j:]))

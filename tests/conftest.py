@@ -631,8 +631,11 @@ def petersen_blocks_by_rank_table(sigma: tuple[int, ...]) -> Iterator[Block]:
     is empty (two lookups in below[x2]), its x3 arc is empty (two more, and
     equal bounds), or no x3 precedes an x4 (min of the x3 slice above max
     of the x4 slice).  Only triples that pass the first two are sliced, and
-    only those that pass all three are sorted and yielded.  The tables take
-    O(m^2) time and memory, and the walk holds one block at a time.
+    only those that pass all three are sorted and yielded, each slice less
+    its dead entries, which complete no witness: the x3s after the last
+    x4 and the x4s before the first x3, dropped by comparison after the
+    sorts.  The tables take O(m^2) time and memory, and the walk holds one
+    block at a time.
     """
     m = len(sigma)
     inv = [0] * m
@@ -675,7 +678,9 @@ def petersen_blocks_by_rank_table(sigma: tuple[int, ...]) -> Iterator[Block]:
                     continue
                 x4s.sort()
                 x3s.sort()
-                yield x0, x1, x2, tuple(x3s), tuple(x4s)
+                live3 = tuple(x3 for x3 in x3s if x3 < x4s[-1])
+                live4 = tuple(x4 for x4 in x4s if x4 > x3s[0])
+                yield x0, x1, x2, live3, live4
 
 
 def instance_to_networkx(G) -> nx.MultiGraph:

@@ -169,12 +169,14 @@ class TestPetersenBlocks:
 
 
 def assert_blocks_live(sigma):
-    # every block's first x3 precedes its last x4, so it yields at least
-    # that witness: _tally's early stop and the census --json writer, whose
-    # first row opens the list, read no block without one
+    # every slice entry completes a witness: each x3 precedes the last x4
+    # and each x4 follows the first x3, so no reader of the blocks skips
+    # an entry, and the census --json writer's first row opens the list
     for block in _petersen_blocks(sigma):
         x3s, x4s = block[3:]
-        assert x3s and x4s and x3s[0] < x4s[-1], (sigma, block)
+        assert x3s and x4s, (sigma, block)
+        assert all(x3 < x4s[-1] for x3 in x3s), (sigma, block)
+        assert all(x4 > x3s[0] for x4 in x4s), (sigma, block)
 
 
 class TestBlockLiveness:

@@ -2,10 +2,11 @@
 
 Each counter is a clock-free count of the steps one layer takes on one
 input: the census walk's x2 visits (read by a line tracer), its blocks,
-witnesses and slice entries, the per-edge tally's bisects, and the
+witnesses and slice entries, the per-edge tally's bisects, the
 crossing-graph rows the witness engine computes over every qualifying
-edge.  Counts do not drift from run to run as times do, so a change that
-does less work shows it exactly, in the diff of the file.
+edge, the peel's C4Reduce steps and the cut search's (l, r) steps.
+Counts do not drift from run to run as times do, so a change that does
+less work shows it exactly, in the diff of the file.
 
 Any counter that moves, up or down, without the file changing fails the
 test, which names it.  After a change that moves counts on purpose,
@@ -27,29 +28,12 @@ import pytest
 from mpgraphs import crossing as crossing_module
 from mpgraphs import witness as witness_module
 from mpgraphs.census import _petersen_blocks, _qualifying_edges, _tally, random_instance
-from mpgraphs.core import enumerate_m_c4
+from mpgraphs.core import enumerate_m_c4, find_cyclic_cut, validate
 from mpgraphs.family import generate_gk
 
-from .conftest import line_counts
+from .conftest import line_counts, long_chain_instance
 
 COUNTS_FILE = Path(__file__).resolve().parent.parent / "BENCH_counts.json"
-
-# instance name (the mpg command that prints it) -> does the engine run on it
-INSTANCES = {
-    "gk 4": False,
-    "gk 12": True,
-    "gk 30": False,
-    "random 30 --seed 1 --c4-free": True,
-    "random 40 --seed 1 --c4-free": False,
-    "random 60 --seed 1 --c4-free": True,
-}
-
-
-def _instance(name: str):
-    words = name.split()
-    if words[0] == "gk":
-        return generate_gk(int(words[1])).graph
-    return random_instance(int(words[1]), seed=int(words[3]), require_c4_free=True)
 
 
 def census_counts(G) -> dict[str, int]:
@@ -105,11 +89,55 @@ def engine_counts(G) -> dict[str, int]:
     return {"engine.calls": len(edges), "engine.graphs": len(graphs), "engine.rows_computed": len(rows)}
 
 
+def peel_counts(G) -> dict[str, int]:
+    """find_p10_through at the edge a = m - 1 - m // 4 that
+    long_chain_instance(m) chains from: its C4Reduce steps."""
+    e = G.m - 1 - G.m // 4
+    (steps,) = line_counts(
+        witness_module.find_p10_through,
+        ["steps.append(C4ReduceStep(z))"],
+        lambda: witness_module.find_p10_through(G, e),
+    )
+    return {"engine.c4_reduce_steps": steps}
+
+
+def cut_counts(G) -> dict[str, int]:
+    """find_cyclic_cut's (l, r) steps: all of them when G has no cut."""
+    (steps,) = line_counts(find_cyclic_cut, ["v = pi[r]"], lambda: find_cyclic_cut(G))
+    return {"cyclic.lr_steps": steps}
+
+
+def _gk(k: int):
+    return lambda: generate_gk(k).graph
+
+
+def _random(m: int):
+    return lambda: random_instance(m, seed=1, require_c4_free=True)
+
+
+# instance name (the mpg command that prints it, where there is one) ->
+# the instance, then the counts read on it.  The c4-free instances take
+# no C4Reduce step, and G_k and the random ones are cut early, so the
+# peel and the cut search are counted where every step is taken: on a
+# 100-step chain, and on sigma(i) = 2i mod 101, which has no cut.
+INSTANCES = {
+    "gk 4": (_gk(4), census_counts),
+    "gk 12": (_gk(12), census_counts, engine_counts),
+    "gk 30": (_gk(30), census_counts),
+    "random 30 --seed 1 --c4-free": (_random(30), census_counts, engine_counts),
+    "random 40 --seed 1 --c4-free": (_random(40), census_counts),
+    "random 60 --seed 1 --c4-free": (_random(60), census_counts, engine_counts),
+    "long_chain_instance(200)": (lambda: long_chain_instance(200), peel_counts),
+    "sigma(i) = 2i mod 101": (lambda: validate(101, [2 * i % 101 for i in range(101)]), cut_counts),
+}
+
+
 def work_counts(name: str) -> dict[str, int]:
-    G = _instance(name)
-    counts = census_counts(G)
-    if INSTANCES[name]:
-        counts |= engine_counts(G)
+    build, *readers = INSTANCES[name]
+    G = build()
+    counts = {}
+    for read in readers:
+        counts |= read(G)
     return counts
 
 
@@ -131,6 +159,9 @@ def test_work_counts_match_the_file(name, recorded):
         if counts.get(counter) != expected.get(counter)
     ]
     assert not moved, f"{name}: " + "; ".join(moved)
+    if "census.slice_entries" in counts:
+        # the walk yields only live entries, and the tally bisects each once
+        assert counts["census.slice_entries"] == counts["census.tally_x3_bisects"] + counts["census.tally_x4_bisects"]
 
 
 if __name__ == "__main__":
