@@ -74,9 +74,20 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
     ends at s2 without meeting s0, so it never leaves the arc between s0
     and s1 that holds s2: x4 is on x2's side.  Hence an x2 extends only if
     an other-side index follows it and a same-side index follows that one.
-    Let ``tail`` be the side that holds the last index, m - 1.  An x2 on it
-    qualifies iff it precedes the other side's last index, and an x2 on
-    the other side iff it precedes the last qualifying tail index.
+    In index order the indices after x1 form runs R1, ..., Rk that
+    alternate sides, and Rk holds the last index, m - 1.  Lemma A: the x2s
+    that pass are those in R1 .. R(k-2), the indices x1 + 1 .. y' where y'
+    is the second-highest side switch (a y after x1 with y and y + 1 on
+    different sides), and none when there are fewer than two switches.
+    Each of them has the next run on the other side and the one after on
+    its own, while R(k-1) is followed only by Rk.  Lemma B: the switches
+    are one XOR of two rows.  swx[v] has bit y, for y < m - 1, set iff
+    exactly one of sigma[y], sigma[y + 1] is below v.  Neither value of a
+    pair after x1 is s0 or s1, so exactly one of them lies strictly
+    between the two iff exactly one is below hi XOR exactly one is below
+    lo, and the switches after x1 are (swx[s0] ^ swx[s1]) & after[x1].
+    Without their highest bit they leave y' as the highest, and a pair
+    with none left is dead, after about four mask operations.
 
     A value threshold per side narrows these.  The x4 of an x2 on side S
     has its value strictly between s1 and s2 on S's arc from s1, and it
@@ -87,11 +98,11 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
     walk wraps through m - 1 -> 0.  v exists, since each x2 left on S has
     an S-index after an other-side one, and only the x2s on S whose
     values lie beyond v from s1 can extend: one vmask range per side.
-    About twenty mask operations per pair give these x2s, and only those
-    are visited.  The threshold is necessary, not sufficient, and the x3
-    arc after a visited x2 is not empty, so each takes two more tests, as
-    masks: its x4 arc after x2 is not empty, and the first x3 there
-    precedes the last x4.  On G_k every visited x2 passes both.
+    About twenty more mask operations per live pair give these x2s, and
+    only those are visited.  The threshold is necessary, not sufficient,
+    and the x3 arc after a visited x2 is not empty, so each takes two more
+    tests, as masks: its x4 arc after x2 is not empty, and the first x3
+    there precedes the last x4.  On G_k every visited x2 passes both.
 
     A block's two slices come from ring[x2], the indices after x2 in
     ascending order of value, twice over, so that an arc across the top of
@@ -107,38 +118,44 @@ def _petersen_blocks(sigma: tuple[int, ...]) -> Iterator[Block]:
     x4 slice.  ring[x2] is made when x2 yields its first block, in O(m),
     so an x2 without one costs no row.
     The mask tables take O(m^2) bits, and the walk costs the C(m, 2)
-    pairs' mask operations plus its visits and holds one block at a time.
+    pairs' switch tests, the live pairs' thresholds and its visits, and
+    holds one block at a time.
     """
     m = len(sigma)
     inv = [0] * m
     for i, v in enumerate(sigma):
         inv[v] = i
     ring: list[list[int] | None] = [None] * m
-    # masks of indices: vmask[v] those whose value is below v, after[x]
-    # those above x, and under[x.bit_length()] those below x's highest bit;
-    # a mask of values: vafter[x] those of the indices above x
+    # masks of indices: vmask[v] those whose value is below v, swx[v] the
+    # y < m - 1 with exactly one of sigma[y], sigma[y + 1] below v,
+    # after[x] those above x, and under[x.bit_length()] those below x's
+    # highest bit; a mask of values: vafter[x] those of the indices above x
+    top = (1 << (m - 1)) - 1
     vmask = [0] * (m + 1)
+    swx = [0] * (m + 1)
     for v in range(m):
         vmask[v + 1] = vmask[v] | 1 << inv[v]
+        swx[v + 1] = swx[v] ^ (3 << inv[v] >> 1 & top)
     after = [-(2 << x) & vmask[m] for x in range(m)]
     under = [0] + [(1 << k) - 1 for k in range(m)]
     vafter = [0] * m
     for x in range(m - 1, 0, -1):
         vafter[x - 1] = vafter[x] | 1 << sigma[x]
-    last = sigma[-1]
     for x0 in range(m - 4):
         s0 = sigma[x0]
+        w0 = swx[s0]
         for x1 in range(x0 + 1, m - 3):
             s1 = sigma[x1]
-            lo, hi = (s0, s1) if s0 < s1 else (s1, s0)
             later = after[x1]
+            # the side switches after x1, less the last: none left, no x2
+            sw = (w0 ^ swx[s1]) & later
+            sw &= under[sw.bit_length()]
+            if not sw:
+                continue
+            ok = later & under[sw.bit_length() + 1]
+            lo, hi = (s0, s1) if s0 < s1 else (s1, s0)
             inner = (vmask[hi] ^ vmask[lo + 1]) & later
             outer = later ^ inner
-            tail, other = (inner, outer) if lo < last < hi else (outer, inner)
-            ok = tail & under[other.bit_length()]
-            ok |= other & under[ok.bit_length()]
-            if not ok:
-                continue
             # each side keeps the x2s whose values lie beyond v from s1,
             # where v is the side's value nearest s1 after the other side's
             # first index; vals holds the side's values after that index
@@ -253,14 +270,15 @@ def enumerate_m_p10(G: MarkedPermutationGraph, jobs: int = 1) -> list[PetersenWi
     The census is exhaustive and exact: a subset is a witness exactly when
     its rank pattern is in PETERSEN_PATTERNS, and the search drops a prefix
     only when its exact rank pattern cannot complete to one.  After O(m^2)
-    tables, each of the C(m,2) pairs x0 < x1 costs a few mask operations
-    and a value threshold per side, which give the x2s that could still
-    extend it; the other triples are never visited.  Each visited x2
-    costs a few more, and only a triple with some x3 before some x4 has
-    its two slices of later indices sorted; each witness then costs O(1).
-    On G_k every visited x2 yields a block, so the pairs are the cost:
-    G_300 (m = 907) takes under half a second.  Brute force costs C(m,5)
-    subset checks whatever the answer.  The list takes O(witnesses)
+    tables, each of the C(m,2) pairs x0 < x1 costs one XOR of two switch
+    rows and a few mask operations, and each live one a value threshold
+    per side, which give the x2s that could still extend it; the other
+    triples are never visited.  Each visited x2 costs a few more, and only
+    a triple with some x3 before some x4 has its two slices of later
+    indices sorted; each witness then costs O(1).  On G_k every visited x2
+    yields a block, so the pairs are the cost: G_300 (m = 907) takes about
+    0.11 s (2-core VM, Python 3.11).  Brute force costs C(m,5) subset
+    checks whatever the answer.  The list takes O(witnesses)
     memory, up to C(m,5); check_zhang and count_per_edge count in O(m^2),
     and census_report keeps blocks.
 

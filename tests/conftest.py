@@ -15,7 +15,8 @@ edges per component, for each), the replace lemma by a scan over 4-sets,
 and the
 census by the triple walk that takes three bisects and a slice for every
 triple, and the census blocks by the walk that visits every triple and
-reads its slice bounds from a per-position rank table, the text
+reads its slice bounds from a per-position rank table, the census pair
+stage by its two side masks, the text
 reader by one that strips and splits each line, the instance text by a
 join of m strs, and the family G_k by one dict table of every index.
 """
@@ -108,17 +109,38 @@ def line_runs(func, line_text: str, run) -> int:
 def line_counts(func, line_texts, run) -> list[int]:
     """line_runs for several lines of func at once, in one run: how many
     times run() executes each, in the order given."""
+    counts = [0] * len(line_texts)
+
+    def hit(n, frame):
+        counts[n] += 1
+
+    _trace_lines(func, line_texts, hit, run)
+    return counts
+
+
+def line_locals(func, line_text: str, names, run) -> list[tuple]:
+    """The values of func's locals ``names`` each time run() reaches the
+    one line of func whose stripped text is line_text, just before that
+    line runs."""
+    seen = []
+    _trace_lines(func, [line_text], lambda n, frame: seen.append(tuple(frame.f_locals[k] for k in names)), run)
+    return seen
+
+
+def _trace_lines(func, line_texts, hit, run) -> None:
+    """Run run() under a line tracer that follows func's frames and no
+    others, and call hit(n, frame) whenever one is about to execute the
+    line whose stripped text is line_texts[n]."""
     lines, first = inspect.getsourcelines(func)
     targets = {}
     for n, text in enumerate(line_texts):
         (line,) = [first + i for i, line in enumerate(lines) if line.strip() == text]
         targets[line] = n
     code = func.__code__
-    counts = [0] * len(targets)
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno in targets:
-            counts[targets[frame.f_lineno]] += 1
+            hit(targets[frame.f_lineno], frame)
         return local
 
     previous = sys.gettrace()
@@ -127,7 +149,6 @@ def line_counts(func, line_texts, run) -> list[int]:
         run()
     finally:
         sys.settrace(previous)
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +702,42 @@ def petersen_blocks_by_rank_table(sigma: tuple[int, ...]) -> Iterator[Block]:
                 live3 = tuple(x3 for x3 in x3s if x3 < x4s[-1])
                 live4 = tuple(x4 for x4 in x4s if x4 > x3s[0])
                 yield x0, x1, x2, live3, live4
+
+
+def pair_ok_by_side_masks(sigma: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """The census pair stage by its two side masks: for every pair
+    x0 < x1 < m - 3, the mask of the x2s after x1 that an other-side index
+    follows, with a same-side index after that one.
+
+    The pair splits the indices after x1 into ``inner``, whose values lie
+    between s0 and s1, and ``outer``, the rest.  Let ``tail`` be the side
+    that holds the last index, m - 1.  A tail-side x2 qualifies iff it
+    precedes the other side's last index, and an other-side x2 iff it
+    precedes the last qualifying tail index.
+    """
+    m = len(sigma)
+    inv = [0] * m
+    for i, v in enumerate(sigma):
+        inv[v] = i
+    vmask = [0] * (m + 1)
+    for v in range(m):
+        vmask[v + 1] = vmask[v] | 1 << inv[v]
+    under = [0] + [(1 << k) - 1 for k in range(m)]
+    last = sigma[-1]
+    oks = {}
+    for x0 in range(m - 4):
+        s0 = sigma[x0]
+        for x1 in range(x0 + 1, m - 3):
+            s1 = sigma[x1]
+            lo, hi = (s0, s1) if s0 < s1 else (s1, s0)
+            later = -(2 << x1) & vmask[m]
+            inner = (vmask[hi] ^ vmask[lo + 1]) & later
+            outer = later ^ inner
+            tail, other = (inner, outer) if lo < last < hi else (outer, inner)
+            ok = tail & under[other.bit_length()]
+            ok |= other & under[ok.bit_length()]
+            oks[x0, x1] = ok
+    return oks
 
 
 def instance_to_networkx(G) -> nx.MultiGraph:

@@ -33,7 +33,7 @@ from mpgraphs import (
     suppress_match,
     validate,
 )
-from mpgraphs.census import MAX_ATTEMPTS, _expand, _petersen_blocks
+from mpgraphs.census import MAX_ATTEMPTS, _count, _expand, _petersen_blocks
 from mpgraphs.core import PETERSEN_PATTERNS, _subset_is_petersen
 from mpgraphs.errors import ExhaustedAttempts, InvalidJobs, OutOfScanRange
 
@@ -44,7 +44,9 @@ from .conftest import (
     induced_path_order,
     inject_scan_faults,
     instances,
+    line_locals,
     line_runs,
+    pair_ok_by_side_masks,
     petersen_blocks_by_rank_table,
     petersen_by_sorted_slices,
     redrawing_by_pairs,
@@ -217,6 +219,89 @@ class TestPairWalkScaling:
         elapsed = time.perf_counter() - start
         assert count == 6 * 300 + 6
         assert elapsed < 3, elapsed
+
+
+def switch_rows(sigma: tuple[int, ...]) -> list[int]:
+    """swx from its definition: bit y of swx[v], for 0 <= y <= m - 2, is
+    set iff exactly one of sigma[y], sigma[y + 1] is below v."""
+    m = len(sigma)
+    return [sum(1 << y for y in range(m - 1) if (sigma[y] < v) != (sigma[y + 1] < v)) for v in range(m + 1)]
+
+
+def pair_ok_by_switch_rows(sigma: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """Every pair's ok by lemmas A and B of _petersen_blocks: the side
+    switches after x1 are the bits above x1 of swx[s0] ^ swx[s1], and ok is
+    the indices x1 + 1 .. y', y' the second-highest switch, or nothing
+    when there are fewer than two."""
+    m = len(sigma)
+    swx = switch_rows(sigma)
+    oks = {}
+    for x0 in range(m - 4):
+        for x1 in range(x0 + 1, m - 3):
+            sw = (swx[sigma[x0]] ^ swx[sigma[x1]]) >> x1 + 1 << x1 + 1
+            ok = 0
+            if sw.bit_count() >= 2:
+                y2 = (sw ^ 1 << sw.bit_length() - 1).bit_length() - 1
+                ok = (2 << y2) - (2 << x1)
+            oks[x0, x1] = ok
+    return oks
+
+
+def assert_pair_stage(sigmas, walk=True):
+    """The lemmas' ok equals the two side masks' on every pair of every
+    sigma; with ``walk``, the walk keeps exactly the pairs whose ok is not
+    empty, each with that ok, read by one line tracer over all of them."""
+    sigmas = list(sigmas)
+    kept = {}
+    if walk:
+        for sigma, x0, x1, ok in line_locals(
+            _petersen_blocks,
+            "lo, hi = (s0, s1) if s0 < s1 else (s1, s0)",
+            ("sigma", "x0", "x1", "ok"),
+            lambda: [list(_petersen_blocks(sigma)) for sigma in sigmas],
+        ):
+            kept.setdefault(sigma, {})[x0, x1] = ok
+    for sigma in sigmas:
+        expected = pair_ok_by_side_masks(sigma)
+        assert pair_ok_by_switch_rows(sigma) == expected, sigma
+        if walk:
+            assert kept.get(sigma, {}) == {pair: ok for pair, ok in expected.items() if ok}, sigma
+
+
+class TestPairSwitchRows:
+    """The walk's pair stage, one XOR of two switch rows per pair, against
+    the two side masks it replaced: the same ok on every pair."""
+
+    def test_equals_side_masks_exhaustively(self):
+        assert_pair_stage(sigma for m in range(3, 8) for sigma in itertools.permutations(range(m)))
+
+    def test_equals_side_masks_on_gk(self):
+        assert_pair_stage(generate_gk(k).graph.sigma for k in range(1, 61))
+
+    def test_equals_side_masks_on_random(self):
+        # the first seed whose instance has a matched 4-cycle, and one drawn
+        # without any; the walk itself is traced at a few sizes, since
+        # tracing every x2 visit of the larger instances would take minutes
+        for m in range(30, 101):
+            with_c4 = next(G for s in itertools.count(1) if enumerate_m_c4(G := random_instance(m, seed=s)))
+            without = random_instance(m, seed=m, require_c4_free=True)
+            assert_pair_stage((with_c4.sigma, without.sigma), walk=m in (30, 40, 60))
+
+
+class TestDoublingClosedForm:
+    """sigma(i) = 2i mod m, for odd m, is the generalized Petersen graph
+    GP(m, 2).  Rotating A by 1 and A' by 2 maps it to itself, so every
+    edge lies in the same number of witnesses.  That number is
+    C((m + 3) / 2, 4), a closed form fitted on small m and not yet
+    proved, so the census is m C((m + 3) / 2, 4) / 5: an exact answer far
+    above the exhaustive range, on a family that is not G_k."""
+
+    @pytest.mark.parametrize("m", range(5, 62, 2))
+    def test_census_equals_closed_form(self, m):
+        G = validate(m, [2 * i % m for i in range(m)])
+        per_edge = math.comb((m + 3) // 2, 4)
+        assert _count(G.sigma) * 5 == m * per_edge
+        assert count_per_edge(G) == [per_edge] * m
 
 
 class TestJobsBounds:

@@ -1,8 +1,9 @@
 """Work counts on fixed inputs, against the committed BENCH_counts.json.
 
 Each counter is a clock-free count of the steps one layer takes on one
-input: the census walk's x2 visits (read by a line tracer), its blocks,
-witnesses and slice entries, the per-edge tally's bisects, the
+input: the census walk's live pairs, those with at least two side
+switches after x1, and its x2 visits (both read by a line tracer), its
+blocks, witnesses and slice entries, the per-edge tally's bisects, the
 crossing-graph rows the witness engine computes over every qualifying
 edge, the peel's C4Reduce steps and the cut search's (l, r) steps.
 Counts do not drift from run to run as times do, so a change that does
@@ -38,8 +39,10 @@ COUNTS_FILE = Path(__file__).resolve().parent.parent / "BENCH_counts.json"
 
 def census_counts(G) -> dict[str, int]:
     blocks = []
-    (visits,) = line_counts(
-        _petersen_blocks, ["x2 = bit.bit_length() - 1"], lambda: blocks.extend(_petersen_blocks(G.sigma))
+    live_pairs, visits = line_counts(
+        _petersen_blocks,
+        ["ok = later & under[sw.bit_length() + 1]", "x2 = bit.bit_length() - 1"],
+        lambda: blocks.extend(_petersen_blocks(G.sigma)),
     )
     x3_bisects, x4_bisects = line_counts(
         _tally,
@@ -47,6 +50,7 @@ def census_counts(G) -> dict[str, int]:
         lambda: _tally(G.m, blocks),
     )
     return {
+        "census.live_pairs": live_pairs,
         "census.walk_visits": visits,
         "census.blocks": len(blocks),
         "census.witnesses": sum(len(x4s) - bisect(x4s, x3) for *_, x3s, x4s in blocks for x3 in x3s),
@@ -124,6 +128,7 @@ INSTANCES = {
     "gk 4": (_gk(4), census_counts),
     "gk 12": (_gk(12), census_counts, engine_counts),
     "gk 30": (_gk(30), census_counts),
+    "gk 100": (_gk(100), census_counts),
     "random 30 --seed 1 --c4-free": (_random(30), census_counts, engine_counts),
     "random 40 --seed 1 --c4-free": (_random(40), census_counts),
     "random 60 --seed 1 --c4-free": (_random(60), census_counts, engine_counts),
