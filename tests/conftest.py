@@ -130,12 +130,16 @@ def line_locals(func, line_text: str, names, run) -> list[tuple]:
 def _trace_lines(func, line_texts, hit, run) -> None:
     """Run run() under a line tracer that follows func's frames and no
     others, and call hit(n, frame) whenever one is about to execute the
-    line whose stripped text is line_texts[n]."""
+    line whose stripped text is line_texts[n].  A text that matches no
+    line of func, or more than one, fails with an AssertionError that
+    names func, the text and the number of matches."""
     lines, first = inspect.getsourcelines(func)
     targets = {}
     for n, text in enumerate(line_texts):
-        (line,) = [first + i for i, line in enumerate(lines) if line.strip() == text]
-        targets[line] = n
+        found = [first + i for i, line in enumerate(lines) if line.strip() == text]
+        if len(found) != 1:
+            raise AssertionError(f"{func.__qualname__} has {len(found)} lines {text!r}, not one")
+        targets[found[0]] = n
     code = func.__code__
 
     def local(frame, event, arg):

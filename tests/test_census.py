@@ -33,7 +33,7 @@ from mpgraphs import (
     suppress_match,
     validate,
 )
-from mpgraphs.census import MAX_ATTEMPTS, _count, _expand, _petersen_blocks
+from mpgraphs.census import MAX_ATTEMPTS, _count, _expand, _petersen_blocks, _placements
 from mpgraphs.core import PETERSEN_PATTERNS, _subset_is_petersen
 from mpgraphs.errors import ExhaustedAttempts, InvalidJobs, OutOfScanRange
 
@@ -663,7 +663,7 @@ class TestExhaustiveScan:
                 exhaustive_scan(bad)
             assert exc.value.certificate == {"m": bad}
 
-    @pytest.mark.parametrize("m", range(3, 7))
+    @pytest.mark.parametrize("m", range(3, 8))
     def test_rows_match_an_independent_census(self, m):
         r = exhaustive_scan(m)
         expected = []
@@ -672,6 +672,16 @@ class TestExhaustiveScan:
             expected.append((i, sigma, len(enumerate_m_c4(G)), len(brute_force_p10(G)), 0))
         assert r.rows == tuple(expected)
         assert r.instance_count == len(expected) == math.factorial(m)
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_placements_match_the_census_walk(self, m):
+        # the scan's one pass over pattern placements against the walk that
+        # every single-instance caller runs: the same witnesses, in the same
+        # order, for every sigma, keyed in permutations order
+        placed = _placements(m)
+        assert list(placed) == list(itertools.permutations(range(m)))
+        for sigma, wits in placed.items():
+            assert list(wits) == enumerate_m_p10(validate(m, sigma)), sigma
 
     def test_scan_runs_the_public_engine(self, monkeypatch):
         # every engine run goes through the public find_p10_through, which

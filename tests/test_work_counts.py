@@ -5,7 +5,8 @@ input: the census walk's live pairs, those with at least two side
 switches after x1, and its x2 visits (both read by a line tracer), its
 blocks, witnesses and slice entries, the per-edge tally's bisects, the
 crossing-graph rows the witness engine computes over every qualifying
-edge, the peel's C4Reduce steps and the cut search's (l, r) steps.
+edge, the peel's C4Reduce steps, the cut search's (l, r) steps, and the
+exhaustive scan's instances, engine runs, matched 4-cycles and witnesses.
 Counts do not drift from run to run as times do, so a change that does
 less work shows it exactly, in the diff of the file.
 
@@ -20,6 +21,7 @@ change:
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect
 from pathlib import Path
 from unittest import mock
@@ -28,7 +30,7 @@ import pytest
 
 from mpgraphs import crossing as crossing_module
 from mpgraphs import witness as witness_module
-from mpgraphs.census import _petersen_blocks, _qualifying_edges, _tally, random_instance
+from mpgraphs.census import _petersen_blocks, _qualifying_edges, _tally, exhaustive_scan, random_instance
 from mpgraphs.core import enumerate_m_c4, find_cyclic_cut, validate
 from mpgraphs.family import generate_gk
 
@@ -111,6 +113,18 @@ def cut_counts(G) -> dict[str, int]:
     return {"cyclic.lr_steps": steps}
 
 
+def scan_counts(m: int) -> dict[str, int]:
+    """exhaustive_scan(m): its instances and engine runs, and the matched
+    4-cycles and witnesses summed over its rows."""
+    report = exhaustive_scan(m)
+    return {
+        "scan.instances": report.instance_count,
+        "scan.witness_runs": report.witness_runs,
+        "scan.c4s": sum(row.c4_count for row in report.rows),
+        "scan.witnesses": sum(row.p10_count for row in report.rows),
+    }
+
+
 def _gk(k: int):
     return lambda: generate_gk(k).graph
 
@@ -120,10 +134,11 @@ def _random(m: int):
 
 
 # instance name (the mpg command that prints it, where there is one) ->
-# the instance, then the counts read on it.  The c4-free instances take
-# no C4Reduce step, and G_k and the random ones are cut early, so the
-# peel and the cut search are counted where every step is taken: on a
-# 100-step chain, and on sigma(i) = 2i mod 101, which has no cut.
+# the instance (for the scan, its m), then the counts read on it.  The
+# c4-free instances take no C4Reduce step, and G_k and the random ones
+# are cut early, so the peel and the cut search are counted where every
+# step is taken: on a 100-step chain, and on sigma(i) = 2i mod 101,
+# which has no cut.
 INSTANCES = {
     "gk 4": (_gk(4), census_counts),
     "gk 12": (_gk(12), census_counts, engine_counts),
@@ -134,6 +149,7 @@ INSTANCES = {
     "random 60 --seed 1 --c4-free": (_random(60), census_counts, engine_counts),
     "long_chain_instance(200)": (lambda: long_chain_instance(200), peel_counts),
     "sigma(i) = 2i mod 101": (lambda: validate(101, [2 * i % 101 for i in range(101)]), cut_counts),
+    "scan 7": (lambda: 7, scan_counts),
 }
 
 
@@ -167,6 +183,15 @@ def test_work_counts_match_the_file(name, recorded):
     if "census.slice_entries" in counts:
         # the walk yields only live entries, and the tally bisects each once
         assert counts["census.slice_entries"] == counts["census.tally_x3_bisects"] + counts["census.tally_x4_bisects"]
+
+
+@pytest.mark.parametrize("text,matches", [("no such line", 0), ("continue", 2)])
+def test_a_counted_line_must_be_one_line(text, matches):
+    # a counted line edited away, or one that is not unique, is named with
+    # its function and how many lines match it
+    message = f"_petersen_blocks has {matches} lines {text!r}, not one"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        line_counts(_petersen_blocks, [text], lambda: None)
 
 
 if __name__ == "__main__":
