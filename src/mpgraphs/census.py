@@ -527,6 +527,8 @@ class ScanReport(NamedTuple):
 def _qualifying_edges(G: MarkedPermutationGraph, c4s: Sequence[FourCycle]) -> list[int]:
     """Edges contained in every matched 4-cycle (all edges when there are
     none): the hypothesis of the main extraction theorem."""
+    if not c4s:
+        return list(range(G.m))
     edges = set(range(G.m))
     for c4 in c4s:
         edges &= {c4.i, c4.j}

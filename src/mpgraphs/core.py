@@ -188,8 +188,13 @@ PETERSEN = validate(5, [0, 2, 4, 1, 3])
 def _check_index(G: MarkedPermutationGraph, i: int, what: str = "A-index") -> int:
     """i as a Python int in 0..m-1.  It is read through operator.index, as
     validate reads sigma, so a numpy integer passes and a float or a string
-    raises IndexOutOfRange, as an integer out of range does."""
-    i = _integer(i, IndexOutOfRange, f"{what} ", index=i, m=G.m)
+    raises IndexOutOfRange, as an integer out of range does.  The read
+    is inline, with _integer's wording, so a call that passes builds no
+    message and no certificate."""
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise IndexOutOfRange(f"{what} {i!r} is not an integer", index=i, m=G.m) from None
     if not 0 <= i < G.m:
         raise IndexOutOfRange(f"{what} {i} outside 0..{G.m - 1}", index=i, m=G.m)
     return i
@@ -323,8 +328,8 @@ def _subset_is_petersen(G: MarkedPermutationGraph, X: tuple[int, ...]) -> bool:
     the rank pattern of sigma on X is in PETERSEN_PATTERNS.  One sort
     lists X's positions in value order, which is the inverse of the rank
     pattern, and the table holds a pattern iff it holds its inverse."""
-    values = [G.sigma[x] for x in X]
-    return tuple(sorted(range(len(values)), key=values.__getitem__)) in PETERSEN_PATTERNS
+    values = operator.itemgetter(*X)(G.sigma)
+    return tuple(sorted(range(5), key=values.__getitem__)) in PETERSEN_PATTERNS
 
 
 # ---------------------------------------------------------------------------

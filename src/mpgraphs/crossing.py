@@ -79,23 +79,29 @@ _BINARY = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte per index -> its binary 
 # measured on find_p10_through alone (replay_trace makes no graph) at
 # every edge of five 4-cycle-free random instances per m, seeds 1-5, best
 # of 48 alternating runs, walk against on demand (2-core VM, Python
-# 3.11.7): 26.3 against 30.8 us at m = 8, 37.1 / 37.5 at m = 30,
-# 38.6 / 37.1 at m = 32, 52.2 / 44.9 at m = 60 and 77.4 / 79.5 at
-# m = 100, where a few edges read most rows; on demand, the memory is
-# O(rows read * m), not m^2/8 bytes.
+# 3.11.7): 12.8 against 14.9 us at m = 8, 18.4 / 19.2 at m = 24,
+# 18.6 / 18.8 at m = 30, 20.0 / 18.1 at m = 32, 28.9 / 22.5 at m = 60
+# and 47.0 / 49.5 at m = 100, where a few edges read most rows; on
+# demand, the memory is O(rows read * m), not m^2/8 bytes.
 _ROWS_ON_DEMAND_FROM_M = 32
 
 
-def _engine_crossing_graph(G: MarkedPermutationGraph, a: int, vertices: tuple[int, ...]) -> CrossingGraph:
+def _engine_crossing_graph(G: MarkedPermutationGraph, a: int, vertices: tuple[int, ...] | None) -> CrossingGraph:
     """H_a for the witness engine, with the given ``vertices``, which the
-    caller makes once: build_crossing_graph's rows below
-    _ROWS_ON_DEMAND_FROM_M, and from it on a _RowsOnDemand, O(rows read *
-    m) time and memory.  The search reads about 3 rows a graph on random
-    instances with m = 60..100, and every row on G_k, where computing them
-    one at a time costs a few % of its triple walk (4 % on G_10, under 1 %
-    on G_30).  a is a checked anchor."""
-    adj = build_crossing_graph(G, a).adj if G.m < _ROWS_ON_DEMAND_FROM_M else _RowsOnDemand(G, a)
-    return CrossingGraph(a, G, vertices, adj)
+    caller makes once, or None for every index but a: build_crossing_graph's
+    rows below _ROWS_ON_DEMAND_FROM_M, and from it on a _RowsOnDemand,
+    O(rows read * m) time and memory.  Below it, with vertices None, the
+    graph is build_crossing_graph's own.  The search reads about 3 rows a
+    graph on random instances with m = 60..100, and every row on G_k,
+    where computing them one at a time costs a few % of its triple walk
+    (4 % on G_10, under 1 % on G_30).  a is a checked anchor."""
+    m = G.m
+    if m < _ROWS_ON_DEMAND_FROM_M:
+        H = build_crossing_graph(G, a)
+        return H if vertices is None else CrossingGraph(a, G, vertices, H.adj)
+    if vertices is None:
+        vertices = (*range(a), *range(a + 1, m))
+    return CrossingGraph(a, G, vertices, _RowsOnDemand(G, a))
 
 
 class _RowsOnDemand(dict):

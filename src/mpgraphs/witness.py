@@ -133,20 +133,20 @@ def _certify(G: MarkedPermutationGraph, a: int, p: InducedPath4, is_vertex: Call
     s = sigma[a]
     px, py, pz, pw = (x - a) % m, (y - a) % m, (z - a) % m, (w - a) % m
     qx, qy, qz, qw = (sigma[x] - s) % m, (sigma[y] - s) % m, (sigma[z] - s) % m, (sigma[w] - s) % m
-    for u, v, crossed in (
-        (x, y, (px < py) != (qx < qy)),
-        (y, z, (py < pz) != (qy < qz)),
-        (z, w, (pz < pw) != (qz < qw)),
-    ):
-        if not crossed:
-            raise NotAnInducedP4(f"missing edge {u}-{v}", path=list(path), anchor=a, missing=[u, v])
-    for u, v, crossed in (
-        (x, z, (px < pz) != (qx < qz)),
-        (x, w, (px < pw) != (qx < qw)),
-        (y, w, (py < pw) != (qy < qw)),
-    ):
-        if crossed:
-            raise NotAnInducedP4(f"chord {u}-{v}", path=list(path), anchor=a, chord=[u, v])
+    # the path edges x-y, y-z, z-w, then the chords x-z, x-w, y-w, each
+    # tested only when the ones before it pass
+    if (px < py) == (qx < qy):
+        raise NotAnInducedP4(f"missing edge {x}-{y}", path=list(path), anchor=a, missing=[x, y])
+    if (py < pz) == (qy < qz):
+        raise NotAnInducedP4(f"missing edge {y}-{z}", path=list(path), anchor=a, missing=[y, z])
+    if (pz < pw) == (qz < qw):
+        raise NotAnInducedP4(f"missing edge {z}-{w}", path=list(path), anchor=a, missing=[z, w])
+    if (px < pz) != (qx < qz):
+        raise NotAnInducedP4(f"chord {x}-{z}", path=list(path), anchor=a, chord=[x, z])
+    if (px < pw) != (qx < qw):
+        raise NotAnInducedP4(f"chord {x}-{w}", path=list(path), anchor=a, chord=[x, w])
+    if (py < pw) != (qy < qw):
+        raise NotAnInducedP4(f"chord {y}-{w}", path=list(path), anchor=a, chord=[y, w])
     X = tuple(sorted((a, *path)))
     if not _subset_is_petersen(G, X):
         raise InternalInvariantViolated(
@@ -206,7 +206,11 @@ def _survivor_graph(G: MarkedPermutationGraph, e: int, p: _Peel) -> CrossingGrap
     vertices' bits, which no reader needs masked: find_induced_p4 walks
     only ``vertices`` and orients its path from survivors' bits of
     survivors' rows, its candidate mask names only vertices completing an
-    induced P4 of H_e, none peeled (step 5), and p10_from_p4 reads no row."""
+    induced P4 of H_e, none peeled (step 5), and p10_from_p4 reads no row.
+    With nothing peeled the survivors are every index but e, and the
+    vertices are left to _engine_crossing_graph (None)."""
+    if not p.l + p.r:
+        return _engine_crossing_graph(G, e, None)
     m = G.m
     lo, hi = e - p.l, e + p.r + 1
     return _engine_crossing_graph(G, e, (*range(max(0, hi - m), lo), *range(hi, min(m, lo + m))))

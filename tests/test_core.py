@@ -45,7 +45,7 @@ from mpgraphs import (
     verify_gk,
 )
 from mpgraphs.census import ScanReport, ScanRow
-from mpgraphs.core import MAX_M
+from mpgraphs.core import MAX_M, _integer
 from mpgraphs.errors import (
     IndexOutOfRange,
     InstanceTextError,
@@ -813,20 +813,27 @@ class TestIndexArguments:
 
     @pytest.mark.parametrize("bad", [1.0, 0.5, "1", None], ids=["float", "fraction", "string", "none"])
     def test_non_integers_are_refused(self, bad):
+        # each caller's own wording, such as "edge 'x' is not an integer";
+        # _check_index reads the index inline, and its refusal must be
+        # byte-identical to the one the shared helper _integer words
         _, trace = find_p10_through(PETERSEN, 0)
-        for call in (
-            lambda: build_crossing_graph(PETERSEN, bad),
-            lambda: find_p10_through(PETERSEN, bad),
-            lambda: replay_trace(PETERSEN, bad, trace),
-            lambda: check_redrawing(PETERSEN, 0, bad),
-            lambda: check_replace(PETERSEN, bad, 1),
-            lambda: standard_drawing(PETERSEN, bad),
-            lambda: suppress_match(PETERSEN, [0, bad]),
-            lambda: relabel_witness(PETERSEN, [bad], "reflect"),
+        for what, call in (
+            ("anchor", lambda: build_crossing_graph(PETERSEN, bad)),
+            ("edge", lambda: find_p10_through(PETERSEN, bad)),
+            ("edge", lambda: replay_trace(PETERSEN, bad, trace)),
+            ("A-index", lambda: check_redrawing(PETERSEN, 0, bad)),
+            ("A-index", lambda: check_replace(PETERSEN, bad, 1)),
+            ("anchor", lambda: standard_drawing(PETERSEN, bad)),
+            ("A-index", lambda: suppress_match(PETERSEN, [0, bad])),
+            ("edge", lambda: relabel_witness(PETERSEN, [bad], "reflect")),
         ):
-            with pytest.raises(IndexOutOfRange, match="is not an integer") as exc:
+            with pytest.raises(IndexOutOfRange) as exc:
                 call()
+            assert exc.value.message == f"{what} {bad!r} is not an integer"
             assert exc.value.certificate == {"index": bad, "m": 5}
+            with pytest.raises(IndexOutOfRange) as shared:
+                _integer(bad, IndexOutOfRange, f"{what} ", index=bad, m=5)
+            assert exc.value.to_json_dict() == shared.value.to_json_dict()
 
     def test_replay_trace_checks_its_edge(self):
         # the trace of edge 0, replayed at an edge one past the last
