@@ -50,58 +50,57 @@ def build_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
     mod m order the pair oppositely on the two rows.  The anchor segment
     crosses nothing and is excluded.
 
-    Row x is (the indices after x on the top row) XOR (the indices after x
-    on the bottom row), so each row is read off by one walk from its far
-    end: O(m) big-int operations, no pair loop."""
+    Row x is (the indices between a and x on the top row) XOR (the same on
+    the bottom row): within the m - 2 other indices these are the
+    complements of the indices after x on each row, whose XOR is the same.
+    The top-row set is the cyclic arc a + 1 .. x - 1 of indices, one
+    big-int operation on x's bit; the bottom-row set is the indices that
+    one walk over the values, from sigma[a] + 1 up, has passed before x:
+    O(m) big-int operations in one walk, no pair loop."""
     a = _check_index(G, a, "anchor")
-    m = G.m
+    m, sigma = G.m, G.sigma
     adj = [0] * m
-    later = 0
-    for p in range(m - 1, 0, -1):
-        x = (a + p) % m
-        adj[x] = later
-        later |= 1 << x
-    inv, base = G.inverse(), G.sigma[a]
-    later = 0
-    for p in range(m - 1, 0, -1):
-        x = inv[(base + p) % m]
-        adj[x] ^= later
-        later |= 1 << x
-    return CrossingGraph(anchor=a, graph=G, vertices=(*range(a), *range(a + 1, m)), adj=tuple(adj))
+    inv, b = G.inverse(), sigma[a]
+    # the top-row arc is (1 << x) - low for x > a, and wrap + (1 << x) for x < a
+    low, wrap = 2 << a, (1 << m) - (2 << a) - 1
+    before = 0
+    for x in inv[b + 1 :] + inv[:b]:
+        bit = 1 << x
+        adj[x] = (bit - low if x > a else wrap + bit) ^ before
+        before |= bit
+    return CrossingGraph(a, G, (*range(a), *range(a + 1, m)), tuple(adj))
 
 
 _BINARY = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte per index -> its binary digit
 
 
 # From this m on, _engine_crossing_graph computes each row of H_a when the
-# search first reads it; below it, a row of at most 31 bits is about one
-# 30-bit CPython digit, and the walk that builds them all is cheaper, as
+# search first reads it, so the memory is O(rows read * m), not m^2/8
+# bytes; below it, the one walk that builds them all is cheaper, as
 # measured on find_p10_through alone (replay_trace makes no graph) at
 # every edge of five 4-cycle-free random instances per m, seeds 1-5, best
 # of 48 alternating runs, walk against on demand (2-core VM, Python
-# 3.11.7): 12.8 against 14.9 us at m = 8, 18.4 / 19.2 at m = 24,
-# 18.6 / 18.8 at m = 30, 20.0 / 18.1 at m = 32, 28.9 / 22.5 at m = 60
-# and 47.0 / 49.5 at m = 100, where a few edges read most rows; on
-# demand, the memory is O(rows read * m), not m^2/8 bytes.
+# 3.11.7): 11.3 against 14.7 us at m = 8, 14.8 / 18.1 at m = 24,
+# 16.5 / 18.9 at m = 30, 17.9 / 18.3 at m = 32, 19.6 / 23.8 at m = 36,
+# 22.4 / 20.5 at m = 60 and 38.6 / 50.6 at m = 100, where a few edges
+# read most rows.  The walk also leads at m = 40 to 48, and on demand at
+# m = 52 and 56 (other runs, same setup), so no one crossover in m puts
+# every size on its faster side.
 _ROWS_ON_DEMAND_FROM_M = 32
 
 
-def _engine_crossing_graph(G: MarkedPermutationGraph, a: int, vertices: tuple[int, ...] | None) -> CrossingGraph:
-    """H_a for the witness engine, with the given ``vertices``, which the
-    caller makes once, or None for every index but a: build_crossing_graph's
-    rows below _ROWS_ON_DEMAND_FROM_M, and from it on a _RowsOnDemand,
-    O(rows read * m) time and memory.  Below it, with vertices None, the
-    graph is build_crossing_graph's own.  The search reads about 3 rows a
-    graph on random instances with m = 60..100, and every row on G_k,
-    where computing them one at a time costs a few % of its triple walk
-    (4 % on G_10, under 1 % on G_30).  a is a checked anchor."""
+def _engine_crossing_graph(G: MarkedPermutationGraph, a: int) -> CrossingGraph:
+    """H_a for the witness engine, with every index but a as its vertices:
+    build_crossing_graph's own graph below _ROWS_ON_DEMAND_FROM_M, and from
+    it on one whose rows are a _RowsOnDemand, O(rows read * m) time and
+    memory.  The search reads about 3 rows a graph on random instances with
+    m = 60..100, and every row on G_k, where computing them one at a time
+    costs a few % of its triple walk (4 % on G_10, under 1 % on G_30).  a
+    is a checked anchor."""
     m = G.m
     if m < _ROWS_ON_DEMAND_FROM_M:
-        H = build_crossing_graph(G, a)
-        return H if vertices is None else CrossingGraph(a, G, vertices, H.adj)
-    if vertices is None:
-        vertices = (*range(a), *range(a + 1, m))
-    return CrossingGraph(a, G, vertices, _RowsOnDemand(G, a))
+        return build_crossing_graph(G, a)
+    return CrossingGraph(a, G, (*range(a), *range(a + 1, m)), _RowsOnDemand(G, a))
 
 
 class _RowsOnDemand(dict):

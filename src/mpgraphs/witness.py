@@ -168,29 +168,32 @@ class _Peel(NamedTuple):
     u: int = 0
 
 
-def _current(m: int, e: int, p: _Peel) -> tuple[int, int]:
-    """e's current index, e less the peeled indices below it (left of e
-    down to 0, right past m - 1), and the number of survivors."""
-    return e - min(p.l, e) - max(0, e + p.r + 1 - m), m - p.l - p.r
+_NO_PEEL = _Peel()
 
 
 def _partners(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[int, dict[int, _Peel]]:
     """e's current index and, by current index, each partner left after p,
-    with the peel after deleting it.  e's current A-neighbours lie just
-    outside the peeled A-interval, and a partner's value just outside the
-    peeled value interval.  At 3 edges every pair is a matched 4-cycle, so
-    no peel meeting the precondition gets there: InternalInvariantViolated."""
+    with the peel after deleting it.  The peeled A-interval is lo .. hi - 1
+    mod m, lo = e - l and hi = e + r + 1, so e's current index counts the
+    indices 0 .. lo - 1, less hi - m of them if the interval wraps past
+    m - 1.  e's current A-neighbours lie just outside the peeled A-interval,
+    and a partner's value just outside the peeled value interval.  At 3
+    edges every pair is a matched 4-cycle, so no peel meeting the
+    precondition gets there: InternalInvariantViolated."""
     m, sigma = G.m, G.sigma
     l, r, d, u = p
-    a, n = _current(m, e, p)
+    n = m - l - r
     if n <= 3:
         raise InternalInvariantViolated("the peel reached the 6-vertex base case", instance=G.to_text(), edge=e)
-    below, above = (sigma[e] - d - 1) % m, (sigma[e] + u + 1) % m
+    lo, hi = e - l, e + r + 1
+    a = (lo if lo > 0 else 0) - (hi - m if hi > m else 0)
+    v = sigma[e]
+    below, above = (v - d - 1) % m, (v + u + 1) % m
     partners = {}
-    s = sigma[(e - l - 1) % m]
+    s = sigma[lo - 1]  # lo - 1 > -m: a negative index reads from the end, as mod m
     if s == below or s == above:
         partners[(a - 1) % n] = _Peel(l + 1, r, d + (s == below), u + (s == above))
-    s = sigma[(e + r + 1) % m]
+    s = sigma[hi % m]
     if s == below or s == above:
         partners[(a + 1) % n] = _Peel(l, r + 1, d + (s == below), u + (s == above))
     return a, partners
@@ -198,22 +201,30 @@ def _partners(G: MarkedPermutationGraph, e: int, p: _Peel) -> tuple[int, dict[in
 
 def _survivor_graph(G: MarkedPermutationGraph, e: int, p: _Peel) -> CrossingGraph:
     """H_e with the survivors less e as ``vertices``: the indices outside
-    the peeled cyclic interval e - l .. e + r, ascending, which is two
-    ranges, as the interval wraps past index 0 on at most one side.
-    crossing._engine_crossing_graph makes H_e: whole below a crossover in
-    m, and from it on with each row computed, in O(m), when it is first
-    read, so O(rows read * m) time and memory.  Rows keep the peeled
+    the peeled cyclic interval e - l .. e + r, ascending, which is one
+    range if the interval wraps past 0 or past m - 1, and two if not.
+    crossing._engine_crossing_graph makes H_e, with every index but e as
+    its vertices: whole below a crossover in m, and from it on with each
+    row computed, in O(m), when it is first read, so O(rows read * m) time
+    and memory.  With nothing peeled that graph is the survivors' own;
+    else its rows are, with the survivors sliced from its vertices, where
+    index v sits at v below e and at v - 1 above.  Rows keep the peeled
     vertices' bits, which no reader needs masked: find_induced_p4 walks
     only ``vertices`` and orients its path from survivors' bits of
     survivors' rows, its candidate mask names only vertices completing an
-    induced P4 of H_e, none peeled (step 5), and p10_from_p4 reads no row.
-    With nothing peeled the survivors are every index but e, and the
-    vertices are left to _engine_crossing_graph (None)."""
+    induced P4 of H_e, none peeled (step 5), and p10_from_p4 reads no row."""
+    H = _engine_crossing_graph(G, e)
     if not p.l + p.r:
-        return _engine_crossing_graph(G, e, None)
-    m = G.m
+        return H
+    m, vs = G.m, H.vertices
     lo, hi = e - p.l, e + p.r + 1
-    return _engine_crossing_graph(G, e, (*range(max(0, hi - m), lo), *range(hi, min(m, lo + m))))
+    if lo < 0:  # the interval wraps past 0: the survivors are hi .. m + lo - 1
+        vs = vs[hi - 1 : m + lo - 1]
+    elif hi > m:  # past m - 1: hi - m .. lo - 1
+        vs = vs[hi - m : lo]
+    else:
+        vs = vs[:lo] + vs[hi - 1 :]
+    return CrossingGraph(e, G, vs, H.adj)
 
 
 def find_p10_through(
@@ -243,11 +254,13 @@ def find_p10_through(
             c4=[c4.i, c4.j],
             edge=e,
         )
-    p, steps = _Peel(), []
-    while partners := _partners(G, e, p)[1]:
+    p, steps = _NO_PEEL, []
+    a, partners = _partners(G, e, p)
+    while partners:
         z = min(partners)
         steps.append(C4ReduceStep(z))
         p = partners[z]
+        a, partners = _partners(G, e, p)
     H = _survivor_graph(G, e, p)
     path = find_induced_p4(H)
     if path is None:
@@ -258,12 +271,16 @@ def find_p10_through(
             anchor=e,
         )
     witness = p10_from_p4(H, path)
-    if steps:
-        # step 3's map: survivor v is (v - e - r) mod m survivors after e
-        a, n = _current(m, e, p)
-        steps.append(P4FoundStep(a, InducedPath4(*((a + (v - e - p.r) % m) % n for v in path))))
-    else:  # nothing peeled: every index is its own current index
-        steps.append(P4FoundStep(e, path))
+    if not steps:  # nothing peeled: every index is its own current index
+        return witness, (P4FoundStep(e, path),)
+    # step 3's map: survivor v is (v - o) mod m survivors after e, o = e + r,
+    # and a is e's current index among the n survivors
+    n, o = m - p.l - p.r, e + p.r
+    x, y, z, w = path
+    path = InducedPath4(
+        (a + (x - o) % m) % n, (a + (y - o) % m) % n, (a + (z - o) % m) % n, (a + (w - o) % m) % n
+    )
+    steps.append(P4FoundStep(a, path))
     return witness, tuple(steps)
 
 
@@ -281,16 +298,17 @@ def replay_trace(
     InternalInvariantViolated.  No crossing graph is made and no row
     computed: the path's pairs are read off the points, in O(1) each."""
     e = _check_index(G, e, "edge")
-    p = _Peel()
+    p, a = _NO_PEEL, e
     for step in steps:
         if isinstance(step, C4ReduceStep):
             a, partners = _partners(G, e, p)
             if step.z not in partners:
                 raise NotAC4ThroughE(f"edges {a} and {step.z} do not span a matched 4-cycle", a=a, z=step.z)
             p = partners[step.z]
+            a -= step.z < a  # deleting a partner below e moves e down one
         elif isinstance(step, P4FoundStep):
             m = G.m
-            a, n = _current(m, e, p)
+            n = m - p.l - p.r
             if step.a != a:
                 raise InternalInvariantViolated("trace anchor mismatch", expected=a, recorded=step.a)
             try:

@@ -129,19 +129,17 @@ class TestRowsOnDemand:
 
     @pytest.mark.parametrize("m", [8, 64])
     def test_engine_graph_reads_as_the_built_one(self, m):
-        # whole below the crossover, on demand above it; edges and
-        # edge_count read the rows at the vertices either way, whether the
-        # caller gives the vertices or leaves them to the function (None,
-        # every index but the anchor)
+        # whole below the crossover, on demand above it, with every index
+        # but the anchor as its vertices; edges and edge_count read the
+        # rows at the vertices either way
         for G in seeded_instances(m):
             for a in range(m):
                 expected = build_crossing_graph(G, a)
-                for vertices in (expected.vertices, None):
-                    H = _engine_crossing_graph(G, a, vertices)
-                    assert isinstance(H.adj, tuple) == (m < _ROWS_ON_DEMAND_FROM_M)
-                    assert H == expected._replace(adj=H.adj)
-                    assert H.edge_count() == expected.edge_count()  # before any row is read
-                    assert H.edges() == expected.edges()
+                H = _engine_crossing_graph(G, a)
+                assert isinstance(H.adj, tuple) == (m < _ROWS_ON_DEMAND_FROM_M)
+                assert H == expected._replace(adj=H.adj)
+                assert H.edge_count() == expected.edge_count()  # before any row is read
+                assert H.edges() == expected.edges()
 
 
 def svg_matching_segments(doc: str):

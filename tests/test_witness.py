@@ -698,9 +698,9 @@ class TestOneCrossingGraphPerState:
         built = []
         real = witness_module._engine_crossing_graph
 
-        def counting(G, a, vertices):
+        def counting(G, a):
             built.append((G.m, a))
-            return real(G, a, vertices)
+            return real(G, a)
 
         monkeypatch.setattr(witness_module, "_engine_crossing_graph", counting)
         return built
@@ -717,6 +717,29 @@ class TestOneCrossingGraphPerState:
 
         monkeypatch.setattr(crossing_module._RowsOnDemand, "__missing__", counting)
         return computed
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 30, 60, 100])
+    def test_one_public_build_per_call_below_the_crossover(self, monkeypatch, m):
+        # every qualifying edge, of every instance with m <= 7 and of the
+        # seeded ones above: the public build runs once per engine call, at
+        # the edge, below crossing._ROWS_ON_DEMAND_FROM_M, and never from it
+        # on, as the benchmark tracer's builds_per_engine_call reads it
+        built = []
+        real = crossing_module.build_crossing_graph
+
+        def counting(G, a):
+            built.append(a)
+            return real(G, a)
+
+        monkeypatch.setattr(crossing_module, "build_crossing_graph", counting)
+        calls = 0
+        for G in all_instances(m) if m <= 7 else seeded_instances(m):
+            for e in _qualifying_edges(G, enumerate_m_c4(G)):
+                find_p10_through(G, e)
+                assert built == ([e] if m < crossing_module._ROWS_ON_DEMAND_FROM_M else []), (G.to_text(), e)
+                built.clear()
+                calls += 1
+        assert calls
 
     def test_petersen_edge_0(self, builds):
         X, trace = find_p10_through(PETERSEN, 0)
